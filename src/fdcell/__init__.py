@@ -3,7 +3,8 @@
 Three independent evaluation routes over one Poisson-point-process system
 model:
 
-* :mod:`fdcell.analytic` -- general expressions by nested adaptive quadrature,
+* :mod:`fdcell.analytic` -- general expressions: closed-form interference
+  kernels inside adaptive radial quadrature,
 * :mod:`fdcell.closedform` -- elementary reductions for the quartic path-loss,
   equal-power, noise-free special case,
 * :mod:`fdcell.simulate` -- seeded Monte Carlo realization of the network,

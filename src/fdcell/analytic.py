@@ -1,13 +1,15 @@
-"""General outage probabilities by nested adaptive quadrature.
+"""General outage probabilities: closed-form interference kernels inside
+adaptive radial quadrature.
 
 The downlink outage of each architecture is an expectation over the serving
 distance r of a conditional coverage probability that factors into a noise
 term, a residual loop-interference term (two-node only) and Laplace transforms
-of the BS- and uplink-generated interference.  The transforms' semi-infinite
-integrals decay only polynomially, so they are mapped onto finite domains with
-explicit changes of variable rather than truncated; only the Gaussian-weighted
-radial integrals (serving distance r, exclusion radius rho) are truncated,
-where exp(-lam*pi*r^2) falls below the configured tail cut.
+of the BS- and uplink-generated interference.  Every transform's
+semi-infinite integral is one Gauss hypergeometric kernel,
+:func:`tail_integral`, so no quadrature runs inside a transform.  Only the
+Gaussian-weighted radial integrals (serving distance r, and the exclusion
+radius rho of the two-node uplink) are integrated adaptively, truncated where
+exp(-lam*pi*r^2) falls below the configured tail cut.
 
 The fading rate mu is normalized to 1 throughout this module: it cancels in
 every interference term, so the expressions depend only on the threshold, the
@@ -17,6 +19,8 @@ distances and the power ratio.
 from __future__ import annotations
 
 import math
+
+from scipy.special import hyp2f1
 
 from .model import Method, NetworkParams, OutageEstimate, Scenario, threshold_from_rate
 from .quadrature import QuadratureConfig, gaussian_tail_radius, integrate
@@ -28,7 +32,27 @@ __all__ = [
     "two_node_outage",
     "three_node_outage",
     "half_duplex_outage",
+    "outage",
 ]
+
+
+def tail_integral(c: float, alpha: float) -> float:
+    """integral_c^inf u/(1+u^alpha) du for c >= 0 and alpha > 2.
+
+    A Gauss hypergeometric function (the rho(T, alpha) of Andrews, Baccelli
+    and Ganti, IEEE TCOM 2011).  Each branch keeps the series argument in
+    [-1, 0], where 2F1 is well conditioned: up to c = 1 the head
+    integral_0^c is subtracted from the full-line value, beyond it the tail
+    is expanded in powers of c^-alpha.
+    """
+    if c > 1.0:
+        return c ** (2.0 - alpha) / (alpha - 2.0) * hyp2f1(
+            1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -c ** -alpha)
+    full = (math.pi / alpha) / math.sin(2.0 * math.pi / alpha)
+    if c == 0.0:
+        return full
+    return full - 0.5 * c * c * hyp2f1(1.0, 2.0 / alpha, 1.0 + 2.0 / alpha,
+                                       -c ** alpha)
 
 
 def bs_interference_laplace(r: float, threshold: float, params: NetworkParams,
@@ -38,20 +62,15 @@ def bs_interference_laplace(r: float, threshold: float, params: NetworkParams,
 
         exp(-2*pi*lam * integral_r^inf  T/(T + (x/r)^alpha1) * x dx).
 
-    Scaling t = x/r and folding the tail with t = 1/v gives the finite form
-    r^2 * integral_0^1  T*v^(alpha1-3) / (1 + T*v^alpha1) dv, integrable for
-    alpha1 > 2.
+    Scaling u = x / (r*T^(1/alpha1)) gives r^2 * J with
+    J = T^(2/alpha1) * tail_integral(T^(-1/alpha1), alpha1).  `quad` is
+    accepted for the common transform signature and not used.
     """
     _check_radial_args(r, threshold)
     if threshold == 0.0:
         return 1.0
-    quad = quad or QuadratureConfig()
-    t, a1 = threshold, params.alpha1
-
-    def mapped(v: float) -> float:
-        return t * v ** (a1 - 3.0) / (1.0 + t * v ** a1)
-
-    j = integrate(mapped, 0.0, 1.0, quad.rel_tol_inner, quad)
+    a1 = params.alpha1
+    j = threshold ** (2.0 / a1) * tail_integral(threshold ** (-1.0 / a1), a1)
     return math.exp(-2.0 * math.pi * params.lam * r * r * j)
 
 
@@ -62,16 +81,16 @@ def uplink_laplace_full(r: float, threshold: float, params: NetworkParams,
 
         exp(-2*pi*lam * integral_0^inf  a/(a + y^alpha2 / r^alpha1) * y dy)
 
-    with a = (p_u/p_b)*T.  Scaling by y* = (a*r^alpha1)^(1/alpha2) splits the
-    integral at 1; the [1, inf) part folds to (0, 1] through u = 1/v.
+    with a = (p_u/p_b)*T.  Scaling by y* = (a*r^alpha1)^(1/alpha2) leaves
+    y*^2 * tail_integral(0, alpha2).  `quad` is accepted for the common
+    transform signature and not used.
     """
     _check_radial_args(r, threshold)
     a = params.p_u / params.p_b * threshold
     if a == 0.0:
         return 1.0
-    quad = quad or QuadratureConfig()
     ystar2 = (a * r ** params.alpha1) ** (2.0 / params.alpha2)
-    c_all = _unit_head(params.alpha2, quad) + _unit_tail(params.alpha2, quad)
+    c_all = tail_integral(0.0, params.alpha2)
     return math.exp(-2.0 * math.pi * params.lam * ystar2 * c_all)
 
 
@@ -80,7 +99,8 @@ def uplink_laplace_excluded(r: float, threshold: float, params: NetworkParams,
     """Laplace transform of the uplink interference with the nearest
     interferer held outside a disk of random radius rho (two-node
     architecture): the full-plane transform's inner integral starts at rho
-    instead of 0, and rho is averaged over the nearest-neighbor distance law.
+    instead of 0, i.e. at rho/y* in the scaled variable, and rho is averaged
+    over the nearest-neighbor distance law by adaptive quadrature.
 
     Always at least as large as :func:`uplink_laplace_full` at identical
     arguments, since excluding a disk removes interference.
@@ -93,17 +113,7 @@ def uplink_laplace_excluded(r: float, threshold: float, params: NetworkParams,
     a2 = params.alpha2
     ystar2 = (a * r ** params.alpha1) ** (2.0 / a2)
     ystar = math.sqrt(ystar2)
-    tail1 = _unit_tail(a2, quad)
     tol = quad.rel_tol_inner
-
-    def excess(c: float) -> float:
-        # integral_c^inf u/(1+u^alpha2) du in the scaled variable
-        if c <= 1.0:
-            head = integrate(lambda u: u / (1.0 + u ** a2), c, 1.0, tol, quad) \
-                if c < 1.0 else 0.0
-            return head + tail1
-        return c ** (2.0 - a2) * integrate(
-            lambda v: v ** (a2 - 3.0) / (1.0 + (v / c) ** a2), 0.0, 1.0, tol, quad)
 
     lam = params.lam
     lam_pi = lam * math.pi
@@ -113,7 +123,7 @@ def uplink_laplace_excluded(r: float, threshold: float, params: NetworkParams,
         w = two_pi_lam * rho * math.exp(-lam_pi * rho * rho)
         if w == 0.0:
             return 0.0
-        return w * math.exp(-two_pi_lam * ystar2 * excess(rho / ystar))
+        return w * math.exp(-two_pi_lam * ystar2 * tail_integral(rho / ystar, a2))
 
     rho_max = gaussian_tail_radius(lam, quad)
     # the integrand is bounded by the exclusion-radius pdf, so the value is
@@ -154,6 +164,16 @@ def half_duplex_outage(params: NetworkParams, rate_r: float,
                           li_coef=0.0, uplink=None)
 
 
+def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
+           quad: QuadratureConfig | None = None) -> OutageEstimate:
+    """Outage of any architecture by the general route."""
+    if scenario is Scenario.TWO_NODE_FD:
+        return two_node_outage(params, rate_r, quad)
+    if scenario is Scenario.THREE_NODE_FD:
+        return three_node_outage(params, rate_r, quad)
+    return half_duplex_outage(params, rate_r, quad)
+
+
 def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
                    t: float, quad: QuadratureConfig,
                    li_coef: float, uplink) -> OutageEstimate:
@@ -188,15 +208,3 @@ def _check_radial_args(r: float, threshold: float) -> None:
         raise ValueError(f"serving distance must be > 0, got {r}")
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-
-
-def _unit_head(alpha2: float, quad: QuadratureConfig) -> float:
-    """integral_0^1 u/(1+u^alpha2) du."""
-    return integrate(lambda u: u / (1.0 + u ** alpha2), 0.0, 1.0,
-                     quad.rel_tol_inner, quad)
-
-
-def _unit_tail(alpha2: float, quad: QuadratureConfig) -> float:
-    """integral_1^inf u/(1+u^alpha2) du folded to (0, 1] via u = 1/v."""
-    return integrate(lambda v: v ** (alpha2 - 3.0) / (1.0 + v ** alpha2), 0.0, 1.0,
-                     quad.rel_tol_inner, quad)

@@ -11,7 +11,6 @@ import argparse
 import logging
 import os
 import sys
-import time
 from dataclasses import replace
 
 from .model import NetworkParams, Scenario
@@ -28,10 +27,8 @@ from .sweep import (
     rows_to_csv,
     rows_to_jsonl,
     run_sweep,
-    _ANALYTIC_FN,
-    _closed_form,
 )
-from . import closedform
+from . import analytic, closedform
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     params.add_argument("--lambda", dest="lam", type=float, help="BS/user density")
     params.add_argument("--alpha1", type=float, help="BS-user path-loss exponent")
     params.add_argument("--alpha2", type=float, help="user-user path-loss exponent")
-    params.add_argument("--pb", type=float, help="BS transmit power")
-    params.add_argument("--pu", type=float, help="user transmit power")
+    params.add_argument("--pb", dest="p_b", type=float, help="BS transmit power")
+    params.add_argument("--pu", dest="p_u", type=float, help="user transmit power")
     params.add_argument("--sigma-n2", dest="sigma_n2", type=float, help="noise power")
     params.add_argument("--sigma-l2", dest="sigma_l2", type=float,
                         help="residual loop-interference gain")
@@ -211,7 +208,7 @@ def _sim_config(args, defaults: dict) -> SimConfig:
         elif dest in defaults:
             kwargs[dest] = defaults[dest]
     if "mode" in kwargs:
-        kwargs["mode"] = SimMode.from_name(kwargs["mode"])
+        kwargs["mode"] = SimMode(kwargs["mode"])
     return SimConfig(**kwargs)
 
 
@@ -229,28 +226,32 @@ def _rate(args, defaults: dict) -> float:
     raise ConfigError("a target rate is required (--rate or config file)")
 
 
-def _emit_rows(rows: list[SweepRow], args, defaults: dict) -> None:
+def _emit_rows(rows: list[SweepRow], args, defaults: dict,
+               suffix: str = "") -> None:
+    """Write rows to --out, with `suffix` inserted before its extension, or
+    to stdout."""
     text = rows_to_jsonl(rows) if args.jsonl else rows_to_csv(rows)
     out = getattr(args, "out", None) or defaults.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    stem, dot, ext = out.rpartition(".")
+    with open(f"{stem}{suffix}.{ext}" if dot else out + suffix, "w") as fh:
+        fh.write(text)
 
 
 def _cmd_analytic(args, defaults: dict) -> int:
     params = _network_params(args, defaults)
     quad = _quad_config(defaults)
     rate = _rate(args, defaults)
-    scenario = Scenario.from_name(args.scenario)
+    scenario = Scenario(args.scenario)
     if args.method == "closed":
         if not closedform.applicable(params):
             raise ConfigError("closed form needs alpha1=alpha2=4, p_b=p_u, "
                               "sigma_n2=0 and mu=1")
-        est = _closed_form(scenario, params, rate, quad)
+        est = closedform.outage(scenario, params, rate, quad)
     else:
-        est = _ANALYTIC_FN[scenario](params, rate, quad)
+        est = analytic.outage(scenario, params, rate, quad)
     row = SweepRow(scenario.value, est.method.value, "rate", rate,
                    params.sigma_l2 if scenario is Scenario.TWO_NODE_FD else 0.0,
                    est.value, None, 0.0)
@@ -262,7 +263,7 @@ def _cmd_simulate(args, defaults: dict) -> int:
     params = _network_params(args, defaults)
     sim = _sim_config(args, defaults)
     rate = _rate(args, defaults)
-    scenario = Scenario.from_name(args.scenario)
+    scenario = Scenario(args.scenario)
     est = estimate_outage(params, scenario, rate, sim, workers=args.workers)
     row = SweepRow(scenario.value, est.method.value, "rate", rate,
                    params.sigma_l2 if scenario is Scenario.TWO_NODE_FD else 0.0,
@@ -294,7 +295,7 @@ def _cmd_sweep(args, defaults: dict) -> int:
         if not args.variable or not args.grid:
             raise ConfigError("custom sweeps need --variable and --grid "
                               "(or use --preset)")
-        scenarios = tuple(Scenario.from_name(s.strip())
+        scenarios = tuple(Scenario(s.strip())
                           for s in args.scenarios.split(","))
         li = tuple(float(v) for v in args.li_levels.split(",")) \
             if args.li_levels else (0.0,)
@@ -308,23 +309,9 @@ def _cmd_sweep(args, defaults: dict) -> int:
         specs = [spec]
     multi = len(specs) > 1
     for spec in specs:
-        rows = run_sweep(spec)
-        if multi:
-            # one file per fixed-rate curve; suffix the output name
-            out = getattr(args, "out", None) or defaults.get("out")
-            if out:
-                stem, dot, ext = out.rpartition(".")
-                base = stem if dot else out
-                suffixed = f"{base}_R{spec.rate:g}.{ext}" if dot \
-                    else f"{base}_R{spec.rate:g}"
-                text = rows_to_jsonl(rows) if args.jsonl else rows_to_csv(rows)
-                with open(suffixed, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(rows_to_jsonl(rows) if args.jsonl
-                                 else rows_to_csv(rows))
-        else:
-            _emit_rows(rows, args, defaults)
+        # one file per fixed-rate curve when a preset has several
+        _emit_rows(run_sweep(spec), args, defaults,
+                   suffix=f"_R{spec.rate:g}" if multi else "")
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "two_node_outage",
     "three_node_outage",
     "half_duplex_outage",
+    "outage",
 ]
 
 
@@ -133,6 +134,17 @@ def half_duplex_outage(rate_r: float) -> OutageEstimate:
     value = 1.0 - 1.0 / (1.0 + st * math.atan(st))
     return OutageEstimate(value, Method.ANALYTIC_CLOSED_FORM,
                           meta=_meta(Scenario.HALF_DUPLEX, rate_r))
+
+
+def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
+           quad: QuadratureConfig | None = None) -> OutageEstimate:
+    """Outage of any architecture under the quartic special case; the caller
+    checks :func:`applicable` first."""
+    if scenario is Scenario.TWO_NODE_FD:
+        return two_node_outage(rate_r, params.lam, params.sigma_l2, quad)
+    if scenario is Scenario.THREE_NODE_FD:
+        return three_node_outage(rate_r)
+    return half_duplex_outage(rate_r)
 
 
 def _meta(scenario: Scenario, rate_r: float, **extra) -> dict:

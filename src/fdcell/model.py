@@ -34,14 +34,6 @@ class Scenario(Enum):
     def is_full_duplex(self) -> bool:
         return self is not Scenario.HALF_DUPLEX
 
-    @classmethod
-    def from_name(cls, name: str) -> "Scenario":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown scenario {name!r}; expected one of "
-                         f"{[m.value for m in cls]}")
-
 
 class Method(Enum):
     """How an outage value was obtained."""

@@ -1,11 +1,12 @@
 """Adaptive quadrature plumbing shared by the analytic and closed-form modules.
 
-All semi-infinite integrals in this package are brought to finite domains
-first: polynomially-decaying tails through an explicit 1/v change of variable,
-exponentially- or Gaussian-weighted outer integrals by truncation where the
-weight drops below ``tail_cut``.  The finite-domain integrals are then handed
-to QUADPACK's globally adaptive Gauss-Kronrod scheme, which bisects the
-subinterval with the largest error estimate until the tolerance is met.
+The polynomially-decaying interference integrals are evaluated in closed
+form (:func:`fdcell.analytic.tail_integral`); what remains for quadrature are
+exponentially- or Gaussian-weighted radial integrals, brought to finite
+domains by truncation where the weight drops below ``tail_cut`` or by an
+exact change of variable.  They are handed to QUADPACK's globally adaptive
+Gauss-Kronrod scheme, which bisects the subinterval with the largest error
+estimate until the tolerance is met.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and truncation rules for the nested integrals.
+    """Tolerances and truncation rules for the radial integrals.
 
-    rel_tol_inner    -- relative tolerance for every integral nested inside an
-                        outage integral (Laplace factors and their inner maps);
+    rel_tol_inner    -- relative tolerance for the integrals nested inside an
+                        outage integral: the exclusion-radius average of the
+                        two-node uplink transform and closedform.uplink_kernel;
                         kept 100x tighter than the outer one so inner error
                         never dominates the outer estimate
     rel_tol_outer    -- relative tolerance for the outermost radial integral

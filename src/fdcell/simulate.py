@@ -44,14 +44,6 @@ class SimMode(Enum):
     MATCHED = "matched"
     PHYSICAL = "physical"
 
-    @classmethod
-    def from_name(cls, name: str) -> "SimMode":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown mode {name!r}; expected one of "
-                         f"{[m.value for m in cls]}")
-
 
 @dataclass(frozen=True)
 class SimConfig:

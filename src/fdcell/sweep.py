@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, closedform
-from .model import Method, NetworkParams, OutageEstimate, Scenario
+from .model import Method, NetworkParams, Scenario
 from .quadrature import QuadratureConfig
 from .simulate import SimConfig, estimate_outage, simulate_sinr
 
@@ -187,22 +187,6 @@ def _params_at(spec: SweepSpec, scenario: Scenario, value: float, li: float):
     return p, rate, shown_li
 
 
-_ANALYTIC_FN = {
-    Scenario.TWO_NODE_FD: analytic.two_node_outage,
-    Scenario.THREE_NODE_FD: analytic.three_node_outage,
-    Scenario.HALF_DUPLEX: analytic.half_duplex_outage,
-}
-
-
-def _closed_form(scenario: Scenario, params: NetworkParams, rate: float,
-                 quad: QuadratureConfig) -> OutageEstimate:
-    if scenario is Scenario.TWO_NODE_FD:
-        return closedform.two_node_outage(rate, params.lam, params.sigma_l2, quad)
-    if scenario is Scenario.THREE_NODE_FD:
-        return closedform.three_node_outage(rate)
-    return closedform.half_duplex_outage(rate)
-
-
 def _run_group(spec: SweepSpec, scenario: Scenario, method: str,
                li: float) -> list[SweepRow]:
     rows: list[SweepRow] = []
@@ -224,14 +208,14 @@ def _run_group(spec: SweepSpec, scenario: Scenario, method: str,
         params, rate, shown_li = _params_at(spec, scenario, value, li)
         t0 = time.perf_counter()
         if method == Method.ANALYTIC_GENERAL.value:
-            est = _ANALYTIC_FN[scenario](params, rate, spec.quad)
+            est = analytic.outage(scenario, params, rate, spec.quad)
         elif method == Method.ANALYTIC_CLOSED_FORM.value:
             if not closedform.applicable(params):
                 log.info("closed form not applicable for %s at %s=%g "
                          "(needs alpha1=alpha2=4, p_b=p_u, sigma_n2=0); skipped",
                          scenario.value, spec.variable, value)
                 continue
-            est = _closed_form(scenario, params, rate, spec.quad)
+            est = closedform.outage(scenario, params, rate, spec.quad)
         else:
             est = estimate_outage(params, scenario, rate, spec.sim)
         ms = (time.perf_counter() - t0) * 1e3

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
 
 from fdcell import analytic, closedform
 from fdcell.model import NetworkParams, Scenario
@@ -53,6 +54,34 @@ def uplink_excluded_tensor_oracle(r, t, params, n=2000):
     outer = (2.0 * math.pi * lam * rho * np.exp(-lam * math.pi * rho ** 2)
              * np.exp(-2.0 * math.pi * lam * ystar ** 2 * g))
     return float(np.trapezoid(outer, rho))
+
+
+def tail_integral_by_quad(c, alpha):
+    """integral_c^inf u/(1+u^alpha) du by tight adaptive quadrature, split
+    at 1; beyond 1 in the scaled variable u = c*t so the tail starts at 1."""
+    def q(fn, lo, hi):
+        return sp_integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=1.2e-14,
+                                 limit=200)[0]
+
+    if c < 1.0:
+        f = lambda u: u / (1.0 + u ** alpha)
+        return q(f, c, 1.0) + q(f, 1.0, math.inf)
+    return c * c * q(lambda t: t / (1.0 + (c * t) ** alpha), 1.0, math.inf)
+
+
+class TestTailIntegral:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0, 8.0])
+    def test_against_quadrature(self, alpha):
+        for c in (0.0, 1e-6, 1e-2, 0.5, 1.0, 2.0, 1e2, 1e6):
+            assert analytic.tail_integral(c, alpha) == pytest.approx(
+                tail_integral_by_quad(c, alpha), rel=1e-12)
+
+    def test_quartic_identity(self):
+        # E(c, 4) = arccot(c^2)/2, the kernel behind closedform's formulas
+        for c in (0.0, 1e-3, 0.5, 1.0, 2.0, 3.0):
+            assert analytic.tail_integral(c, 4.0) == pytest.approx(
+                closedform.arccot(c * c) / 2.0, rel=1e-12)
 
 
 class TestBsInterferenceLaplace:

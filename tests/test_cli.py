@@ -100,6 +100,12 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--variable", "rate")
         assert code == EXIT_CONFIG
 
+    def test_unknown_scenario(self, capsys):
+        code, _, err = run(capsys, "sweep", "--variable", "rate",
+                           "--grid", "0:1:2", "--scenarios", "three-node,four-node")
+        assert code == EXIT_CONFIG
+        assert "four-node" in err
+
     def test_fig4_writes_one_file_per_rate(self, capsys, tmp_path):
         out_file = tmp_path / "fig4.csv"
         code, _, _ = run(capsys, "sweep", "--preset", "fig4",
@@ -172,6 +178,19 @@ class TestConfigFile:
                            "--scenario", "three-node", "--rate", "1")
         assert code == EXIT_CONFIG
         assert "unknown key" in err
+
+    @pytest.mark.parametrize("flag, key", [("--pu", "pu"), ("--pb", "pb")])
+    def test_power_flag_matches_config_key(self, capsys, tmp_path, flag, key):
+        conf = tmp_path / "fd.conf"
+        conf.write_text(f"{key} = 0.1\n")
+        base = ("analytic", "--scenario", "three-node", "--rate", "1")
+        code, by_key, _ = run(capsys, "--config", str(conf), *base)
+        assert code == EXIT_OK
+        code, by_flag, _ = run(capsys, *base, flag, "0.1")
+        assert code == EXIT_OK
+        assert by_flag == by_key
+        _, default, _ = run(capsys, *base)
+        assert by_flag != default
 
     def test_quad_settings_via_config(self, capsys, tmp_path):
         conf = tmp_path / "fd.conf"

@@ -60,8 +60,8 @@ class TestLaplaceProperties:
         p = NetworkParams(lam=lam, alpha1=a1)
         value = analytic.bs_interference_laplace(r, t, p, QUAD)
         assert 0.0 <= value <= 1.0
-        # the mapped integrand is bounded by T*v^(a1-3), so the exponent
-        # magnitude is at most 2*pi*lam*r^2*T/(a1-2)
+        # J = integral_0^1 T*v^(a1-3)/(1+T*v^a1) dv <= T/(a1-2), so the
+        # exponent magnitude is at most 2*pi*lam*r^2*T/(a1-2)
         if 2.0 * math.pi * lam * r * r * t / (a1 - 2.0) < 700.0:
             assert value > 0.0
             assert math.log(value) <= 0.0
