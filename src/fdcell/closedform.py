@@ -37,7 +37,7 @@ def applicable(params: NetworkParams) -> bool:
 
 def arccot(x: float) -> float:
     """Inverse cotangent on x >= 0, decreasing from pi/2 at 0 toward 0."""
-    return math.pi / 2.0 - math.atan(x)
+    return math.atan2(1.0, x)
 
 
 def bs_kernel(u: float, rate_r: float, lam: float) -> float:

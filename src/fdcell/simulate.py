@@ -1,16 +1,25 @@
-"""Monte Carlo estimation of outage by direct realization of the PPP model.
+"""Monte Carlo estimation of outage in the radial form of the PPP model.
 
-Every trial draws its randomness from a counter-based Philox stream keyed by
-(seed, trial_index), so a trial's realization is a pure function of those two
-integers: estimates are bitwise reproducible no matter how trials are ordered
-or distributed across workers.
+The SINR of the typical user at the origin depends only on its distances to
+the BSs and to the uplink users.  The mapping u = lam*pi*r^2 turns a planar
+PPP of density lam into a unit-rate PPP on the half-line, so each trial's
+points are drawn directly in increasing order of u, as cumulative sums of
+standard-exponential gaps.  The serving BS is the first point; interference
+counts the points with u <= window_factor^2.
+
+Trials are drawn in blocks of BLOCK.  Block b comes from two Philox streams
+keyed by (seed, b), one for the BSs and one for the users, and trial i is row
+i % BLOCK of block i // BLOCK.  The streams are read CHUNK columns at a time
+whatever the window, so a trial is a pure function of (seed, i): estimates
+are bitwise identical for any worker count, and a trial's points at one
+window are a prefix of its points at any wider window.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,16 +27,18 @@ import numpy as np
 from .model import Method, NetworkParams, OutageEstimate, Scenario, threshold_from_rate
 
 __all__ = [
+    "BLOCK",
     "SimMode",
     "SimConfig",
     "NetworkRealization",
-    "trial_rng",
-    "window_radius",
     "sample_realization",
     "sinr_of_realization",
     "simulate_sinr",
     "estimate_outage",
 ]
+
+BLOCK = 16    # trials per realization
+CHUNK = 128   # points drawn per row at a time; BLOCK x CHUNK doubles are 16 kB
 
 
 class SimMode(Enum):
@@ -49,8 +60,9 @@ class SimMode(Enum):
 class SimConfig:
     """Monte Carlo window, trial count, seed and realization mode.
 
-    The simulation disk radius is window_factor / sqrt(lam*pi), i.e. the
-    window is measured in multiples of the mean nearest-neighbor distance so
+    The simulation window is the disk of radius window_factor / sqrt(lam*pi),
+    i.e. u <= window_factor^2 in the mapped variable u = lam*pi*r^2.  It is
+    measured in multiples of the mean nearest-neighbor distance so that
     truncation bias stays below the Monte Carlo noise (window_factor >= 5).
     """
 
@@ -70,129 +82,86 @@ class SimConfig:
 
 @dataclass
 class NetworkRealization:
-    """One network snapshot: point positions, fadings and the residual loop
-    gain, with the serving distance cached."""
+    """A block of network snapshots in radial form, one trial per row.
 
-    bs_points: np.ndarray        # (n, 2) BS coordinates
-    user_points: np.ndarray      # (m, 2) uplink user coordinates
-    serving_distance: float      # distance to the nearest BS
-    serving_fading: float        # h on the serving link
-    bs_fadings: np.ndarray       # g_i, aligned with bs_points
-    user_fadings: np.ndarray     # k_j, aligned with user_points
-    li_gain: float               # residual loop channel gain h_l
-    resampled: int = 0           # zero-BS redraws before this realization
+    Positions are u = lam*pi*r^2, increasing along each row, so column 0 of
+    bs_u is the serving BS and column 0 of bs_fadings its fading h.  Rows
+    run past the window, because the streams are drawn in whole chunks; the
+    SINR ignores the points beyond it.
+    """
 
-
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one trial: Philox keyed directly
-    by the 128-bit concatenation of trial index and seed."""
-    key = (int(trial_index) << 64) | int(seed)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def window_radius(params: NetworkParams, sim: SimConfig) -> float:
-    return sim.window_factor / math.sqrt(params.lam * math.pi)
+    bs_u: np.ndarray             # (rows, n) BS positions
+    bs_fadings: np.ndarray       # (rows, n) fading of each BS link
+    user_u: np.ndarray           # (rows, m) uplink user positions; m = 0 for half-duplex
+    user_fadings: np.ndarray     # (rows, m) fading of each user link
+    li_gain: np.ndarray          # (rows,) residual loop gain h_l, 0 off two-node
+    window: float                # interference counts the points with u <= window
+    resampled: int = 0           # zero-BS redraws: 0 by construction, a first BS always exists
 
 
 def sample_realization(params: NetworkParams, scenario: Scenario,
-                       sim: SimConfig, trial_index: int) -> NetworkRealization:
-    """Draw one network realization on the simulation disk.
+                       sim: SimConfig, block_index: int) -> NetworkRealization:
+    """Draw trials BLOCK*block_index ... BLOCK*(block_index+1)-1.
 
-    BS count is Poisson with mean lam*pi*R^2 and positions uniform on the
-    disk; a zero-BS draw is repeated (negligible probability at the default
-    window) and counted.  Users are omitted for half-duplex; for the matched
-    two-node mode they form a PPP restricted outside the sampled exclusion
-    disk.
+    Users are omitted for half-duplex; for the matched two-node mode they
+    start at v_rho = lam*pi*rho^2 ~ Exp(1), a PPP restricted outside the
+    exclusion disk.  The user stream begins with one v_rho and one unit loop
+    gain per row, whatever the scenario, so its points do not depend on it.
     """
-    rng = trial_rng(sim.seed, trial_index)
-    radius = window_radius(params, sim)
-    mean_count = params.lam * math.pi * radius * radius
-
-    n_bs = rng.poisson(mean_count)
-    resampled = 0
-    while n_bs == 0:
-        n_bs = rng.poisson(mean_count)
-        resampled += 1
-    bs_points = _uniform_disk(rng, n_bs, radius)
-    serving_distance = float(np.hypot(bs_points[:, 0], bs_points[:, 1]).min())
-
+    key = (int(block_index) << 64) | int(sim.seed)
+    window = sim.window_factor ** 2
+    scale = 1.0 / params.mu
+    bs_u, bs_fadings = _points(_stream(key, 0), np.zeros(BLOCK), window, scale)
+    li_gain = np.zeros(BLOCK)
     if scenario is Scenario.HALF_DUPLEX:
-        user_points = np.empty((0, 2))
-    elif scenario is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED:
-        # exclusion radius from the nearest-neighbor law, then a PPP on the
-        # annulus between it and the window edge (no point at rho itself)
-        rho2 = rng.exponential(1.0 / (params.lam * math.pi))
-        if rho2 >= radius * radius:
-            user_points = np.empty((0, 2))
-        else:
-            area = math.pi * (radius * radius - rho2)
-            n_users = rng.poisson(params.lam * area)
-            radii = np.sqrt(rho2 + rng.random(n_users) * (radius * radius - rho2))
-            user_points = _on_circles(rng, radii)
+        user_u = user_fadings = np.empty((BLOCK, 0))
     else:
-        n_users = rng.poisson(mean_count)
-        user_points = _uniform_disk(rng, n_users, radius)
-
-    fading_scale = 1.0 / params.mu
-    serving_fading = float(rng.exponential(fading_scale))
-    bs_fadings = rng.exponential(fading_scale, n_bs)
-    user_fadings = rng.exponential(fading_scale, len(user_points))
-    li_gain = 0.0
-    if scenario is Scenario.TWO_NODE_FD and params.sigma_l2 > 0:
-        li_gain = float(rng.exponential(params.sigma_l2))
-
-    return NetworkRealization(bs_points, user_points, serving_distance,
-                              serving_fading, bs_fadings, user_fadings,
-                              li_gain, resampled)
+        rng = _stream(key, 1)
+        v_rho, loop = rng.standard_exponential((2, BLOCK))
+        matched = scenario is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED
+        user_u, user_fadings = _points(rng, v_rho if matched else np.zeros(BLOCK),
+                                       window, scale)
+        if scenario is Scenario.TWO_NODE_FD:
+            li_gain = params.sigma_l2 * loop
+    return NetworkRealization(bs_u, bs_fadings, user_u, user_fadings, li_gain, window)
 
 
 def sinr_of_realization(real: NetworkRealization, params: NetworkParams,
-                        scenario: Scenario) -> float:
-    """SINR of the typical user at the origin for one realization:
+                        scenario: Scenario) -> np.ndarray:
+    """SINR of the typical user at the origin for each trial of a block:
     serving power over noise + loop residual + other-BS + uplink interference.
+    A point at u has path loss r^-alpha = (u / (lam*pi))^(-alpha/2).
     """
-    d_bs = np.hypot(real.bs_points[:, 0], real.bs_points[:, 1])
-    serving = int(np.argmin(d_bs))
-    signal = params.p_b * real.serving_fading * real.serving_distance ** -params.alpha1
-
-    gains = real.bs_fadings * d_bs ** -params.alpha1
-    i_bs = params.p_b * (gains.sum() - gains[serving])
-
-    i_up = 0.0
-    if len(real.user_points):
-        d_u = np.hypot(real.user_points[:, 0], real.user_points[:, 1])
-        i_up = params.p_u * float((real.user_fadings * d_u ** -params.alpha2).sum())
-
+    lam_pi = params.lam * math.pi
+    a1 = params.alpha1 / 2.0
+    signal = params.p_b * real.bs_fadings[:, 0] * (real.bs_u[:, 0] / lam_pi) ** -a1
+    i_bs = params.p_b * lam_pi ** a1 * _window_sum(
+        real.bs_u[:, 1:], real.bs_fadings[:, 1:], real.window, a1)
+    a2 = params.alpha2 / 2.0
+    i_up = params.p_u * lam_pi ** a2 * _window_sum(
+        real.user_u, real.user_fadings, real.window, a2)
     i_loop = params.p_u * real.li_gain if scenario is Scenario.TWO_NODE_FD else 0.0
-
-    denom = params.sigma_n2 + i_loop + i_bs + i_up
-    if denom == 0.0:
-        return math.inf
-    return signal / denom
+    with np.errstate(divide="ignore"):
+        return signal / (params.sigma_n2 + i_loop + i_bs + i_up)
 
 
 def simulate_sinr(params: NetworkParams, scenario: Scenario, sim: SimConfig,
                   workers: int = 1) -> np.ndarray:
-    """SINR samples for sim.trials independent realizations, ordered by trial
-    index.  The result is identical for any worker count because each trial is
-    a pure function of (seed, trial_index)."""
+    """SINR samples for sim.trials trials, ordered by trial index.  Workers
+    map over blocks, and each block is a pure function of (seed, block
+    index), so the result is identical for any worker count."""
 
-    def run_block(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
-        out = np.empty(hi - lo)
-        for i in range(lo, hi):
-            real = sample_realization(params, scenario, sim, i)
-            out[i - lo] = sinr_of_realization(real, params, scenario)
-        return out
+    def run_block(block_index: int) -> np.ndarray:
+        real = sample_realization(params, scenario, sim, block_index)
+        return sinr_of_realization(real, params, scenario)
 
-    n = sim.trials
+    blocks = range(-(-sim.trials // BLOCK))
     if workers <= 1:
-        return run_block((0, n))
-    edges = np.linspace(0, n, workers * 4 + 1, dtype=int)
-    blocks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run_block, blocks))
-    return np.concatenate(parts)
+        parts = [run_block(b) for b in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run_block, blocks))
+    return np.concatenate(parts)[:sim.trials]
 
 
 def estimate_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
@@ -215,11 +184,32 @@ def estimate_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
     return OutageEstimate(p, Method.MONTE_CARLO, stderr, meta)
 
 
-def _uniform_disk(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    radii = radius * np.sqrt(rng.random(n))
-    return _on_circles(rng, radii)
+def _stream(key: int, which: int) -> np.random.Generator:
+    """Philox stream `which` of a block: the counter's top word tells the BS
+    (0) and user (1) streams apart."""
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, which]))
 
 
-def _on_circles(rng: np.random.Generator, radii: np.ndarray) -> np.ndarray:
-    angles = rng.random(len(radii)) * (2.0 * math.pi)
-    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+def _points(rng: np.random.Generator, start: np.ndarray, window: float,
+            scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-rate PPP on (start, inf) per row, in increasing order, with
+    exponential fadings of mean `scale`: CHUNK columns at a time until every
+    row is past the window."""
+    u_parts, fading_parts = [], []
+    last = start
+    while True:
+        gaps, fadings = rng.standard_exponential((2, len(start), CHUNK))
+        gaps[:, 0] += last
+        u = np.cumsum(gaps, axis=1)
+        u_parts.append(u)
+        fading_parts.append(fadings)
+        last = u[:, -1]
+        if last.min() > window:
+            break
+    return np.concatenate(u_parts, axis=1), scale * np.concatenate(fading_parts, axis=1)
+
+
+def _window_sum(u: np.ndarray, fadings: np.ndarray, window: float,
+                half_alpha: float) -> np.ndarray:
+    """Per-row sum of fading * u^(-half_alpha) over the points with u <= window."""
+    return np.where(u <= window, fadings * u ** -half_alpha, 0.0).sum(axis=1)

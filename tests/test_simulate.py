@@ -7,32 +7,52 @@ from fdcell import analytic, closedform
 from fdcell.model import NetworkParams, Scenario
 from fdcell.quadrature import QuadratureConfig
 from fdcell.simulate import (
+    BLOCK,
     NetworkRealization,
     SimConfig,
     SimMode,
     estimate_outage,
     sample_realization,
     simulate_sinr,
-    trial_rng,
-    window_radius,
+    sinr_of_realization,
 )
 
 DEFAULTS = NetworkParams()
 QUAD = QuadratureConfig()
 
 
-def make_realization(bs, users=(), h=1.0, g=None, k=None, li=0.0):
-    bs = np.asarray(bs, dtype=float).reshape(-1, 2)
-    users = np.asarray(users, dtype=float).reshape(-1, 2)
+def make_realization(bs, users=(), h=1.0, g=None, k=None, li=0.0,
+                     lam=DEFAULTS.lam, window=math.inf):
+    """One-trial realization from distances: bs[0] is the serving BS with
+    fading h, g the fadings of the other BSs, k those of the users."""
+    bs = np.asarray(bs, dtype=float)
+    users = np.asarray(users, dtype=float)
+    g = np.ones(len(bs) - 1) if g is None else np.asarray(g, dtype=float)
+    k = np.ones(len(users)) if k is None else np.asarray(k, dtype=float)
     return NetworkRealization(
-        bs_points=bs,
-        user_points=users,
-        serving_distance=float(np.hypot(bs[:, 0], bs[:, 1]).min()),
-        serving_fading=h,
-        bs_fadings=np.ones(len(bs)) if g is None else np.asarray(g, dtype=float),
-        user_fadings=np.ones(len(users)) if k is None else np.asarray(k, dtype=float),
-        li_gain=li,
+        bs_u=(lam * math.pi * bs * bs)[None, :],
+        bs_fadings=np.concatenate(([h], g))[None, :],
+        user_u=(lam * math.pi * users * users)[None, :],
+        user_fadings=k[None, :],
+        li_gain=np.array([li]),
+        window=window,
     )
+
+
+def sinr(real, params, scenario):
+    return float(sinr_of_realization(real, params, scenario)[0])
+
+
+def trial(params, scenario, sim, i):
+    """Trial i of a simulation, cut to the points inside the window:
+    (bs_u, bs_fadings, user_u, user_fadings, li_gain)."""
+    real = sample_realization(params, scenario, sim, i // BLOCK)
+    row = i % BLOCK
+    bs_in = real.bs_u[row] <= real.window
+    user_in = real.user_u[row] <= real.window
+    return (real.bs_u[row][bs_in], real.bs_fadings[row][bs_in],
+            real.user_u[row][user_in], real.user_fadings[row][user_in],
+            real.li_gain[row])
 
 
 class TestSimConfig:
@@ -53,37 +73,42 @@ class TestSampleRealization:
     SIM = SimConfig(trials=10, seed=123)
 
     def test_deterministic_per_trial(self):
-        a = sample_realization(DEFAULTS, Scenario.TWO_NODE_FD, self.SIM, 7)
-        b = sample_realization(DEFAULTS, Scenario.TWO_NODE_FD, self.SIM, 7)
-        assert np.array_equal(a.bs_points, b.bs_points)
-        assert np.array_equal(a.user_points, b.user_points)
-        assert a.serving_fading == b.serving_fading
-        assert a.li_gain == b.li_gain
+        p = NetworkParams(sigma_l2=1e-3)
+        a = trial(p, Scenario.TWO_NODE_FD, self.SIM, 7)
+        b = trial(p, Scenario.TWO_NODE_FD, self.SIM, 7)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_trials_differ(self):
-        a = sample_realization(DEFAULTS, Scenario.TWO_NODE_FD, self.SIM, 0)
-        b = sample_realization(DEFAULTS, Scenario.TWO_NODE_FD, self.SIM, 1)
-        assert len(a.bs_points) != len(b.bs_points) or \
-            not np.array_equal(a.bs_points, b.bs_points)
+        a = trial(DEFAULTS, Scenario.TWO_NODE_FD, self.SIM, 0)
+        for j in (1, BLOCK):  # same block, next block
+            b = trial(DEFAULTS, Scenario.TWO_NODE_FD, self.SIM, j)
+            assert len(a[0]) != len(b[0]) or not np.array_equal(a[0], b[0])
+            assert len(a[2]) != len(b[2]) or not np.array_equal(a[2], b[2])
 
     def test_half_duplex_has_no_users(self):
-        real = sample_realization(DEFAULTS, Scenario.HALF_DUPLEX, self.SIM, 3)
-        assert len(real.user_points) == 0
-        assert real.li_gain == 0.0
+        real = sample_realization(DEFAULTS, Scenario.HALF_DUPLEX, self.SIM, 0)
+        assert real.user_u.shape == (BLOCK, 0)
+        assert real.user_fadings.shape == (BLOCK, 0)
+        assert np.all(real.li_gain == 0.0)
 
     def test_serving_distance_is_minimum(self):
-        real = sample_realization(DEFAULTS, Scenario.THREE_NODE_FD, self.SIM, 5)
-        d = np.hypot(real.bs_points[:, 0], real.bs_points[:, 1])
-        assert real.serving_distance == d.min()
+        # rows increase, so the first point of a row is its nearest BS
+        real = sample_realization(DEFAULTS, Scenario.THREE_NODE_FD, self.SIM, 0)
+        assert np.all(np.diff(real.bs_u, axis=1) > 0)
+        assert np.all(np.diff(real.user_u, axis=1) > 0)
+        assert np.array_equal(real.bs_u[:, 0], real.bs_u.min(axis=1))
+        assert np.all(real.bs_u > 0) and np.all(real.user_u > 0)
 
     def test_mean_bs_count_matches_window(self):
-        # lam*pi*R^2 = window_factor^2 = 144 at defaults
+        # lam*pi*R^2 = window_factor^2 = 144 at defaults: the mean number of
+        # BSs with u = lam*pi*r^2 inside the window
         sim = SimConfig(trials=2000, seed=11)
         mean_expected = sim.window_factor ** 2
-        assert DEFAULTS.lam * math.pi * window_radius(DEFAULTS, sim) ** 2 == \
-            pytest.approx(mean_expected)
-        counts = [len(sample_realization(DEFAULTS, Scenario.HALF_DUPLEX, sim, i).bs_points)
-                  for i in range(2000)]
+        counts = np.concatenate([
+            np.count_nonzero(real.bs_u <= mean_expected, axis=1) for real in (
+                sample_realization(DEFAULTS, Scenario.HALF_DUPLEX, sim, b)
+                for b in range(2000 // BLOCK))])
         tol = 4.0 * math.sqrt(mean_expected / len(counts))
         assert abs(np.mean(counts) - mean_expected) < tol
 
@@ -92,41 +117,58 @@ class TestSampleRealization:
         # of a plain PPP arbitrarily close to the origin; check the hole is
         # statistically visible via the minimum user distance over trials
         sim = SimConfig(trials=400, seed=21)
-        nearest = []
+        first_u = []
         for i in range(400):
-            real = sample_realization(DEFAULTS, Scenario.TWO_NODE_FD, sim, i)
-            if len(real.user_points):
-                nearest.append(np.hypot(real.user_points[:, 0],
-                                        real.user_points[:, 1]).min())
+            user_u = trial(DEFAULTS, Scenario.TWO_NODE_FD, sim, i)[2]
+            if len(user_u):
+                first_u.append(user_u[0])
+        nearest = np.sqrt(np.array(first_u) / (DEFAULTS.lam * math.pi))
         # matched mode: nearest interferer at >= rho with rho ~ Rayleigh; the
         # chance of a single observation under 1.0 is lam*pi*1^2 ~ 3e-3 per
         # trial for the plain process but ~0 here
         assert min(nearest) > 0.5
+        # in u the nearest user is v_rho + Exp(1), mean 2 and variance 2; the
+        # plain process would give mean 1
+        assert abs(np.mean(first_u) - 2.0) < 4.0 * math.sqrt(2.0 / len(first_u))
 
     def test_no_loop_gain_for_three_node(self):
         p = NetworkParams(sigma_l2=1e-3)
-        real = sample_realization(p, Scenario.THREE_NODE_FD, self.SIM, 2)
-        assert real.li_gain == 0.0
-        real = sample_realization(p, Scenario.TWO_NODE_FD, self.SIM, 2)
-        assert real.li_gain > 0.0
+        real = sample_realization(p, Scenario.THREE_NODE_FD, self.SIM, 0)
+        assert np.all(real.li_gain == 0.0)
+        real = sample_realization(p, Scenario.TWO_NODE_FD, self.SIM, 0)
+        assert np.all(real.li_gain > 0.0)
+
+    def test_narrow_window_is_prefix_of_wide(self):
+        p = NetworkParams(sigma_l2=1e-3)
+        for scenario in (Scenario.TWO_NODE_FD, Scenario.THREE_NODE_FD):
+            narrow = sample_realization(p, scenario, SimConfig(
+                trials=10, seed=5, window_factor=12.0), 3)
+            wide = sample_realization(p, scenario, SimConfig(
+                trials=10, seed=5, window_factor=24.0), 3)
+            for field in ("bs_u", "bs_fadings", "user_u", "user_fadings"):
+                a, b = getattr(narrow, field), getattr(wide, field)
+                assert a.shape[1] < b.shape[1]
+                assert np.array_equal(a, b[:, :a.shape[1]])
+            assert np.array_equal(narrow.li_gain, wide.li_gain)
+            assert np.all(narrow.bs_u[:, -1] > narrow.window)
+            assert np.all(narrow.user_u[:, -1] > narrow.window)
 
 
 class TestSinrOfRealization:
     def test_single_bs_no_interference(self):
-        real = make_realization([[3.0, 4.0]], h=2.0)
+        real = make_realization([5.0], h=2.0)
         p = NetworkParams(p_b=5.0, sigma_n2=1.0)
         expected = 5.0 * 2.0 * 5.0 ** -4.0
         assert sinr(real, p, Scenario.HALF_DUPLEX) == pytest.approx(expected)
 
     def test_two_equidistant_bs_equal_fading_is_unity(self):
-        real = make_realization([[10.0, 0.0], [0.0, 10.0]], h=1.0, g=[1.0, 1.0])
+        real = make_realization([10.0, 10.0], h=1.0, g=[1.0])
         assert sinr(real, DEFAULTS, Scenario.HALF_DUPLEX) == pytest.approx(1.0)
 
     def test_single_user_term(self):
         p = NetworkParams(p_u=2.0, sigma_n2=1.0)
-        clean = make_realization([[3.0, 4.0]], h=1.0)
-        with_user = make_realization([[3.0, 4.0]], users=[[6.0, 8.0]], h=1.0,
-                                     k=[0.5])
+        clean = make_realization([5.0], h=1.0)
+        with_user = make_realization([5.0], users=[10.0], h=1.0, k=[0.5])
         base = sinr(clean, p, Scenario.THREE_NODE_FD)
         loaded = sinr(with_user, p, Scenario.THREE_NODE_FD)
         expected_term = 2.0 * 0.5 * 10.0 ** -4.0
@@ -134,7 +176,7 @@ class TestSinrOfRealization:
             pytest.approx(expected_term / (p.p_b * 1.0 * 5.0 ** -4.0))
 
     def test_loop_interference_only_in_two_node(self):
-        real = make_realization([[3.0, 4.0]], h=1.0, li=0.5)
+        real = make_realization([5.0], h=1.0, li=0.5)
         p = NetworkParams(p_u=2.0, sigma_n2=1.0)
         two = sinr(real, p, Scenario.TWO_NODE_FD)
         three = sinr(real, p, Scenario.THREE_NODE_FD)
@@ -143,14 +185,21 @@ class TestSinrOfRealization:
             pytest.approx(2.0 * 0.5 / (p.p_b * 5.0 ** -4.0))
 
     def test_interference_free_zero_noise_is_infinite(self):
-        real = make_realization([[1.0, 0.0]])
+        real = make_realization([1.0])
         assert sinr(real, NetworkParams(), Scenario.HALF_DUPLEX) == math.inf
 
-
-def sinr(real, params, scenario):
-    from fdcell.simulate import sinr_of_realization
-
-    return sinr_of_realization(real, params, scenario)
+    def test_points_beyond_window_add_nothing(self):
+        # window u <= lam*pi*20^2: the BS and the user at distance 30 are outside
+        lam = DEFAULTS.lam
+        window = lam * math.pi * 400.0
+        inside = make_realization([10.0, 15.0], users=[12.0], window=window)
+        outside = make_realization([10.0, 15.0, 30.0], users=[12.0, 30.0],
+                                   window=window)
+        assert sinr(outside, DEFAULTS, Scenario.THREE_NODE_FD) == \
+            sinr(inside, DEFAULTS, Scenario.THREE_NODE_FD)
+        wide = make_realization([10.0, 15.0, 30.0], users=[12.0, 30.0])
+        assert sinr(wide, DEFAULTS, Scenario.THREE_NODE_FD) < \
+            sinr(inside, DEFAULTS, Scenario.THREE_NODE_FD)
 
 
 class TestEstimateOutage:
@@ -176,6 +225,13 @@ class TestEstimateOutage:
         shared = estimate_outage(DEFAULTS, Scenario.THREE_NODE_FD, 1.5, sim,
                                  sinr=samples)
         assert direct.value == shared.value
+
+    def test_trial_does_not_depend_on_trial_count(self):
+        # 100 is not a multiple of BLOCK: the last block is cut
+        few = simulate_sinr(DEFAULTS, Scenario.TWO_NODE_FD, SimConfig(trials=100, seed=5))
+        many = simulate_sinr(DEFAULTS, Scenario.TWO_NODE_FD, SimConfig(trials=2000, seed=5))
+        assert few.shape == (100,)
+        assert np.array_equal(few, many[:100])
 
     def test_matches_closed_form_three_node(self):
         sim = SimConfig(trials=30_000, seed=17)
