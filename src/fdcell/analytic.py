@@ -11,9 +11,9 @@ Gaussian-weighted radial integrals (serving distance r, and the exclusion
 radius rho of the two-node uplink) are integrated adaptively, truncated where
 exp(-lam*pi*r^2) falls below the configured tail cut.
 
-The fading rate mu is normalized to 1 throughout this module: it cancels in
-every interference term, so the expressions depend only on the threshold, the
-distances and the power ratio.
+The fading rate mu cancels in every interference term, so the interference
+transforms depend only on the threshold, the distances and the power ratio;
+it enters the outage only through mu*sigma_n2 and mu*sigma_l2.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def two_node_outage(params: NetworkParams, rate_r: float,
     full-duplex, so the user suffers residual loop interference but no
     same-cell uplink interferer."""
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
-    li_coef = params.p_u / params.p_b * params.sigma_l2 * t
+    li_coef = params.mu * params.p_u / params.p_b * params.sigma_l2 * t
     return _radial_outage(params, Scenario.TWO_NODE_FD, rate_r, t,
                           quad or QuadratureConfig(),
                           li_coef=li_coef, uplink=uplink_laplace_excluded)
@@ -182,7 +182,7 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         # the coverage integrand is exactly the serving-distance pdf
         return OutageEstimate(0.0, Method.ANALYTIC_GENERAL, meta=meta)
     lam_pi = params.lam * math.pi
-    noise_coef = t * params.sigma_n2 / params.p_b
+    noise_coef = params.mu * t * params.sigma_n2 / params.p_b
     a1 = params.alpha1
 
     def integrand(r: float) -> float:

@@ -100,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     params.add_argument("--sigma-n2", dest="sigma_n2", type=float, help="noise power")
     params.add_argument("--sigma-l2", dest="sigma_l2", type=float,
                         help="residual loop-interference gain")
-    params.add_argument("--mu", type=float, help="fading rate (simulator only)")
+    params.add_argument("--mu", type=float,
+                        help="fading rate; scales the noise and loop terms")
 
     mc = argparse.ArgumentParser(add_help=False)
     mc.add_argument("--trials", type=int, help="Monte Carlo trials")
@@ -233,8 +234,8 @@ def _emit_rows(rows: list[SweepRow], args, defaults: dict,
     if not out:
         sys.stdout.write(text)
         return
-    stem, dot, ext = out.rpartition(".")
-    with open(f"{stem}{suffix}.{ext}" if dot else out + suffix, "w") as fh:
+    stem, ext = os.path.splitext(out)
+    with open(stem + suffix + ext, "w") as fh:
         fh.write(text)
 
 
@@ -296,7 +297,7 @@ def _cmd_sweep(args, defaults: dict) -> int:
         scenarios = tuple(Scenario(s.strip())
                           for s in args.scenarios.split(","))
         li = tuple(float(v) for v in args.li_levels.split(",")) \
-            if args.li_levels else (0.0,)
+            if args.li_levels else ()
         spec = SweepSpec(variable=args.variable, grid=_parse_grid(args.grid),
                          scenarios=scenarios, li_levels=li,
                          fixed=_network_params(args, defaults),

@@ -56,7 +56,8 @@ class NetworkParams:
     sigma_n2  -- AWGN noise power (0 for the interference-limited regime)
     sigma_l2  -- mean residual loop-interference channel gain after cancellation
     mu        -- Rayleigh fading exponential rate (mean channel power 1/mu);
-                 the analytic path normalizes mu = 1, the simulator samples with it
+                 it cancels in every interference term, so outage depends on
+                 it only through mu*sigma_n2 and mu*sigma_l2
     """
 
     lam: float = 1e-3

@@ -7,6 +7,11 @@ points are drawn directly in increasing order of u, as cumulative sums of
 standard-exponential gaps.  The serving BS is the first point; interference
 counts the points with u <= window_factor^2.
 
+A realization depends on no NetworkParams field: fadings and the loop gain
+have mean 1.  Each block is reduced once to per-trial SINR parts at unit
+density and unit powers, which :func:`sinr_at` rescales to any parameters
+with the same path-loss exponents.
+
 Trials are drawn in blocks of BLOCK.  Block b comes from two Philox streams
 keyed by (seed, b), one for the BSs and one for the users, and trial i is row
 i % BLOCK of block i // BLOCK.  The streams are read CHUNK columns at a time
@@ -33,6 +38,7 @@ __all__ = [
     "NetworkRealization",
     "sample_realization",
     "sinr_of_realization",
+    "sinr_at",
     "simulate_sinr",
     "estimate_outage",
 ]
@@ -64,6 +70,7 @@ class SimConfig:
     i.e. u <= window_factor^2 in the mapped variable u = lam*pi*r^2.  It is
     measured in multiples of the mean nearest-neighbor distance so that
     truncation bias stays below the Monte Carlo noise (window_factor >= 5).
+    Fixed in u, it leaves the trials the same at every density.
     """
 
     trials: int = 100_000
@@ -91,16 +98,16 @@ class NetworkRealization:
     """
 
     bs_u: np.ndarray             # (rows, n) BS positions
-    bs_fadings: np.ndarray       # (rows, n) fading of each BS link
+    bs_fadings: np.ndarray       # (rows, n) unit-mean fading of each BS link
     user_u: np.ndarray           # (rows, m) uplink user positions; m = 0 for half-duplex
-    user_fadings: np.ndarray     # (rows, m) fading of each user link
-    li_gain: np.ndarray          # (rows,) residual loop gain h_l, 0 off two-node
+    user_fadings: np.ndarray     # (rows, m) unit-mean fading of each user link
+    li_gain: np.ndarray          # (rows,) unit-mean residual loop gain, 0 off two-node
     window: float                # interference counts the points with u <= window
     resampled: int = 0           # zero-BS redraws: 0 by construction, a first BS always exists
 
 
-def sample_realization(params: NetworkParams, scenario: Scenario,
-                       sim: SimConfig, block_index: int) -> NetworkRealization:
+def sample_realization(scenario: Scenario, sim: SimConfig,
+                       block_index: int) -> NetworkRealization:
     """Draw trials BLOCK*block_index ... BLOCK*(block_index+1)-1.
 
     Users are omitted for half-duplex; for the matched two-node mode they
@@ -110,8 +117,7 @@ def sample_realization(params: NetworkParams, scenario: Scenario,
     """
     key = (int(block_index) << 64) | int(sim.seed)
     window = sim.window_factor ** 2
-    scale = 1.0 / params.mu
-    bs_u, bs_fadings = _points(_stream(key, 0), np.zeros(BLOCK), window, scale)
+    bs_u, bs_fadings = _points(_stream(key, 0), np.zeros(BLOCK), window)
     li_gain = np.zeros(BLOCK)
     if scenario is Scenario.HALF_DUPLEX:
         user_u = user_fadings = np.empty((BLOCK, 0))
@@ -120,40 +126,48 @@ def sample_realization(params: NetworkParams, scenario: Scenario,
         v_rho, loop = rng.standard_exponential((2, BLOCK))
         matched = scenario is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED
         user_u, user_fadings = _points(rng, v_rho if matched else np.zeros(BLOCK),
-                                       window, scale)
+                                       window)
         if scenario is Scenario.TWO_NODE_FD:
-            li_gain = params.sigma_l2 * loop
+            li_gain = loop
     return NetworkRealization(bs_u, bs_fadings, user_u, user_fadings, li_gain, window)
 
 
-def sinr_of_realization(real: NetworkRealization, params: NetworkParams,
-                        scenario: Scenario) -> np.ndarray:
-    """SINR of the typical user at the origin for each trial of a block:
-    serving power over noise + loop residual + other-BS + uplink interference.
-    A point at u has path loss r^-alpha = (u / (lam*pi))^(-alpha/2).
-    """
-    lam_pi = params.lam * math.pi
+def sinr_of_realization(real: NetworkRealization,
+                        params: NetworkParams) -> np.ndarray:
+    """Per-trial SINR parts of a block at unit density and powers, shape
+    (4, rows): h0*u0^(-alpha1/2), sum(h*u^(-alpha1/2)), sum(k*u^(-alpha2/2))
+    and the loop gain.  Only params.alpha1 and params.alpha2 are read."""
     a1 = params.alpha1 / 2.0
-    signal = params.p_b * real.bs_fadings[:, 0] * (real.bs_u[:, 0] / lam_pi) ** -a1
-    i_bs = params.p_b * lam_pi ** a1 * _window_sum(
-        real.bs_u[:, 1:], real.bs_fadings[:, 1:], real.window, a1)
-    a2 = params.alpha2 / 2.0
-    i_up = params.p_u * lam_pi ** a2 * _window_sum(
-        real.user_u, real.user_fadings, real.window, a2)
-    i_loop = params.p_u * real.li_gain if scenario is Scenario.TWO_NODE_FD else 0.0
+    signal = real.bs_fadings[:, 0] * real.bs_u[:, 0] ** -a1
+    i_bs = _window_sum(real.bs_u[:, 1:], real.bs_fadings[:, 1:], real.window, a1)
+    i_up = _window_sum(real.user_u, real.user_fadings, real.window,
+                       params.alpha2 / 2.0)
+    return np.stack((signal, i_bs, i_up, real.li_gain))
+
+
+def sinr_at(parts: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """SINR at the origin from per-trial parts: a point at u has path loss
+    (u/(lam*pi))^(-alpha/2), and dividing through by the mean fading 1/mu
+    leaves mu only on the noise and loop terms."""
+    signal, i_bs, i_up, loop = parts
+    lam_pi = params.lam * math.pi
+    gain_b = params.p_b * lam_pi ** (params.alpha1 / 2.0)
+    gain_u = params.p_u * lam_pi ** (params.alpha2 / 2.0)
     with np.errstate(divide="ignore"):
-        return signal / (params.sigma_n2 + i_loop + i_bs + i_up)
+        return gain_b * signal / (
+            params.mu * (params.sigma_n2 + params.p_u * params.sigma_l2 * loop)
+            + gain_b * i_bs + gain_u * i_up)
 
 
 def simulate_sinr(params: NetworkParams, scenario: Scenario, sim: SimConfig,
                   workers: int = 1) -> np.ndarray:
-    """SINR samples for sim.trials trials, ordered by trial index.  Workers
-    map over blocks, and each block is a pure function of (seed, block
-    index), so the result is identical for any worker count."""
+    """SINR parts (see :func:`sinr_of_realization`) of sim.trials trials in
+    trial order.  Workers map over blocks, and each block is a pure function
+    of (seed, block index), so the result is identical for any worker count."""
 
     def run_block(block_index: int) -> np.ndarray:
-        real = sample_realization(params, scenario, sim, block_index)
-        return sinr_of_realization(real, params, scenario)
+        real = sample_realization(scenario, sim, block_index)
+        return sinr_of_realization(real, params)
 
     blocks = range(-(-sim.trials // BLOCK))
     if workers <= 1:
@@ -161,23 +175,19 @@ def simulate_sinr(params: NetworkParams, scenario: Scenario, sim: SimConfig,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_block, blocks))
-    return np.concatenate(parts)[:sim.trials]
+    return np.concatenate(parts, axis=1)[:, :sim.trials]
 
 
 def estimate_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
                     sim: SimConfig, workers: int = 1,
-                    sinr: np.ndarray | None = None) -> OutageEstimate:
+                    parts: np.ndarray | None = None) -> OutageEstimate:
     """Fraction of trials whose SINR falls below the rate's threshold, with
-    the binomial standard error.
-
-    A precomputed SINR sample array (from :func:`simulate_sinr` with the same
-    params/scenario/sim) may be passed to amortize sampling across thresholds;
-    realizations do not depend on the target rate.
-    """
+    the binomial standard error.  `parts` from :func:`simulate_sinr` at the
+    same scenario, sim and path-loss exponents reuse one simulation."""
     threshold = threshold_from_rate(rate_r, scenario)
-    if sinr is None:
-        sinr = simulate_sinr(params, scenario, sim, workers)
-    p = np.count_nonzero(sinr < threshold) / sim.trials
+    if parts is None:
+        parts = simulate_sinr(params, scenario, sim, workers)
+    p = np.count_nonzero(sinr_at(parts, params) < threshold) / sim.trials
     stderr = math.sqrt(p * (1.0 - p) / sim.trials)
     meta = {"scenario": scenario.value, "rate": rate_r, "params": params.as_dict(),
             "trials": sim.trials, "seed": sim.seed, "mode": sim.mode.value}
@@ -190,11 +200,11 @@ def _stream(key: int, which: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, which]))
 
 
-def _points(rng: np.random.Generator, start: np.ndarray, window: float,
-            scale: float) -> tuple[np.ndarray, np.ndarray]:
+def _points(rng: np.random.Generator, start: np.ndarray,
+            window: float) -> tuple[np.ndarray, np.ndarray]:
     """Unit-rate PPP on (start, inf) per row, in increasing order, with
-    exponential fadings of mean `scale`: CHUNK columns at a time until every
-    row is past the window."""
+    unit-mean exponential fadings: CHUNK columns at a time until every row is
+    past the window."""
     u_parts, fading_parts = [], []
     last = start
     while True:
@@ -206,7 +216,7 @@ def _points(rng: np.random.Generator, start: np.ndarray, window: float,
         last = u[:, -1]
         if last.min() > window:
             break
-    return np.concatenate(u_parts, axis=1), scale * np.concatenate(fading_parts, axis=1)
+    return np.concatenate(u_parts, axis=1), np.concatenate(fading_parts, axis=1)
 
 
 def _window_sum(u: np.ndarray, fadings: np.ndarray, window: float,

@@ -145,15 +145,16 @@ def make_grid(lo: float, hi: float, steps: int, spacing: str = "linear") -> tupl
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every (scenario x method x grid point x LI level) combination.
 
-    Monte Carlo rate sweeps reuse one SINR sample set per scenario/LI group,
-    since realizations do not depend on the target rate; the sampling time is
-    then amortized evenly over the group's rows.
+    Monte Carlo draws one simulation per scenario and rescales its per-trial
+    SINR parts at every grid point and LI level, whatever the swept variable:
+    no swept parameter changes a realization.  The simulation's time is
+    spread evenly over the scenario's Monte Carlo rows.
     """
     rows: list[SweepRow] = []
     for scenario in spec.scenarios:
+        points = _grid_points(spec, scenario)
         for method in spec.methods:
-            for li in _li_levels_for(spec, scenario):
-                rows.extend(_run_group(spec, scenario, method, li))
+            rows.extend(_run_method(spec, scenario, method, points))
     order = {s.value: i for i, s in enumerate(Scenario)}
     grid_index = {v: i for i, v in enumerate(spec.grid)}
     rows.sort(key=lambda r: (order[r.scenario], r.method,
@@ -161,51 +162,37 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def _li_levels_for(spec: SweepSpec, scenario: Scenario) -> tuple[float, ...]:
-    if spec.variable == "residual_li" or scenario is not Scenario.TWO_NODE_FD:
-        return (0.0,)
-    return spec.li_levels or (spec.fixed.sigma_l2,)
+def _grid_points(spec: SweepSpec, scenario: Scenario) -> list[tuple[float, float]]:
+    """(grid value, sigma_l2) of each of a scenario's rows; sigma_l2 is 0 off
+    two-node, where loop interference does not arise."""
+    if scenario is not Scenario.TWO_NODE_FD:
+        return [(value, 0.0) for value in spec.grid]
+    if spec.variable == "residual_li":
+        return [(value, value) for value in spec.grid]
+    return [(value, li) for li in spec.li_levels or (spec.fixed.sigma_l2,)
+            for value in spec.grid]
 
 
-def _params_at(spec: SweepSpec, scenario: Scenario, value: float, li: float):
-    """(params, rate, displayed sigma_l2) for one grid point."""
-    p = spec.fixed
-    rate = spec.rate
-    if spec.variable == "rate":
-        rate = value
-    elif spec.variable == "bs_power":
+def _params_at(spec: SweepSpec, value: float, li: float):
+    """(params, rate) at one grid value and sigma_l2."""
+    p = spec.fixed.replace(sigma_l2=li)
+    if spec.variable == "bs_power":
         p = p.replace(p_b=value, p_u=p.p_u * value / p.p_b)
     elif spec.variable == "density":
         p = p.replace(lam=value)
-    elif spec.variable == "residual_li":
-        li = value
-    if scenario is Scenario.TWO_NODE_FD:
-        p = p.replace(sigma_l2=li)
-        shown_li = li
-    else:
-        shown_li = 0.0
-    return p, rate, shown_li
+    return p, value if spec.variable == "rate" else spec.rate
 
 
-def _run_group(spec: SweepSpec, scenario: Scenario, method: str,
-               li: float) -> list[SweepRow]:
-    rows: list[SweepRow] = []
-
-    if method == Method.MONTE_CARLO.value and spec.variable == "rate":
-        params, _, shown_li = _params_at(spec, scenario, spec.grid[0], li)
+def _run_method(spec: SweepSpec, scenario: Scenario, method: str,
+                points: list[tuple[float, float]]) -> list[SweepRow]:
+    parts, shared_ms = None, 0.0
+    if method == Method.MONTE_CARLO.value:
         t0 = time.perf_counter()
-        sinr = simulate_sinr(params, scenario, spec.sim)
-        shared_ms = (time.perf_counter() - t0) * 1e3 / len(spec.grid)
-        for value in spec.grid:
-            t0 = time.perf_counter()
-            est = estimate_outage(params, scenario, value, spec.sim, sinr=sinr)
-            ms = shared_ms + (time.perf_counter() - t0) * 1e3
-            rows.append(SweepRow(scenario.value, method, spec.variable, value,
-                                 shown_li, est.value, est.stderr, ms))
-        return rows
-
-    for value in spec.grid:
-        params, rate, shown_li = _params_at(spec, scenario, value, li)
+        parts = simulate_sinr(spec.fixed, scenario, spec.sim)
+        shared_ms = (time.perf_counter() - t0) * 1e3 / len(points)
+    rows: list[SweepRow] = []
+    for value, li in points:
+        params, rate = _params_at(spec, value, li)
         t0 = time.perf_counter()
         if method == Method.ANALYTIC_GENERAL.value:
             est = analytic.outage(scenario, params, rate, spec.quad)
@@ -217,11 +204,11 @@ def _run_group(spec: SweepSpec, scenario: Scenario, method: str,
                 continue
             est = closedform.outage(scenario, params, rate, spec.quad)
         else:
-            est = estimate_outage(params, scenario, rate, spec.sim)
-        ms = (time.perf_counter() - t0) * 1e3
+            est = estimate_outage(params, scenario, rate, spec.sim, parts=parts)
+        ms = shared_ms + (time.perf_counter() - t0) * 1e3
         stderr = est.stderr if est.method is Method.MONTE_CARLO else None
         rows.append(SweepRow(scenario.value, method, spec.variable, value,
-                             shown_li, est.value, stderr, ms))
+                             li, est.value, stderr, ms))
     return rows
 
 

@@ -210,6 +210,17 @@ class TestNoiseBehavior:
         assert values[-1] == pytest.approx(floor, abs=1e-4)
         assert all(v > floor for v in values)
 
+    @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+    def test_mu_scales_noise_and_loop_terms(self, scenario):
+        # the fading rate cancels in the interference transforms and enters
+        # only as mu*sigma_n2 and mu*sigma_l2
+        p = NetworkParams(sigma_n2=1e-6, sigma_l2=1e-3, mu=2.0)
+        doubled = NetworkParams(sigma_n2=2e-6, sigma_l2=2e-3)
+        assert analytic.outage(scenario, p, 0.5, QUAD).value == pytest.approx(
+            analytic.outage(scenario, doubled, 0.5, QUAD).value, abs=1e-12)
+        assert analytic.outage(scenario, p, 0.5, QUAD).value > \
+            analytic.outage(scenario, p.replace(mu=1.0), 0.5, QUAD).value
+
 
 class TestQuadratureContract:
     def test_failure_carries_error_estimate(self):

@@ -106,13 +106,27 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert "four-node" in err
 
-    def test_fig4_writes_one_file_per_rate(self, capsys, tmp_path):
-        out_file = tmp_path / "fig4.csv"
+    @pytest.mark.parametrize("out_name, ext", [("fig4.csv", ".csv"),
+                                               ("d.v1/fig4", "")],
+                             ids=["csv", "dotted-dir"])
+    def test_fig4_writes_one_file_per_rate(self, capsys, tmp_path, out_name, ext):
+        out_file = tmp_path / out_name
+        out_file.parent.mkdir(exist_ok=True)
         code, _, _ = run(capsys, "sweep", "--preset", "fig4",
                          "--methods", "closed-form", "--out", str(out_file))
         assert code == EXIT_OK
-        produced = sorted(p.name for p in tmp_path.iterdir())
-        assert produced == ["fig4_R0.5.csv", "fig4_R1.csv", "fig4_R2.csv"]
+        produced = sorted(p.name for p in out_file.parent.iterdir())
+        assert produced == [f"fig4_R{r}{ext}" for r in ("0.5", "1", "2")]
+
+    def test_sigma_l2_flag_sets_custom_sweep_level(self, capsys):
+        base = ("sweep", "--variable", "rate", "--grid", "1,2",
+                "--scenarios", "two-node")
+        code, by_flag, _ = run(capsys, *base, "--sigma-l2", "1e-3")
+        assert code == EXIT_OK
+        _, by_level, _ = run(capsys, *base, "--li-levels", "1e-3")
+        strip = lambda text: [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
+        assert strip(by_flag) == strip(by_level)
+        assert {r.sigma_l2 for r in rows_from_csv(by_flag)} == {1e-3}
 
     def test_preset_methods_narrowing(self, capsys):
         code, out, _ = run(capsys, "sweep", "--preset", "fig3",

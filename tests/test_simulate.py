@@ -14,6 +14,7 @@ from fdcell.simulate import (
     estimate_outage,
     sample_realization,
     simulate_sinr,
+    sinr_at,
     sinr_of_realization,
 )
 
@@ -24,7 +25,8 @@ QUAD = QuadratureConfig()
 def make_realization(bs, users=(), h=1.0, g=None, k=None, li=0.0,
                      lam=DEFAULTS.lam, window=math.inf):
     """One-trial realization from distances: bs[0] is the serving BS with
-    fading h, g the fadings of the other BSs, k those of the users."""
+    fading h, g the fadings of the other BSs, k those of the users, li the
+    unit-mean loop gain."""
     bs = np.asarray(bs, dtype=float)
     users = np.asarray(users, dtype=float)
     g = np.ones(len(bs) - 1) if g is None else np.asarray(g, dtype=float)
@@ -39,14 +41,14 @@ def make_realization(bs, users=(), h=1.0, g=None, k=None, li=0.0,
     )
 
 
-def sinr(real, params, scenario):
-    return float(sinr_of_realization(real, params, scenario)[0])
+def sinr(real, params):
+    return float(sinr_at(sinr_of_realization(real, params), params)[0])
 
 
-def trial(params, scenario, sim, i):
+def trial(scenario, sim, i):
     """Trial i of a simulation, cut to the points inside the window:
     (bs_u, bs_fadings, user_u, user_fadings, li_gain)."""
-    real = sample_realization(params, scenario, sim, i // BLOCK)
+    real = sample_realization(scenario, sim, i // BLOCK)
     row = i % BLOCK
     bs_in = real.bs_u[row] <= real.window
     user_in = real.user_u[row] <= real.window
@@ -73,28 +75,27 @@ class TestSampleRealization:
     SIM = SimConfig(trials=10, seed=123)
 
     def test_deterministic_per_trial(self):
-        p = NetworkParams(sigma_l2=1e-3)
-        a = trial(p, Scenario.TWO_NODE_FD, self.SIM, 7)
-        b = trial(p, Scenario.TWO_NODE_FD, self.SIM, 7)
+        a = trial(Scenario.TWO_NODE_FD, self.SIM, 7)
+        b = trial(Scenario.TWO_NODE_FD, self.SIM, 7)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_trials_differ(self):
-        a = trial(DEFAULTS, Scenario.TWO_NODE_FD, self.SIM, 0)
+        a = trial(Scenario.TWO_NODE_FD, self.SIM, 0)
         for j in (1, BLOCK):  # same block, next block
-            b = trial(DEFAULTS, Scenario.TWO_NODE_FD, self.SIM, j)
+            b = trial(Scenario.TWO_NODE_FD, self.SIM, j)
             assert len(a[0]) != len(b[0]) or not np.array_equal(a[0], b[0])
             assert len(a[2]) != len(b[2]) or not np.array_equal(a[2], b[2])
 
     def test_half_duplex_has_no_users(self):
-        real = sample_realization(DEFAULTS, Scenario.HALF_DUPLEX, self.SIM, 0)
+        real = sample_realization(Scenario.HALF_DUPLEX, self.SIM, 0)
         assert real.user_u.shape == (BLOCK, 0)
         assert real.user_fadings.shape == (BLOCK, 0)
         assert np.all(real.li_gain == 0.0)
 
     def test_serving_distance_is_minimum(self):
         # rows increase, so the first point of a row is its nearest BS
-        real = sample_realization(DEFAULTS, Scenario.THREE_NODE_FD, self.SIM, 0)
+        real = sample_realization(Scenario.THREE_NODE_FD, self.SIM, 0)
         assert np.all(np.diff(real.bs_u, axis=1) > 0)
         assert np.all(np.diff(real.user_u, axis=1) > 0)
         assert np.array_equal(real.bs_u[:, 0], real.bs_u.min(axis=1))
@@ -107,7 +108,7 @@ class TestSampleRealization:
         mean_expected = sim.window_factor ** 2
         counts = np.concatenate([
             np.count_nonzero(real.bs_u <= mean_expected, axis=1) for real in (
-                sample_realization(DEFAULTS, Scenario.HALF_DUPLEX, sim, b)
+                sample_realization(Scenario.HALF_DUPLEX, sim, b)
                 for b in range(2000 // BLOCK))])
         tol = 4.0 * math.sqrt(mean_expected / len(counts))
         assert abs(np.mean(counts) - mean_expected) < tol
@@ -119,7 +120,7 @@ class TestSampleRealization:
         sim = SimConfig(trials=400, seed=21)
         first_u = []
         for i in range(400):
-            user_u = trial(DEFAULTS, Scenario.TWO_NODE_FD, sim, i)[2]
+            user_u = trial(Scenario.TWO_NODE_FD, sim, i)[2]
             if len(user_u):
                 first_u.append(user_u[0])
         nearest = np.sqrt(np.array(first_u) / (DEFAULTS.lam * math.pi))
@@ -132,18 +133,16 @@ class TestSampleRealization:
         assert abs(np.mean(first_u) - 2.0) < 4.0 * math.sqrt(2.0 / len(first_u))
 
     def test_no_loop_gain_for_three_node(self):
-        p = NetworkParams(sigma_l2=1e-3)
-        real = sample_realization(p, Scenario.THREE_NODE_FD, self.SIM, 0)
+        real = sample_realization(Scenario.THREE_NODE_FD, self.SIM, 0)
         assert np.all(real.li_gain == 0.0)
-        real = sample_realization(p, Scenario.TWO_NODE_FD, self.SIM, 0)
+        real = sample_realization(Scenario.TWO_NODE_FD, self.SIM, 0)
         assert np.all(real.li_gain > 0.0)
 
     def test_narrow_window_is_prefix_of_wide(self):
-        p = NetworkParams(sigma_l2=1e-3)
         for scenario in (Scenario.TWO_NODE_FD, Scenario.THREE_NODE_FD):
-            narrow = sample_realization(p, scenario, SimConfig(
+            narrow = sample_realization(scenario, SimConfig(
                 trials=10, seed=5, window_factor=12.0), 3)
-            wide = sample_realization(p, scenario, SimConfig(
+            wide = sample_realization(scenario, SimConfig(
                 trials=10, seed=5, window_factor=24.0), 3)
             for field in ("bs_u", "bs_fadings", "user_u", "user_fadings"):
                 a, b = getattr(narrow, field), getattr(wide, field)
@@ -159,34 +158,43 @@ class TestSinrOfRealization:
         real = make_realization([5.0], h=2.0)
         p = NetworkParams(p_b=5.0, sigma_n2=1.0)
         expected = 5.0 * 2.0 * 5.0 ** -4.0
-        assert sinr(real, p, Scenario.HALF_DUPLEX) == pytest.approx(expected)
+        assert sinr(real, p) == pytest.approx(expected)
 
     def test_two_equidistant_bs_equal_fading_is_unity(self):
         real = make_realization([10.0, 10.0], h=1.0, g=[1.0])
-        assert sinr(real, DEFAULTS, Scenario.HALF_DUPLEX) == pytest.approx(1.0)
+        assert sinr(real, DEFAULTS) == pytest.approx(1.0)
 
     def test_single_user_term(self):
         p = NetworkParams(p_u=2.0, sigma_n2=1.0)
         clean = make_realization([5.0], h=1.0)
         with_user = make_realization([5.0], users=[10.0], h=1.0, k=[0.5])
-        base = sinr(clean, p, Scenario.THREE_NODE_FD)
-        loaded = sinr(with_user, p, Scenario.THREE_NODE_FD)
+        base = sinr(clean, p)
+        loaded = sinr(with_user, p)
         expected_term = 2.0 * 0.5 * 10.0 ** -4.0
         assert 1.0 / loaded - 1.0 / base == \
             pytest.approx(expected_term / (p.p_b * 1.0 * 5.0 ** -4.0))
 
     def test_loop_interference_only_in_two_node(self):
-        real = make_realization([5.0], h=1.0, li=0.5)
-        p = NetworkParams(p_u=2.0, sigma_n2=1.0)
-        two = sinr(real, p, Scenario.TWO_NODE_FD)
-        three = sinr(real, p, Scenario.THREE_NODE_FD)
+        # the sampler leaves the loop gain 0 off two-node (see
+        # test_no_loop_gain_for_three_node), and sigma_l2 scales it
+        p = NetworkParams(p_u=2.0, sigma_n2=1.0, sigma_l2=0.5)
+        two = sinr(make_realization([5.0], h=1.0, li=1.0), p)
+        three = sinr(make_realization([5.0], h=1.0), p)
         assert two < three
         assert 1.0 / two - 1.0 / three == \
             pytest.approx(2.0 * 0.5 / (p.p_b * 5.0 ** -4.0))
 
+    def test_mu_scales_noise_and_loop_terms(self):
+        real = make_realization([5.0, 8.0], users=[6.0], h=1.5, g=[0.7],
+                                k=[0.4], li=2.0)
+        p = NetworkParams(p_u=2.0, sigma_n2=1e-5, sigma_l2=1e-3, mu=2.0)
+        doubled = p.replace(sigma_n2=2e-5, sigma_l2=2e-3, mu=1.0)
+        assert sinr(real, p) == pytest.approx(sinr(real, doubled), rel=1e-14)
+        assert sinr(real, p) < sinr(real, p.replace(mu=1.0))
+
     def test_interference_free_zero_noise_is_infinite(self):
         real = make_realization([1.0])
-        assert sinr(real, NetworkParams(), Scenario.HALF_DUPLEX) == math.inf
+        assert sinr(real, NetworkParams()) == math.inf
 
     def test_points_beyond_window_add_nothing(self):
         # window u <= lam*pi*20^2: the BS and the user at distance 30 are outside
@@ -195,11 +203,9 @@ class TestSinrOfRealization:
         inside = make_realization([10.0, 15.0], users=[12.0], window=window)
         outside = make_realization([10.0, 15.0, 30.0], users=[12.0, 30.0],
                                    window=window)
-        assert sinr(outside, DEFAULTS, Scenario.THREE_NODE_FD) == \
-            sinr(inside, DEFAULTS, Scenario.THREE_NODE_FD)
+        assert sinr(outside, DEFAULTS) == sinr(inside, DEFAULTS)
         wide = make_realization([10.0, 15.0, 30.0], users=[12.0, 30.0])
-        assert sinr(wide, DEFAULTS, Scenario.THREE_NODE_FD) < \
-            sinr(inside, DEFAULTS, Scenario.THREE_NODE_FD)
+        assert sinr(wide, DEFAULTS) < sinr(inside, DEFAULTS)
 
 
 class TestEstimateOutage:
@@ -223,15 +229,15 @@ class TestEstimateOutage:
         samples = simulate_sinr(DEFAULTS, Scenario.THREE_NODE_FD, sim)
         direct = estimate_outage(DEFAULTS, Scenario.THREE_NODE_FD, 1.5, sim)
         shared = estimate_outage(DEFAULTS, Scenario.THREE_NODE_FD, 1.5, sim,
-                                 sinr=samples)
+                                 parts=samples)
         assert direct.value == shared.value
 
     def test_trial_does_not_depend_on_trial_count(self):
         # 100 is not a multiple of BLOCK: the last block is cut
         few = simulate_sinr(DEFAULTS, Scenario.TWO_NODE_FD, SimConfig(trials=100, seed=5))
         many = simulate_sinr(DEFAULTS, Scenario.TWO_NODE_FD, SimConfig(trials=2000, seed=5))
-        assert few.shape == (100,)
-        assert np.array_equal(few, many[:100])
+        assert few.shape == (4, 100)
+        assert np.array_equal(few, many[:, :100])
 
     def test_matches_closed_form_three_node(self):
         sim = SimConfig(trials=30_000, seed=17)
@@ -244,6 +250,16 @@ class TestEstimateOutage:
         p = NetworkParams(sigma_l2=1e-3)
         est = estimate_outage(p, Scenario.TWO_NODE_FD, 1.0, sim)
         ref = analytic.two_node_outage(p, 1.0, QUAD).value
+        assert abs(est.value - ref) < 3.0 * est.stderr
+
+    @pytest.mark.parametrize("scenario, params", [
+        (Scenario.HALF_DUPLEX, NetworkParams(sigma_n2=1.0, p_b=1e4, p_u=1e4, mu=2.0)),
+        (Scenario.TWO_NODE_FD, NetworkParams(sigma_l2=1e-3, mu=2.0)),
+    ], ids=["half-duplex-noise", "two-node-loop"])
+    def test_matches_analytic_at_mu_2(self, scenario, params):
+        sim = SimConfig(trials=20_000, seed=3, window_factor=20.0)
+        est = estimate_outage(params, scenario, 0.5, sim)
+        ref = analytic.outage(scenario, params, 0.5, QUAD).value
         assert abs(est.value - ref) < 3.0 * est.stderr
 
     def test_metadata(self):

@@ -1,10 +1,12 @@
 import logging
 import math
+from collections import Counter
 
 import pytest
 
+from fdcell import simulate
 from fdcell.model import NetworkParams, Scenario
-from fdcell.simulate import SimConfig
+from fdcell.simulate import BLOCK, SimConfig, estimate_outage
 from fdcell.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -20,6 +22,15 @@ from fdcell.sweep import (
 )
 
 SMALL_SIM = SimConfig(trials=1500, seed=13)
+
+# per swept variable: a grid, and the NetworkParams changes and target rate
+# at one of its values (two-node rows also take their sigma_l2 column)
+MC_SWEEPS = {
+    "rate": ((0.0, 0.5, 1.0), lambda v: ({}, v)),
+    "density": ((1e-4, 1e-3, 1e-2), lambda v: ({"lam": v}, 0.5)),
+    "bs_power": ((1.0, 10.0), lambda v: ({"p_b": v, "p_u": v}, 0.5)),
+    "residual_li": ((1e-4, 1e-2), lambda v: ({}, 0.5)),
+}
 
 
 def small_rate_spec(**overrides):
@@ -107,16 +118,39 @@ class TestRunSweep:
         assert not any(r.method == "closed-form" for r in rows)
         assert any("closed form not applicable" in m for m in caplog.messages)
 
-    def test_mc_rate_rows_share_samples(self):
-        spec = small_rate_spec(methods=("mc",), li_levels=(0.0,),
-                               scenarios=(Scenario.THREE_NODE_FD,))
-        rows = run_sweep(spec)
-        from fdcell.simulate import estimate_outage
+    @pytest.mark.parametrize("variable", list(MC_SWEEPS))
+    def test_mc_rate_rows_share_samples(self, variable):
+        # every row of the one shared simulation equals a direct estimate
+        grid, point = MC_SWEEPS[variable]
+        fixed = NetworkParams(sigma_n2=1e-6)
+        rows = run_sweep(small_rate_spec(variable=variable, grid=grid,
+                                         methods=("mc",), fixed=fixed, rate=0.5))
+        # two-node has one row per LI level unless sigma_l2 is swept itself
+        per_point = 3 if variable == "residual_li" else 4
+        assert len(rows) == len(grid) * per_point
+        for r in rows:
+            changes, rate = point(r.value)
+            params = fixed.replace(**changes)
+            if r.scenario == Scenario.TWO_NODE_FD.value:
+                params = params.replace(sigma_l2=r.sigma_l2)
+            direct = estimate_outage(params, Scenario(r.scenario), rate, SMALL_SIM)
+            assert (r.outage, r.mc_stderr) == (direct.value, direct.stderr)
 
-        direct = estimate_outage(NetworkParams(), Scenario.THREE_NODE_FD,
-                                 1.0, SMALL_SIM)
-        shared = [r for r in rows if r.value == 1.0][0]
-        assert shared.outage == direct.value
+    def test_one_simulation_per_scenario(self, monkeypatch):
+        calls = Counter()
+        sample = simulate.sample_realization
+
+        def counting(*args):
+            calls[next(a for a in args if isinstance(a, Scenario))] += 1
+            return sample(*args)
+
+        monkeypatch.setattr(simulate, "sample_realization", counting)
+        sim = SimConfig(trials=100, seed=13)
+        spec = SweepSpec(variable="density", grid=make_grid(1e-4, 1e-2, 3, "log"),
+                         li_levels=(0.0, 1e-3), methods=("mc",), sim=sim)
+        assert len(run_sweep(spec)) == 3 * 4
+        blocks = -(-sim.trials // BLOCK)
+        assert calls == {s: blocks for s in spec.scenarios}
 
     def test_density_sweep_moves_lambda(self):
         spec = SweepSpec(variable="density", grid=make_grid(1e-4, 1e-2, 3, "log"),
