@@ -2,18 +2,20 @@
 adaptive radial quadrature.
 
 The downlink outage of each architecture is an expectation over the serving
-distance r of a conditional coverage probability that factors into a noise
+distance of a conditional coverage probability that factors into a noise
 term, a residual loop-interference term (two-node only) and Laplace transforms
 of the BS- and uplink-generated interference.  Every transform's
 semi-infinite integral is one Gauss hypergeometric kernel,
-:func:`tail_integral`, so no quadrature runs inside a transform.  Only the
-Gaussian-weighted radial integrals (serving distance r, and the exclusion
-radius rho of the two-node uplink) are integrated adaptively, truncated where
-exp(-lam*pi*r^2) falls below the configured tail cut.
+:func:`tail_integral`, so no quadrature runs inside a transform.
 
-The fading rate mu cancels in every interference term, so the interference
-transforms depend only on the threshold, the distances and the power ratio;
-it enters the outage only through mu*sigma_n2 and mu*sigma_l2.
+Distances are scaled to x = r*sqrt(lam*pi), the square root of the
+simulator's u = lam*pi*r^2, with the fixed nearest-point law 2x*exp(-x^2):
+the density and the powers enter only through the unit gains and the mu rule
+of :meth:`NetworkParams.sinr_scales`.  Only the Gaussian-weighted integrals
+(serving distance x, and the exclusion distance y of the two-node uplink) run
+by adaptive quadrature, on [0, sqrt(ln(1/tail_cut))].  In x, QUADPACK sees an
+affine image of the physical radial integral; in u, a noise-limited query's
+coverage sits against the origin of a long interval, where it is missed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from scipy.special import hyp2f1
 
 from .model import Method, NetworkParams, OutageEstimate, Scenario, threshold_from_rate
-from .quadrature import QuadratureConfig, gaussian_tail_radius, integrate
+from .quadrature import QuadratureConfig, integrate
 
 __all__ = [
     "bs_interference_laplace",
@@ -55,80 +57,62 @@ def tail_integral(c: float, alpha: float) -> float:
                                        -c ** alpha)
 
 
-def bs_interference_laplace(r: float, threshold: float, params: NetworkParams,
-                            quad: QuadratureConfig | None = None) -> float:
+def bs_interference_laplace(x: float, threshold: float,
+                            params: NetworkParams) -> float:
     """Laplace transform of the interference from all BSs beyond the serving
-    one, evaluated at the conditional SINR threshold:
+    one at scaled distance x, at the conditional SINR threshold T:
 
-        exp(-2*pi*lam * integral_r^inf  T/(T + (x/r)^alpha1) * x dx).
+        exp(-2 * integral_x^inf  T/(T + (v/x)^alpha1) * v dv) = exp(-2*x^2*J)
 
-    Scaling u = x / (r*T^(1/alpha1)) gives r^2 * J with
-    J = T^(2/alpha1) * tail_integral(T^(-1/alpha1), alpha1).  `quad` is
-    accepted for the common transform signature and not used.
+    with J = T^(2/alpha1) * tail_integral(T^(-1/alpha1), alpha1).
     """
-    _check_radial_args(r, threshold)
+    _check_radial_args(x, threshold)
     if threshold == 0.0:
         return 1.0
     a1 = params.alpha1
     j = threshold ** (2.0 / a1) * tail_integral(threshold ** (-1.0 / a1), a1)
-    return math.exp(-2.0 * math.pi * params.lam * r * r * j)
+    return math.exp(-2.0 * x * x * j)
 
 
-def uplink_laplace_full(r: float, threshold: float, params: NetworkParams,
-                        quad: QuadratureConfig | None = None) -> float:
+def uplink_laplace_full(x: float, threshold: float,
+                        params: NetworkParams) -> float:
     """Laplace transform of the uplink interference when interferers form an
     unrestricted plane PPP (three-node architecture):
-
-        exp(-2*pi*lam * integral_0^inf  a/(a + y^alpha2 / r^alpha1) * y dy)
-
-    with a = (p_u/p_b)*T.  Scaling by y* = (a*r^alpha1)^(1/alpha2) leaves
-    y*^2 * tail_integral(0, alpha2).  `quad` is accepted for the common
-    transform signature and not used.
+    exp(-2*s*tail_integral(0, alpha2)), with s from :func:`_uplink_scale`.
     """
-    _check_radial_args(r, threshold)
-    a = params.p_u / params.p_b * threshold
-    if a == 0.0:
-        return 1.0
-    ystar2 = (a * r ** params.alpha1) ** (2.0 / params.alpha2)
-    c_all = tail_integral(0.0, params.alpha2)
-    return math.exp(-2.0 * math.pi * params.lam * ystar2 * c_all)
+    s = _uplink_scale(x, threshold, params)
+    return math.exp(-2.0 * s * tail_integral(0.0, params.alpha2))
 
 
-def uplink_laplace_excluded(r: float, threshold: float, params: NetworkParams,
+def uplink_laplace_excluded(x: float, threshold: float, params: NetworkParams,
                             quad: QuadratureConfig | None = None) -> float:
     """Laplace transform of the uplink interference with the nearest
-    interferer held outside a disk of random radius rho (two-node
-    architecture): the full-plane transform's inner integral starts at rho
-    instead of 0, i.e. at rho/y* in the scaled variable, and rho is averaged
-    over the nearest-neighbor distance law by adaptive quadrature.
+    interferer held outside a disk of random scaled radius y (two-node
+    architecture), averaged over y's law by adaptive quadrature:
 
-    Always at least as large as :func:`uplink_laplace_full` at identical
-    arguments, since excluding a disk removes interference.
+        integral_0^inf 2y*exp(-y^2) * exp(-2*s*tail_integral(y/sqrt(s), alpha2)) dy,
+
+    a function of s and alpha2 alone.  Never below :func:`uplink_laplace_full`
+    at identical arguments, since excluding a disk removes interference.
     """
-    _check_radial_args(r, threshold)
-    a = params.p_u / params.p_b * threshold
-    if a == 0.0:
+    s = _uplink_scale(x, threshold, params)
+    if s == 0.0:
         return 1.0
     quad = quad or QuadratureConfig()
     a2 = params.alpha2
-    ystar2 = (a * r ** params.alpha1) ** (2.0 / a2)
-    ystar = math.sqrt(ystar2)
+    root_s = math.sqrt(s)
     tol = quad.rel_tol_inner
 
-    lam = params.lam
-    lam_pi = lam * math.pi
-    two_pi_lam = 2.0 * math.pi * lam
-
-    def integrand(rho: float) -> float:
-        w = two_pi_lam * rho * math.exp(-lam_pi * rho * rho)
+    def integrand(y: float) -> float:
+        w = 2.0 * y * math.exp(-y * y)
         if w == 0.0:
             return 0.0
-        return w * math.exp(-two_pi_lam * ystar2 * tail_integral(rho / ystar, a2))
+        return w * math.exp(-2.0 * s * tail_integral(y / root_s, a2))
 
-    rho_max = gaussian_tail_radius(lam, quad)
     # the integrand is bounded by the exclusion-radius pdf, so the value is
     # a probability-like quantity in (0, 1]
-    return integrate(integrand, 0.0, rho_max, tol, quad, abs_tol=tol)
+    y_max = math.sqrt(math.log(1.0 / quad.tail_cut))
+    return integrate(integrand, 0.0, y_max, tol, quad, abs_tol=tol)
 
 
 def two_node_outage(params: NetworkParams, rate_r: float,
@@ -136,11 +120,8 @@ def two_node_outage(params: NetworkParams, rate_r: float,
     """Downlink outage of the two-node architecture: both ends are
     full-duplex, so the user suffers residual loop interference but no
     same-cell uplink interferer."""
-    t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
-    li_coef = params.mu * params.p_u / params.p_b * params.sigma_l2 * t
-    return _radial_outage(params, Scenario.TWO_NODE_FD, rate_r, t,
-                          quad or QuadratureConfig(),
-                          li_coef=li_coef, uplink=uplink_laplace_excluded)
+    return _radial_outage(params, Scenario.TWO_NODE_FD, rate_r, quad,
+                          lambda x, t: uplink_laplace_excluded(x, t, params, quad))
 
 
 def three_node_outage(params: NetworkParams, rate_r: float,
@@ -148,20 +129,15 @@ def three_node_outage(params: NetworkParams, rate_r: float,
     """Downlink outage of the three-node architecture: only the BS is
     full-duplex; the downlink user sees the whole uplink user process but no
     loop interference."""
-    t = threshold_from_rate(rate_r, Scenario.THREE_NODE_FD)
-    return _radial_outage(params, Scenario.THREE_NODE_FD, rate_r, t,
-                          quad or QuadratureConfig(),
-                          li_coef=0.0, uplink=uplink_laplace_full)
+    return _radial_outage(params, Scenario.THREE_NODE_FD, rate_r, quad,
+                          lambda x, t: uplink_laplace_full(x, t, params))
 
 
 def half_duplex_outage(params: NetworkParams, rate_r: float,
                        quad: QuadratureConfig | None = None) -> OutageEstimate:
     """Half-duplex baseline in the RF-chain-conserved comparison: no uplink
     interference, no loop interference, and the doubled-rate threshold."""
-    t = threshold_from_rate(rate_r, Scenario.HALF_DUPLEX)
-    return _radial_outage(params, Scenario.HALF_DUPLEX, rate_r, t,
-                          quad or QuadratureConfig(),
-                          li_coef=0.0, uplink=None)
+    return _radial_outage(params, Scenario.HALF_DUPLEX, rate_r, quad, None)
 
 
 def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
@@ -175,36 +151,51 @@ def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
 
 
 def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
-                   t: float, quad: QuadratureConfig,
-                   li_coef: float, uplink) -> OutageEstimate:
+                   quad: QuadratureConfig | None, uplink) -> OutageEstimate:
+    """1 - integral of 2x*exp(-x^2) * P(covered | x) over the serving
+    distance x; uplink(x, T) is the uplink factor, None for half-duplex."""
     meta = {"scenario": scenario.value, "rate": rate_r, "params": params.as_dict()}
+    t = threshold_from_rate(rate_r, scenario)
     if t == 0.0:
         # the coverage integrand is exactly the serving-distance pdf
         return OutageEstimate(0.0, Method.ANALYTIC_GENERAL, meta=meta)
-    lam_pi = params.lam * math.pi
-    noise_coef = params.mu * t * params.sigma_n2 / params.p_b
+    gain_b, _, noise, loop = params.sinr_scales()
+    noise_coef = t * noise / gain_b
+    # averaging over the unit-mean loop gain L turns exp(-li_coef*x^a1*L)
+    # into 1/(1 + li_coef*x^a1); only the two-node user has a loop
+    li_coef = t * loop / gain_b if scenario is Scenario.TWO_NODE_FD else 0.0
     a1 = params.alpha1
 
-    def integrand(r: float) -> float:
-        ra = r ** a1
-        w = 2.0 * lam_pi * r * math.exp(-lam_pi * r * r - noise_coef * ra)
+    def integrand(x: float) -> float:
+        xa = x ** a1
+        w = 2.0 * x * math.exp(-x * x - noise_coef * xa)
         if li_coef:
-            w /= 1.0 + li_coef * ra
+            w /= 1.0 + li_coef * xa
         if w == 0.0:
             return 0.0
-        w *= bs_interference_laplace(r, t, params, quad)
+        w *= bs_interference_laplace(x, t, params)
         if uplink is not None:
-            w *= uplink(r, t, params, quad)
+            w *= uplink(x, t)
         return w
 
-    r_max = gaussian_tail_radius(params.lam, quad)
-    cover = integrate(integrand, 0.0, r_max, quad.rel_tol_outer, quad,
+    quad = quad or QuadratureConfig()
+    x_max = math.sqrt(math.log(1.0 / quad.tail_cut))
+    cover = integrate(integrand, 0.0, x_max, quad.rel_tol_outer, quad,
                       abs_tol=quad.rel_tol_outer)
     return OutageEstimate(1.0 - cover, Method.ANALYTIC_GENERAL, meta=meta)
 
 
-def _check_radial_args(r: float, threshold: float) -> None:
-    if not r > 0:
-        raise ValueError(f"serving distance must be > 0, got {r}")
+def _uplink_scale(x: float, threshold: float, params: NetworkParams) -> float:
+    """s = (T*g_u/g_b * x^alpha1)^(2/alpha2), the mapped distance u at which
+    an uplink user's mean power equals the serving BS's over T."""
+    _check_radial_args(x, threshold)
+    gain_b, gain_u, _, _ = params.sinr_scales()
+    a = threshold * (gain_u / gain_b)
+    return (a * x ** params.alpha1) ** (2.0 / params.alpha2)
+
+
+def _check_radial_args(x: float, threshold: float) -> None:
+    if not x > 0:
+        raise ValueError(f"serving distance must be > 0, got {x}")
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")

@@ -1,7 +1,8 @@
 """Command-line front end: single evaluations, figure sweeps, agreement checks.
 
-Exit codes: 0 success, 2 configuration error, 3 quadrature failure,
-4 agreement check failed in `compare`.  A key-value config file (FDCELL_CONFIG
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
+quadrature that misses its tolerance, or an estimate outside [0, 1]), 4
+agreement check failed in `compare`.  A key-value config file (FDCELL_CONFIG
 or --config) supplies defaults; flags override it.
 """
 
@@ -13,7 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .model import NetworkParams, Scenario
+from .model import EstimateRangeError, NetworkParams, Scenario
 from .quadrature import QuadratureConfig, QuadratureError
 from .simulate import SimConfig, SimMode, estimate_outage
 from .sweep import (
@@ -32,7 +33,7 @@ from . import analytic, closedform
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_QUADRATURE = 3
+EXIT_NUMERICAL = 3
 EXIT_COMPARE = 4
 
 CONFIG_ENV = "FDCELL_CONFIG"
@@ -72,14 +73,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         defaults = _load_config(args.config)
         return args.handler(args, defaults)
+    except (EstimateRangeError, QuadratureError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QuadratureError as exc:
-        print(f"quadrature failure: {exc} "
-              f"(achieved {exc.achieved:g}, requested {exc.requested:g})",
-              file=sys.stderr)
-        return EXIT_QUADRATURE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,8 +245,7 @@ def _cmd_analytic(args, defaults: dict) -> int:
     scenario = Scenario(args.scenario)
     if args.method == "closed":
         if not closedform.applicable(params):
-            raise ConfigError("closed form needs alpha1=alpha2=4, p_b=p_u, "
-                              "sigma_n2=0 and mu=1")
+            raise ConfigError(f"closed form needs {closedform.REQUIREMENTS}")
         est = closedform.outage(scenario, params, rate, quad)
     else:
         est = analytic.outage(scenario, params, rate, quad)

@@ -16,6 +16,7 @@ from .model import Method, NetworkParams, OutageEstimate, Scenario, threshold_fr
 from .quadrature import QuadratureConfig, integrate
 
 __all__ = [
+    "REQUIREMENTS",
     "applicable",
     "arccot",
     "bs_kernel",
@@ -27,9 +28,12 @@ __all__ = [
 ]
 
 
+REQUIREMENTS = "alpha1=alpha2=4, p_b=p_u, sigma_n2=0 and mu=1"
+
+
 def applicable(params: NetworkParams) -> bool:
-    """True when the closed forms are valid for these parameters:
-    alpha1 = alpha2 = 4, equal powers, zero noise, unit fading rate."""
+    """True when these parameters meet REQUIREMENTS, the conditions the
+    closed forms are derived under."""
     return (params.alpha1 == 4.0 and params.alpha2 == 4.0
             and params.p_b == params.p_u
             and params.sigma_n2 == 0.0 and params.mu == 1.0)

@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
+    "EstimateRangeError",
     "Scenario",
     "Method",
     "NetworkParams",
@@ -29,10 +30,6 @@ class Scenario(Enum):
     TWO_NODE_FD = "two-node"
     THREE_NODE_FD = "three-node"
     HALF_DUPLEX = "half-duplex"
-
-    @property
-    def is_full_duplex(self) -> bool:
-        return self is not Scenario.HALF_DUPLEX
 
 
 class Method(Enum):
@@ -57,7 +54,7 @@ class NetworkParams:
     sigma_l2  -- mean residual loop-interference channel gain after cancellation
     mu        -- Rayleigh fading exponential rate (mean channel power 1/mu);
                  it cancels in every interference term, so outage depends on
-                 it only through mu*sigma_n2 and mu*sigma_l2
+                 it only through mu*sigma_n2 and mu*sigma_l2 (see sinr_scales)
     """
 
     lam: float = 1e-3
@@ -87,11 +84,26 @@ class NetworkParams:
         if not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
 
+    def sinr_scales(self) -> tuple[float, float, float, float]:
+        """The unit gains g_b, g_u = p*(lam*pi)^(alpha/2) and the scales
+        noise, loop such that SINR = g_b*S / (noise + loop*L + g_b*I_b
+        + g_u*I_u) for the unit-density, unit-power parts S, I_b, I_u, L of
+        simulate.sinr_of_realization.  mu cancels in the interference terms,
+        so it stays on noise and loop only."""
+        lam_pi = self.lam * math.pi
+        return (self.p_b * lam_pi ** (self.alpha1 / 2.0),
+                self.p_u * lam_pi ** (self.alpha2 / 2.0),
+                self.mu * self.sigma_n2, self.mu * self.p_u * self.sigma_l2)
+
     def replace(self, **changes) -> "NetworkParams":
         return replace(self, **changes)
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+class EstimateRangeError(ValueError):
+    """An outage value outside [0, 1]: a numerical failure, not bad input."""
 
 
 # Analytic values land on the boundary only up to quadrature error; snap
@@ -120,7 +132,7 @@ class OutageEstimate:
         elif 1.0 < v <= 1.0 + _BOUNDARY_SLACK:
             object.__setattr__(self, "value", 1.0)
         elif not 0.0 <= v <= 1.0:
-            raise ValueError(f"outage value {v} outside [0, 1]")
+            raise EstimateRangeError(f"outage value {v} outside [0, 1]")
         if self.stderr < 0:
             raise ValueError(f"stderr must be >= 0, got {self.stderr}")
 

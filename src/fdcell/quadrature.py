@@ -11,13 +11,12 @@ estimate until the tolerance is met.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 from scipy import integrate as _sp_integrate
 
-__all__ = ["QuadratureConfig", "QuadratureError", "integrate", "gaussian_tail_radius"]
+__all__ = ["QuadratureConfig", "QuadratureError", "integrate"]
 
 
 class QuadratureError(ArithmeticError):
@@ -44,8 +43,9 @@ class QuadratureConfig:
                         kept 100x tighter than the outer one so inner error
                         never dominates the outer estimate
     rel_tol_outer    -- relative tolerance for the outermost radial integral
-    tail_cut         -- epsilon at which Gaussian-weighted outer integrals are
-                        truncated: r_max = sqrt(ln(1/eps) / (lam*pi))
+    tail_cut         -- epsilon at which Gaussian-weighted integrals are
+                        truncated: at x = sqrt(ln(1/eps)) in the scaled
+                        distance x = r*sqrt(lam*pi) of fdcell.analytic
     max_subdivisions -- adaptive refinement cap per integration level
     """
 
@@ -61,11 +61,6 @@ class QuadratureConfig:
                 raise ValueError(f"{name} must be in (0, 1), got {v}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-
-
-def gaussian_tail_radius(lam: float, cfg: QuadratureConfig) -> float:
-    """Radius past which exp(-lam*pi*r^2) < tail_cut."""
-    return math.sqrt(math.log(1.0 / cfg.tail_cut) / (lam * math.pi))
 
 
 def integrate(fn: Callable[[float], float], a: float, b: float,
@@ -86,7 +81,8 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
     requested = max(abs_tol, rel_tol * abs(value))
     if len(out) > 3 and abserr > requested:
         raise QuadratureError(
-            f"quadrature did not converge on [{a:g}, {b:g}]: {out[3]}",
+            f"quadrature did not converge on [{a:g}, {b:g}] (achieved "
+            f"{abserr:g}, requested {requested:g}): {out[3]}",
             value=value, achieved=abserr, requested=requested,
         )
     return value

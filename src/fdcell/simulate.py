@@ -146,17 +146,13 @@ def sinr_of_realization(real: NetworkRealization,
 
 
 def sinr_at(parts: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """SINR at the origin from per-trial parts: a point at u has path loss
-    (u/(lam*pi))^(-alpha/2), and dividing through by the mean fading 1/mu
-    leaves mu only on the noise and loop terms."""
+    """SINR at the origin from per-trial parts, on the scales of
+    :meth:`NetworkParams.sinr_scales`."""
     signal, i_bs, i_up, loop = parts
-    lam_pi = params.lam * math.pi
-    gain_b = params.p_b * lam_pi ** (params.alpha1 / 2.0)
-    gain_u = params.p_u * lam_pi ** (params.alpha2 / 2.0)
+    gain_b, gain_u, noise, loop_scale = params.sinr_scales()
     with np.errstate(divide="ignore"):
-        return gain_b * signal / (
-            params.mu * (params.sigma_n2 + params.p_u * params.sigma_l2 * loop)
-            + gain_b * i_bs + gain_u * i_up)
+        return gain_b * signal / (noise + loop_scale * loop
+                                  + gain_b * i_bs + gain_u * i_up)
 
 
 def simulate_sinr(params: NetworkParams, scenario: Scenario, sim: SimConfig,

@@ -61,10 +61,11 @@ class SweepSpec:
     """One sweep: which variable moves, over which grid, for which scenarios
     and methods.
 
-    li_levels applies residual loop-interference levels to two-node runs only;
-    rate is the fixed target rate when the swept variable is not the rate
-    itself.  bs_power sweeps scale p_b to the grid value and p_u with it,
-    preserving the configured p_u/p_b ratio.
+    li_levels applies residual loop-interference levels to two-node runs
+    only; empty, it means the single level fixed.sigma_l2.  rate is the fixed
+    target rate when the swept variable is not the rate itself.  bs_power
+    sweeps scale p_b to the grid value and p_u with it, preserving the
+    configured p_u/p_b ratio.
     """
 
     variable: str
@@ -72,7 +73,7 @@ class SweepSpec:
     scenarios: tuple[Scenario, ...] = (Scenario.TWO_NODE_FD,
                                        Scenario.THREE_NODE_FD,
                                        Scenario.HALF_DUPLEX)
-    li_levels: tuple[float, ...] = (0.0,)
+    li_levels: tuple[float, ...] = ()
     fixed: NetworkParams = NetworkParams()
     methods: tuple[str, ...] = ("analytic",)
     rate: float = 0.1
@@ -199,8 +200,8 @@ def _run_method(spec: SweepSpec, scenario: Scenario, method: str,
         elif method == Method.ANALYTIC_CLOSED_FORM.value:
             if not closedform.applicable(params):
                 log.info("closed form not applicable for %s at %s=%g "
-                         "(needs alpha1=alpha2=4, p_b=p_u, sigma_n2=0); skipped",
-                         scenario.value, spec.variable, value)
+                         "(needs %s); skipped", scenario.value, spec.variable,
+                         value, closedform.REQUIREMENTS)
                 continue
             est = closedform.outage(scenario, params, rate, spec.quad)
         else:
@@ -360,7 +361,7 @@ def _fig4(sim: SimConfig, quad: QuadratureConfig) -> list[SweepSpec]:
     to dominant.
     """
     return [SweepSpec(variable="residual_li", grid=make_grid(1e-6, 1e-1, 11, "log"),
-                      scenarios=(Scenario.TWO_NODE_FD,), li_levels=(),
+                      scenarios=(Scenario.TWO_NODE_FD,),
                       fixed=NetworkParams(),
                       methods=("analytic", "closed-form", "mc"),
                       rate=rate, sim=sim, quad=quad)

@@ -197,10 +197,11 @@ def test_criterion_9_property_suite(fig3):
 
     laplace_ok = True
     for r in (1.0, 10.0, 40.0):
+        x = r * math.sqrt(NetworkParams().lam * math.pi)
         for t in (0.1, 1.0, 10.0):
-            values = (analytic.bs_interference_laplace(r, t, NetworkParams(), QUAD),
-                      analytic.uplink_laplace_full(r, t, NetworkParams(), QUAD),
-                      analytic.uplink_laplace_excluded(r, t, NetworkParams(), QUAD))
+            values = (analytic.bs_interference_laplace(x, t, NetworkParams()),
+                      analytic.uplink_laplace_full(x, t, NetworkParams()),
+                      analytic.uplink_laplace_excluded(x, t, NetworkParams(), QUAD))
             laplace_ok &= all(0.0 < v <= 1.0 for v in values)
             laplace_ok &= values[2] >= values[1]
     checks["laplace transforms in (0,1], exclusion ordering"] = laplace_ok

@@ -12,6 +12,12 @@ QUAD = QuadratureConfig()
 DEFAULTS = NetworkParams()
 
 
+def scaled(r, lam=DEFAULTS.lam):
+    """The transforms' distance x = r*sqrt(lam*pi) of a physical distance r;
+    the oracles below stay in r."""
+    return r * math.sqrt(lam * math.pi)
+
+
 def bs_laplace_quartic(r, t, lam):
     """Closed reduction of the BS Laplace transform at alpha1 = 4."""
     st = math.sqrt(t)
@@ -26,7 +32,7 @@ def uplink_full_quartic(r, t, lam):
 
 def uplink_excluded_tensor_oracle(r, t, params, n=2000):
     """Non-adaptive 2000x2000 trapezoid evaluation of the exclusion-averaged
-    uplink transform, using the same variable mappings as the library."""
+    uplink transform in the physical distances r and rho."""
     a2 = params.alpha2
     a = params.p_u / params.p_b * t
     ystar = (a * r ** params.alpha1) ** (1.0 / a2)
@@ -86,59 +92,63 @@ class TestTailIntegral:
 
 class TestBsInterferenceLaplace:
     def test_zero_threshold(self):
-        assert analytic.bs_interference_laplace(10.0, 0.0, DEFAULTS, QUAD) == 1.0
+        assert analytic.bs_interference_laplace(scaled(10.0), 0.0, DEFAULTS) == 1.0
 
     def test_quartic_reduction(self):
-        value = analytic.bs_interference_laplace(10.0, 1.0, DEFAULTS, QUAD)
+        value = analytic.bs_interference_laplace(scaled(10.0), 1.0, DEFAULTS)
         assert value == pytest.approx(bs_laplace_quartic(10.0, 1.0, 1e-3),
                                       rel=1e-9)
 
     def test_tiny_radius_limit(self):
-        value = analytic.bs_interference_laplace(1e-6, 1.0, DEFAULTS, QUAD)
+        value = analytic.bs_interference_laplace(scaled(1e-6), 1.0, DEFAULTS)
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_general_exponent(self):
         p = NetworkParams(alpha1=3.3)
-        value = analytic.bs_interference_laplace(5.0, 2.0, p, QUAD)
+        value = analytic.bs_interference_laplace(scaled(5.0, p.lam), 2.0, p)
         assert 0.0 < value < 1.0
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
-            analytic.bs_interference_laplace(0.0, 1.0, DEFAULTS, QUAD)
+            analytic.bs_interference_laplace(0.0, 1.0, DEFAULTS)
 
 
 class TestUplinkLaplaceFull:
     def test_zero_threshold(self):
-        assert analytic.uplink_laplace_full(10.0, 0.0, DEFAULTS, QUAD) == 1.0
+        assert analytic.uplink_laplace_full(scaled(10.0), 0.0, DEFAULTS) == 1.0
 
     def test_quartic_reduction(self):
-        value = analytic.uplink_laplace_full(10.0, 1.0, DEFAULTS, QUAD)
+        value = analytic.uplink_laplace_full(scaled(10.0), 1.0, DEFAULTS)
         assert value == pytest.approx(uplink_full_quartic(10.0, 1.0, 1e-3),
                                       rel=1e-9)
 
     def test_vanishing_user_power(self):
         p = NetworkParams(p_u=1e-30)
-        value = analytic.uplink_laplace_full(10.0, 1.0, p, QUAD)
+        value = analytic.uplink_laplace_full(scaled(10.0, p.lam), 1.0, p)
         assert value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestUplinkLaplaceExcluded:
     def test_zero_threshold(self):
-        assert analytic.uplink_laplace_excluded(10.0, 0.0, DEFAULTS, QUAD) == 1.0
+        assert analytic.uplink_laplace_excluded(scaled(10.0), 0.0, DEFAULTS,
+                                                QUAD) == 1.0
 
     def test_strictly_between_full_and_one(self):
-        full = analytic.uplink_laplace_full(10.0, 1.0, DEFAULTS, QUAD)
-        excl = analytic.uplink_laplace_excluded(10.0, 1.0, DEFAULTS, QUAD)
+        full = analytic.uplink_laplace_full(scaled(10.0), 1.0, DEFAULTS)
+        excl = analytic.uplink_laplace_excluded(scaled(10.0), 1.0, DEFAULTS,
+                                                QUAD)
         assert full < excl <= 1.0
 
     def test_against_tensor_oracle(self):
-        value = analytic.uplink_laplace_excluded(10.0, 1.0, DEFAULTS, QUAD)
+        value = analytic.uplink_laplace_excluded(scaled(10.0), 1.0, DEFAULTS,
+                                                 QUAD)
         oracle = uplink_excluded_tensor_oracle(10.0, 1.0, DEFAULTS)
         assert value == pytest.approx(oracle, abs=1e-5)
 
     def test_against_tensor_oracle_asymmetric(self):
         p = NetworkParams(alpha1=3.6, alpha2=4.4, p_u=0.25)
-        value = analytic.uplink_laplace_excluded(7.0, 2.5, p, QUAD)
+        value = analytic.uplink_laplace_excluded(scaled(7.0, p.lam), 2.5, p,
+                                                 QUAD)
         oracle = uplink_excluded_tensor_oracle(7.0, 2.5, p)
         assert value == pytest.approx(oracle, abs=1e-5)
 

@@ -2,8 +2,10 @@
 
 benchmarks/tracing.py wraps fdcell functions by qualified name and skips a
 name that no longer resolves, so a renamed layer would only read zero in the
-benchmark.  This checks each name against the package directly, and that the
-tracer's wrapper can read what a traced sampling call returns.
+benchmark.  This checks each name against the package directly, that the
+tracer's wrapper can read what a traced sampling call returns, and that a
+small analytic sweep calls every analytic and closed-form function that the
+benchmark's self-test requires of its rate-sweep-analytic workload.
 """
 
 import importlib
@@ -12,14 +14,19 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+def load_benchmark_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_benchmark_module("tracing")
 
 
 def traced_names() -> list[str]:
@@ -46,3 +53,27 @@ def test_traced_sampling_reports_resampled(monkeypatch):
     simulate.simulate_sinr(NetworkParams(), Scenario.TWO_NODE_FD, sim)
     assert tracer.calls[name] == 2 and not tracer.errors
     assert tracer.resampled == 0
+
+
+def test_rate_sweep_calls_each_required_transform(monkeypatch):
+    from dataclasses import replace
+
+    from fdcell import analytic, closedform, sweep
+
+    tracing = load_tracing()
+    hot = dict(tracing.TRACED)
+    pattern = load_benchmark_module("run").CALL_PATTERN["rate-sweep-analytic"]
+    modules = {"analytic": analytic, "closedform": closedform}
+    names = [metric.removesuffix(".calls") for metric in pattern["nonzero"]
+             if metric.split(".")[0] in modules]
+    assert names
+    tracer = tracing.Tracer()
+    for name in names:
+        module_name, attr = name.split(".")
+        module = modules[module_name]
+        monkeypatch.setattr(module, attr,
+                            tracer.wrap(name, getattr(module, attr), hot[name]))
+    spec = replace(sweep.build_preset("fig3")[0], grid=(1.0,),
+                   methods=("analytic", "closed-form"))
+    sweep.run_sweep(spec)
+    assert [n for n in names if not tracer.calls[n]] == [] and not tracer.errors

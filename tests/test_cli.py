@@ -1,8 +1,10 @@
 import pytest
 
+from fdcell import analytic, closedform
 from fdcell.cli import (
     EXIT_COMPARE,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     main,
 )
@@ -36,7 +38,19 @@ class TestAnalyticCommand:
                            "--rate", "1", "--method", "closed",
                            "--sigma-n2", "1")
         assert code == EXIT_CONFIG
-        assert "closed form" in err
+        assert "closed form" in err and closedform.REQUIREMENTS in err
+
+    def test_out_of_range_estimate_is_numerical_failure(self, capsys,
+                                                        monkeypatch):
+        # an outage outside [0, 1] after validation exits 3, not 2
+        monkeypatch.setattr(analytic, "integrate", lambda *args, **kw: -0.5)
+        code, out, err = run(capsys, "analytic", "--scenario", "half-duplex",
+                             "--rate", "1")
+        assert code == EXIT_NUMERICAL
+        assert not out and "numerical failure" in err
+        code, _, err = run(capsys, "analytic", "--scenario", "half-duplex",
+                           "--rate", "1", "--alpha1", "1.5")
+        assert code == EXIT_CONFIG and "configuration error" in err
 
     def test_missing_rate(self, capsys):
         code, _, err = run(capsys, "analytic", "--scenario", "two-node")

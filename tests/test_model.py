@@ -93,6 +93,13 @@ class TestNetworkParams:
         p = NetworkParams().replace(sigma_l2=1e-3)
         assert p.sigma_l2 == 1e-3 and p.lam == 1e-3
 
+    def test_sinr_scales(self):
+        # unit gains p*(lam*pi)^(alpha/2); mu scales only noise and loop
+        p = NetworkParams(lam=1e-2 / math.pi, alpha1=4.0, alpha2=3.0, p_b=2.0,
+                          p_u=5.0, sigma_n2=0.1, sigma_l2=1e-3, mu=2.0)
+        assert p.sinr_scales() == pytest.approx((2e-4, 5e-3, 0.2, 1e-2),
+                                                rel=1e-12)
+
 
 class TestOutageEstimate:
     def test_bounds_enforced(self):

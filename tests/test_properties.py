@@ -22,6 +22,11 @@ def params_from(lam, a1, a2, ratio):
     return NetworkParams(lam=lam, alpha1=a1, alpha2=a2, p_b=1.0, p_u=ratio)
 
 
+def scaled(r, lam):
+    """The transforms' distance x = r*sqrt(lam*pi); the oracles stay in r."""
+    return r * math.sqrt(lam * math.pi)
+
+
 class TestThresholdProperties:
     @given(r1=rates, r2=rates)
     def test_strictly_increasing(self, r1, r2):
@@ -58,7 +63,7 @@ class TestLaplaceProperties:
     @settings(max_examples=60, deadline=None)
     def test_bs_transform_in_unit_interval(self, r, t, lam, a1):
         p = NetworkParams(lam=lam, alpha1=a1)
-        value = analytic.bs_interference_laplace(r, t, p, QUAD)
+        value = analytic.bs_interference_laplace(scaled(r, lam), t, p)
         assert 0.0 <= value <= 1.0
         # J = integral_0^1 T*v^(a1-3)/(1+T*v^a1) dv <= T/(a1-2), so the
         # exponent magnitude is at most 2*pi*lam*r^2*T/(a1-2)
@@ -72,7 +77,7 @@ class TestLaplaceProperties:
     def test_full_uplink_transform_matches_closed_exponent(self, r, t, lam,
                                                            a1, a2, ratio):
         p = params_from(lam, a1, a2, ratio)
-        value = analytic.uplink_laplace_full(r, t, p, QUAD)
+        value = analytic.uplink_laplace_full(scaled(r, lam), t, p)
         assert 0.0 <= value <= 1.0
         exponent = full_uplink_exponent(r, t, lam, a1, a2, ratio)
         if exponent < 700.0:
@@ -85,8 +90,8 @@ class TestLaplaceProperties:
     @settings(max_examples=25, deadline=None)
     def test_exclusion_never_hurts(self, r, t, lam, a1, a2, ratio):
         p = params_from(lam, a1, a2, ratio)
-        full = analytic.uplink_laplace_full(r, t, p, QUAD)
-        excluded = analytic.uplink_laplace_excluded(r, t, p, QUAD)
+        full = analytic.uplink_laplace_full(scaled(r, lam), t, p)
+        excluded = analytic.uplink_laplace_excluded(scaled(r, lam), t, p, QUAD)
         assert 0.0 <= excluded <= 1.0
         # the ordering is strict mathematically; allow quadrature slack when
         # the two transforms coincide to within the solver tolerance
@@ -95,9 +100,9 @@ class TestLaplaceProperties:
             assert excluded > 0.0
 
     def test_exclusion_strictly_larger_at_macroscopic_gap(self):
-        full = analytic.uplink_laplace_full(10.0, 1.0, NetworkParams(), QUAD)
-        excluded = analytic.uplink_laplace_excluded(10.0, 1.0, NetworkParams(),
-                                                    QUAD)
+        x = scaled(10.0, NetworkParams().lam)
+        full = analytic.uplink_laplace_full(x, 1.0, NetworkParams())
+        excluded = analytic.uplink_laplace_excluded(x, 1.0, NetworkParams(), QUAD)
         assert excluded > full + 0.1
 
 
@@ -142,6 +147,19 @@ class TestDensityInvariance:
                    analytic.half_duplex_outage):
             assert abs(fn(moved, 1.0, QUAD).value - fn(ref, 1.0, QUAD).value) \
                 < 10 * QUAD.rel_tol_outer
+
+
+class TestExactDensityInvariance:
+    @pytest.mark.parametrize("ratio", [1.0, 0.3])
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_bit_identical_across_density(self, alpha, ratio):
+        # at zero noise and loop gain and alpha1 = alpha2 the density cancels
+        # in the unit gains, so the quadrature sees the same integrand
+        for fn in (analytic.two_node_outage, analytic.three_node_outage,
+                   analytic.half_duplex_outage):
+            values = {fn(params_from(lam, alpha, alpha, ratio), 1.0, QUAD).value
+                      for lam in (1e-4, 1e-3, 1e-2)}
+            assert len(values) == 1
 
 
 class TestNoiseLimits:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from fdcell import simulate
+from fdcell import closedform, simulate
 from fdcell.model import NetworkParams, Scenario
 from fdcell.simulate import BLOCK, SimConfig, estimate_outage
 from fdcell.sweep import (
@@ -116,7 +116,8 @@ class TestRunSweep:
         with caplog.at_level(logging.INFO, logger="fdcell.sweep"):
             rows = run_sweep(spec)
         assert not any(r.method == "closed-form" for r in rows)
-        assert any("closed form not applicable" in m for m in caplog.messages)
+        assert any("closed form not applicable" in m
+                   and closedform.REQUIREMENTS in m for m in caplog.messages)
 
     @pytest.mark.parametrize("variable", list(MC_SWEEPS))
     def test_mc_rate_rows_share_samples(self, variable):
@@ -151,6 +152,15 @@ class TestRunSweep:
         assert len(run_sweep(spec)) == 3 * 4
         blocks = -(-sim.trials // BLOCK)
         assert calls == {s: blocks for s in spec.scenarios}
+
+    def test_default_li_level_is_fixed_sigma_l2(self):
+        # without li_levels the two-node rows use the configured loop gain
+        spec = SweepSpec(variable="rate", grid=(1.0,),
+                         scenarios=(Scenario.TWO_NODE_FD,),
+                         fixed=NetworkParams(sigma_l2=1e-3))
+        (row,) = run_sweep(spec)
+        assert row.sigma_l2 == 1e-3
+        assert row.outage == pytest.approx(0.8895, abs=1e-4)
 
     def test_density_sweep_moves_lambda(self):
         spec = SweepSpec(variable="density", grid=make_grid(1e-4, 1e-2, 3, "log"),
