@@ -10,18 +10,24 @@ semi-infinite integral is one Gauss hypergeometric kernel,
 
 Distances are scaled to x = r*sqrt(lam*pi), the square root of the
 simulator's u = lam*pi*r^2, with the fixed nearest-point law 2x*exp(-x^2):
-the density and the powers enter only through the unit gains and the mu rule
-of :meth:`NetworkParams.sinr_scales`.  Only the Gaussian-weighted integrals
-(serving distance x, and the exclusion distance y of the two-node uplink) run
-by adaptive quadrature, on [0, sqrt(ln(1/tail_cut))].  In x, QUADPACK sees an
-affine image of the physical radial integral; in u, a noise-limited query's
-coverage sits against the origin of a long interval, where it is missed.
+the density and the powers enter only through the gain ratios and the mu
+rule of :meth:`NetworkParams.sinr_scales`.  Only the Gaussian-weighted
+integrals (serving distance x, and the exclusion distance y of the two-node
+uplink) run by adaptive quadrature, on [0, sqrt(ln(1/tail_cut))].  In x the
+quadrature sees an affine image of the physical radial integral; in u, a
+noise-limited query's coverage sits against the origin of a long interval,
+where it is missed.
+
+The transforms and :func:`tail_integral` take arrays, so each round of the
+outer quadrature evaluates its integrand once on all its nodes, and the
+two-node uplink factor integrates over y for all of them in one call.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import hyp2f1
 
 from .model import Method, NetworkParams, OutageEstimate, Scenario, threshold_from_rate
@@ -38,8 +44,9 @@ __all__ = [
 ]
 
 
-def tail_integral(c: float, alpha: float) -> float:
-    """integral_c^inf u/(1+u^alpha) du for c >= 0 and alpha > 2.
+def tail_integral(c, alpha: float):
+    """integral_c^inf u/(1+u^alpha) du for c >= 0 (a float or an array) and
+    alpha > 2.
 
     A Gauss hypergeometric function (the rho(T, alpha) of Andrews, Baccelli
     and Ganti, IEEE TCOM 2011).  Each branch keeps the series argument in
@@ -47,72 +54,76 @@ def tail_integral(c: float, alpha: float) -> float:
     integral_0^c is subtracted from the full-line value, beyond it the tail
     is expanded in powers of c^-alpha.
     """
-    if c > 1.0:
-        return c ** (2.0 - alpha) / (alpha - 2.0) * hyp2f1(
-            1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -c ** -alpha)
+    c = np.asarray(c, dtype=float)
+    out = np.empty(c.shape)
+    far = c > 1.0
+    cf, cn = c[far], c[~far]
+    out[far] = cf ** (2.0 - alpha) / (alpha - 2.0) * hyp2f1(
+        1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -cf ** -alpha)
     full = (math.pi / alpha) / math.sin(2.0 * math.pi / alpha)
-    if c == 0.0:
-        return full
-    return full - 0.5 * c * c * hyp2f1(1.0, 2.0 / alpha, 1.0 + 2.0 / alpha,
-                                       -c ** alpha)
+    out[~far] = full - 0.5 * cn * cn * hyp2f1(1.0, 2.0 / alpha,
+                                              1.0 + 2.0 / alpha, -cn ** alpha)
+    return out[()]
 
 
-def bs_interference_laplace(x: float, threshold: float,
-                            params: NetworkParams) -> float:
+def bs_interference_laplace(x, threshold: float, params: NetworkParams):
     """Laplace transform of the interference from all BSs beyond the serving
-    one at scaled distance x, at the conditional SINR threshold T:
+    one at scaled distance x (a float or an array), at the conditional SINR
+    threshold T:
 
         exp(-2 * integral_x^inf  T/(T + (v/x)^alpha1) * v dv) = exp(-2*x^2*J)
 
     with J = T^(2/alpha1) * tail_integral(T^(-1/alpha1), alpha1).
     """
-    _check_radial_args(x, threshold)
-    if threshold == 0.0:
-        return 1.0
-    a1 = params.alpha1
-    j = threshold ** (2.0 / a1) * tail_integral(threshold ** (-1.0 / a1), a1)
-    return math.exp(-2.0 * x * x * j)
+    x = _check_radial_args(x, threshold)
+    j = 0.0
+    if threshold > 0.0:
+        a1 = params.alpha1
+        j = threshold ** (2.0 / a1) * tail_integral(threshold ** (-1.0 / a1), a1)
+    return np.exp(-2.0 * x * x * j)
 
 
-def uplink_laplace_full(x: float, threshold: float,
-                        params: NetworkParams) -> float:
+def uplink_laplace_full(x, threshold: float, params: NetworkParams):
     """Laplace transform of the uplink interference when interferers form an
     unrestricted plane PPP (three-node architecture):
     exp(-2*s*tail_integral(0, alpha2)), with s from :func:`_uplink_scale`.
     """
     s = _uplink_scale(x, threshold, params)
-    return math.exp(-2.0 * s * tail_integral(0.0, params.alpha2))
+    return np.exp(-2.0 * s * tail_integral(0.0, params.alpha2))
 
 
-def uplink_laplace_excluded(x: float, threshold: float, params: NetworkParams,
-                            quad: QuadratureConfig | None = None) -> float:
+def uplink_laplace_excluded(x, threshold: float, params: NetworkParams,
+                            quad: QuadratureConfig | None = None):
     """Laplace transform of the uplink interference with the nearest
     interferer held outside a disk of random scaled radius y (two-node
     architecture), averaged over y's law by adaptive quadrature:
 
-        integral_0^inf 2y*exp(-y^2) * exp(-2*s*tail_integral(y/sqrt(s), alpha2)) dy,
+        g(s) = integral_0^inf 2y*exp(-y^2) * exp(-2*s*tail_integral(y/sqrt(s), alpha2)) dy,
 
-    a function of s and alpha2 alone.  Never below :func:`uplink_laplace_full`
-    at identical arguments, since excluding a disk removes interference.
+    a function of s and alpha2 alone.  For an array of x, one integral over
+    y integrates all of them, each to its own tolerance.  Never below
+    :func:`uplink_laplace_full` at identical arguments, since excluding a disk
+    removes interference.
     """
-    s = _uplink_scale(x, threshold, params)
-    if s == 0.0:
-        return 1.0
+    s = np.asarray(_uplink_scale(x, threshold, params), dtype=float)
     quad = quad or QuadratureConfig()
     a2 = params.alpha2
-    root_s = math.sqrt(s)
     tol = quad.rel_tol_inner
+    live = s > 0.0
+    sl = s[live]
+    root_s = np.sqrt(sl)
 
-    def integrand(y: float) -> float:
-        w = 2.0 * y * math.exp(-y * y)
-        if w == 0.0:
-            return 0.0
-        return w * math.exp(-2.0 * s * tail_integral(y / root_s, a2))
+    def integrand(y: np.ndarray) -> np.ndarray:
+        y = y[:, None]
+        return 2.0 * y * np.exp(-y * y - 2.0 * sl * tail_integral(y / root_s, a2))
 
-    # the integrand is bounded by the exclusion-radius pdf, so the value is
+    # the integrand is bounded by the exclusion-radius pdf, so each value is
     # a probability-like quantity in (0, 1]
     y_max = math.sqrt(math.log(1.0 / quad.tail_cut))
-    return integrate(integrand, 0.0, y_max, tol, quad, abs_tol=tol)
+    out = np.ones(s.shape)
+    if sl.size:
+        out[live] = integrate(integrand, 0.0, y_max, tol, quad, abs_tol=tol).value
+    return out[()]
 
 
 def two_node_outage(params: NetworkParams, rate_r: float,
@@ -153,49 +164,62 @@ def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
 def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
                    quad: QuadratureConfig | None, uplink) -> OutageEstimate:
     """1 - integral of 2x*exp(-x^2) * P(covered | x) over the serving
-    distance x; uplink(x, T) is the uplink factor, None for half-duplex."""
-    meta = {"scenario": scenario.value, "rate": rate_r, "params": params.as_dict()}
+    distance x; uplink(x, T) is the uplink factor on an array of x, None for
+    half-duplex.  meta records the integral's nodes and an error bound: its
+    estimate, plus the truncated tail, plus for two-node the tolerance and
+    tail of the inner integrals, which the pdf weight carries over as is."""
+    meta = {"scenario": scenario.value, "rate": rate_r, "params": params.as_dict(),
+            "abserr": 0.0, "evaluations": 0}
     t = threshold_from_rate(rate_r, scenario)
-    if t == 0.0:
-        # the coverage integrand is exactly the serving-distance pdf
-        return OutageEstimate(0.0, Method.ANALYTIC_GENERAL, meta=meta)
-    gain_b, _, noise, loop = params.sinr_scales()
-    noise_coef = t * noise / gain_b
+    if t == 0.0 or t == math.inf:
+        # the coverage integrand is exactly the serving-distance pdf, or 0
+        return OutageEstimate(0.0 if t == 0.0 else 1.0, Method.ANALYTIC_GENERAL,
+                              meta=meta)
+    gain_u, noise, loop = params.sinr_scales()
+    noise_coef = t * noise
     # averaging over the unit-mean loop gain L turns exp(-li_coef*x^a1*L)
     # into 1/(1 + li_coef*x^a1); only the two-node user has a loop
-    li_coef = t * loop / gain_b if scenario is Scenario.TWO_NODE_FD else 0.0
+    li_coef = t * loop if scenario is Scenario.TWO_NODE_FD else 0.0
     a1 = params.alpha1
 
-    def integrand(x: float) -> float:
+    def integrand(x: np.ndarray) -> np.ndarray:
         xa = x ** a1
-        w = 2.0 * x * math.exp(-x * x - noise_coef * xa)
+        w = 2.0 * x * np.exp(-x * x - noise_coef * xa)
         if li_coef:
             w /= 1.0 + li_coef * xa
-        if w == 0.0:
-            return 0.0
         w *= bs_interference_laplace(x, t, params)
         if uplink is not None:
-            w *= uplink(x, t)
+            live = w > 0.0
+            w[live] *= uplink(x[live], t)
         return w
 
     quad = quad or QuadratureConfig()
     x_max = math.sqrt(math.log(1.0 / quad.tail_cut))
-    cover = integrate(integrand, 0.0, x_max, quad.rel_tol_outer, quad,
-                      abs_tol=quad.rel_tol_outer)
-    return OutageEstimate(1.0 - cover, Method.ANALYTIC_GENERAL, meta=meta)
+    # at tiny densities the gain ratios are huge and some products overflow:
+    # inf in an exponent or a denominator is the right limit
+    with np.errstate(over="ignore"):
+        cover = integrate(integrand, 0.0, x_max, quad.rel_tol_outer, quad,
+                          abs_tol=quad.rel_tol_outer)
+    abserr = cover.abserr + quad.tail_cut
+    if scenario is Scenario.TWO_NODE_FD:
+        abserr += quad.rel_tol_inner + quad.tail_cut
+    meta.update(abserr=abserr, evaluations=cover.evaluations)
+    return OutageEstimate(1.0 - cover.value, Method.ANALYTIC_GENERAL, meta=meta)
 
 
-def _uplink_scale(x: float, threshold: float, params: NetworkParams) -> float:
+def _uplink_scale(x, threshold: float, params: NetworkParams):
     """s = (T*g_u/g_b * x^alpha1)^(2/alpha2), the mapped distance u at which
     an uplink user's mean power equals the serving BS's over T."""
-    _check_radial_args(x, threshold)
-    gain_b, gain_u, _, _ = params.sinr_scales()
-    a = threshold * (gain_u / gain_b)
-    return (a * x ** params.alpha1) ** (2.0 / params.alpha2)
+    x = _check_radial_args(x, threshold)
+    gain_u = params.sinr_scales()[0]
+    return (threshold * gain_u * x ** params.alpha1) ** (2.0 / params.alpha2)
 
 
-def _check_radial_args(x: float, threshold: float) -> None:
-    if not x > 0:
-        raise ValueError(f"serving distance must be > 0, got {x}")
+def _check_radial_args(x, threshold: float):
+    """x as a float or an array, once every distance is > 0."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
+        raise ValueError(f"serving distance must be > 0, got {x.min()}")
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
+    return x[()]

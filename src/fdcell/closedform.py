@@ -3,14 +3,19 @@
 When both path-loss exponents are 4, BS and user powers are equal and the
 network is interference-limited (no noise), the radial outage integrals
 collapse: the three-node and half-duplex outages become elementary formulas
-and the two-node outage reduces to a cheap double integral in the squared
-distances u = r^2 and v = rho^2.  These serve both as fast evaluation paths
-and as oracles for the general quadrature in :mod:`fdcell.analytic`.
+and the two-node outage reduces to a double integral in the squared
+distances u = r^2 and v = rho^2 with arccot kernels.  These serve both as
+fast evaluation paths and as oracles for the general quadrature in
+:mod:`fdcell.analytic`, which shares none of their kernels.  The kernels take
+arrays of u, so the two-node inner integral over v runs once for all outer
+nodes of a round.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .model import Method, NetworkParams, OutageEstimate, Scenario, threshold_from_rate
 from .quadrature import QuadratureConfig, integrate
@@ -39,49 +44,55 @@ def applicable(params: NetworkParams) -> bool:
             and params.sigma_n2 == 0.0 and params.mu == 1.0)
 
 
-def arccot(x: float) -> float:
-    """Inverse cotangent on x >= 0, decreasing from pi/2 at 0 toward 0."""
-    return math.atan2(1.0, x)
+def arccot(x):
+    """Inverse cotangent on x >= 0 (a float or an array), decreasing from
+    pi/2 at 0 toward 0."""
+    return np.arctan2(1.0, x)
 
 
-def bs_kernel(u: float, rate_r: float, lam: float) -> float:
+def bs_kernel(u, rate_r: float, lam: float):
     """Joint weight of the serving-distance law and the other-BS interference
-    suppression at squared serving distance u:
+    suppression at squared serving distance u (a float or an array):
 
         exp(-pi*lam*u * (1 + sqrt(T)*arctan(sqrt(T)))),  T = 2^R - 1.
     """
-    if u < 0:
-        raise ValueError(f"u must be >= 0, got {u}")
+    u = _check_u(u)
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
     st = math.sqrt(t)
-    return math.exp(-math.pi * lam * u * (1.0 + st * math.atan(st)))
+    return np.exp(-math.pi * lam * u * (1.0 + st * math.atan(st)))
 
 
-def uplink_kernel(u: float, rate_r: float, lam: float,
-                  quad: QuadratureConfig | None = None) -> float:
-    """Uplink interference weight averaged over the squared exclusion radius v:
+def uplink_kernel(u, rate_r: float, lam: float,
+                  quad: QuadratureConfig | None = None):
+    """Uplink interference weight averaged over the squared exclusion radius v,
+    at squared serving distance u (a float or an array):
 
         integral over v >= 0 of exp(-pi*lam*(v + u*sqrt(T)*arccot(v/(u*sqrt(T))))).
 
-    The exp(-pi*lam*v) envelope is absorbed exactly by substituting
-    w = exp(-pi*lam*v), leaving a bounded integrand on (0, 1].
+    In z = pi*lam*v the integrand is exp(-z - c*arccot(z/c)) with
+    c = pi*lam*u*sqrt(T).  It is at most exp(-z), so it is truncated at
+    z = ln(1/tail_cut) like the analytic route's Gaussian tails; at c = 0 the
+    integral is exactly 1/(pi*lam).  For an array of u, one integral over z
+    integrates all of them, each to its own tolerance.
     """
-    if u < 0:
-        raise ValueError(f"u must be >= 0, got {u}")
+    u = _check_u(u)
     quad = quad or QuadratureConfig()
     pil = math.pi * lam
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
-    ust = u * math.sqrt(t)
-    if ust == 0.0:
-        return 1.0 / pil
-    scale = pil * ust
+    scale = np.asarray(pil * (u * math.sqrt(t)))
+    tol = quad.rel_tol_inner
+    live = scale > 0.0
+    c = scale[live]
 
-    def mapped(w: float) -> float:
-        # v = -ln(w)/(pi*lam); the exp(-pi*lam*v) factor became dw
-        return math.exp(-scale * arccot(-math.log(w) / scale))
+    def integrand(z: np.ndarray) -> np.ndarray:
+        z = z[:, None]
+        return np.exp(-z - c * arccot(z / c))
 
-    return integrate(mapped, 0.0, 1.0, quad.rel_tol_inner, quad,
-                     abs_tol=quad.rel_tol_inner) / pil
+    out = np.ones(scale.shape)
+    if c.size:
+        out[live] = integrate(integrand, 0.0, math.log(1.0 / quad.tail_cut),
+                              tol, quad, abs_tol=tol).value
+    return (out / pil)[()]
 
 
 def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
@@ -90,27 +101,38 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
 
     Takes sigma_l2 explicitly rather than a NetworkParams because only the
     density, the rate and the residual loop gain survive the specialization.
+    The outer integral runs over z = pi*lam*u, so no power of the density
+    scales its integrand; meta records its nodes and an error bound: its
+    estimate, plus the tolerance and truncated tails of both integrals.
     """
     quad = quad or QuadratureConfig()
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
     meta = _meta(Scenario.TWO_NODE_FD, rate_r, lam=lam, sigma_l2=sigma_l2)
-    if t == 0.0:
-        return OutageEstimate(0.0, Method.ANALYTIC_CLOSED_FORM, meta=meta)
+    if t == 0.0 or t == math.inf:
+        return OutageEstimate(0.0 if t == 0.0 else 1.0,
+                              Method.ANALYTIC_CLOSED_FORM, meta=meta)
     pil = math.pi * lam
     li = sigma_l2 * t
-    u_max = math.log(1.0 / quad.tail_cut) / pil
-    norm = pil * pil
 
-    def integrand(u: float) -> float:
-        # normalized so the integral is the coverage probability in (0, 1]
-        w = norm * bs_kernel(u, rate_r, lam)
-        if w == 0.0:
-            return 0.0
-        return w * uplink_kernel(u, rate_r, lam, quad) / (1.0 + li * u * u)
+    def integrand(z: np.ndarray) -> np.ndarray:
+        # the coverage density in z, so the integral is the coverage
+        # probability in (0, 1]
+        u = z / pil
+        w = bs_kernel(u, rate_r, lam)
+        live = w > 0.0
+        ul = u[live]
+        w[live] *= pil * uplink_kernel(ul, rate_r, lam, quad) / (
+            1.0 + li * ul * ul)
+        return w
 
-    cover = integrate(integrand, 0.0, u_max, quad.rel_tol_outer, quad,
-                      abs_tol=quad.rel_tol_outer)
-    return OutageEstimate(1.0 - cover, Method.ANALYTIC_CLOSED_FORM, meta=meta)
+    # at tiny densities li*u^2 overflows: inf is the right limit
+    with np.errstate(over="ignore"):
+        cover = integrate(integrand, 0.0, math.log(1.0 / quad.tail_cut),
+                          quad.rel_tol_outer, quad, abs_tol=quad.rel_tol_outer)
+    meta.update(abserr=cover.abserr + 2.0 * quad.tail_cut + quad.rel_tol_inner,
+                evaluations=cover.evaluations)
+    return OutageEstimate(1.0 - cover.value, Method.ANALYTIC_CLOSED_FORM,
+                          meta=meta)
 
 
 def three_node_outage(rate_r: float) -> OutageEstimate:
@@ -151,7 +173,16 @@ def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
     return half_duplex_outage(rate_r)
 
 
+def _check_u(u):
+    """u as a float or an array, once every squared distance is >= 0."""
+    u = np.asarray(u, dtype=float)
+    if not np.all(u >= 0):
+        raise ValueError(f"u must be >= 0, got {u.min()}")
+    return u[()]
+
+
 def _meta(scenario: Scenario, rate_r: float, **extra) -> dict:
     params = {"alpha1": 4.0, "alpha2": 4.0, "power_ratio": 1.0, "sigma_n2": 0.0}
     params.update(extra)
-    return {"scenario": scenario.value, "rate": rate_r, "params": params}
+    return {"scenario": scenario.value, "rate": rate_r, "params": params,
+            "abserr": 0.0, "evaluations": 0}

@@ -8,6 +8,7 @@ with each other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
@@ -84,16 +85,31 @@ class NetworkParams:
         if not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
 
-    def sinr_scales(self) -> tuple[float, float, float, float]:
-        """The unit gains g_b, g_u = p*(lam*pi)^(alpha/2) and the scales
-        noise, loop such that SINR = g_b*S / (noise + loop*L + g_b*I_b
-        + g_u*I_u) for the unit-density, unit-power parts S, I_b, I_u, L of
-        simulate.sinr_of_realization.  mu cancels in the interference terms,
-        so it stays on noise and loop only."""
-        lam_pi = self.lam * math.pi
-        return (self.p_b * lam_pi ** (self.alpha1 / 2.0),
-                self.p_u * lam_pi ** (self.alpha2 / 2.0),
-                self.mu * self.sigma_n2, self.mu * self.p_u * self.sigma_l2)
+    def sinr_scales(self) -> tuple[float, float, float]:
+        """The user unit gain, the noise and the loop scale, each over the BS
+        unit gain g_b = p_b*(lam*pi)^(alpha1/2), such that
+        SINR = S / (noise + loop*L + I_b + gain_u*I_u) for the unit-density,
+        unit-power parts S, I_b, I_u, L of simulate.sinr_of_realization.
+
+        As ratios they stay finite where g_b itself underflows (lam below
+        about 1e-155): gain_u = (p_u/p_b)*(lam*pi)^((alpha2 - alpha1)/2) is
+        independent of lam at alpha1 = alpha2, and noise and loop grow as
+        lam falls, up to the largest double (not inf, so that a part that is
+        0 in some trial stays 0).  mu cancels in the interference terms, so
+        it stays on noise and loop only."""
+        lam_pi = np.float64(self.lam * math.pi)
+
+        def over_gain_b(x: float, exponent: float) -> float:
+            # x*(lam*pi)^exponent/p_b, exactly 0 at x = 0
+            if x == 0.0:
+                return 0.0
+            with np.errstate(over="ignore"):
+                return min(float(x / self.p_b * lam_pi ** exponent),
+                           sys.float_info.max)
+
+        return (over_gain_b(self.p_u, (self.alpha2 - self.alpha1) / 2.0),
+                over_gain_b(self.mu * self.sigma_n2, -self.alpha1 / 2.0),
+                over_gain_b(self.mu * self.p_u * self.sigma_l2, -self.alpha1 / 2.0))
 
     def replace(self, **changes) -> "NetworkParams":
         return replace(self, **changes)
@@ -144,12 +160,15 @@ def threshold_from_rate(rate_r: float, scenario: Scenario) -> float:
     when (1/2) log2(1+SINR) < R, so the half-duplex threshold uses the doubled
     rate: 2^(2R) - 1 instead of 2^R - 1.
     """
-    if rate_r < 0:
+    if not rate_r >= 0:
         raise ValueError(f"target rate must be >= 0, got {rate_r}")
-    # expm1 keeps 2^R - 1 exact down to tiny rates
-    if scenario is Scenario.HALF_DUPLEX:
-        return math.expm1(2.0 * rate_r * math.log(2.0))
-    return math.expm1(rate_r * math.log(2.0))
+    # expm1 keeps 2^R - 1 exact down to tiny rates; rates beyond about 1024
+    # bits (512 half-duplex) give T = inf, outage 1 on every route
+    doubling = 2.0 if scenario is Scenario.HALF_DUPLEX else 1.0
+    try:
+        return math.expm1(doubling * rate_r * math.log(2.0))
+    except OverflowError:
+        return math.inf
 
 
 def nearest_bs_distance_pdf(r, lam: float):

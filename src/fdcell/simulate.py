@@ -149,10 +149,9 @@ def sinr_at(parts: np.ndarray, params: NetworkParams) -> np.ndarray:
     """SINR at the origin from per-trial parts, on the scales of
     :meth:`NetworkParams.sinr_scales`."""
     signal, i_bs, i_up, loop = parts
-    gain_b, gain_u, noise, loop_scale = params.sinr_scales()
-    with np.errstate(divide="ignore"):
-        return gain_b * signal / (noise + loop_scale * loop
-                                  + gain_b * i_bs + gain_u * i_up)
+    gain_u, noise, loop_scale = params.sinr_scales()
+    with np.errstate(divide="ignore", over="ignore"):
+        return signal / (noise + loop_scale * loop + i_bs + gain_u * i_up)
 
 
 def simulate_sinr(params: NetworkParams, scenario: Scenario, sim: SimConfig,

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from fdcell import analytic, closedform
-from fdcell.model import NetworkParams, Scenario
+from fdcell.model import NetworkParams, Scenario, threshold_from_rate
 from fdcell.quadrature import QuadratureConfig, QuadratureError, integrate
 
 QUAD = QuadratureConfig()
@@ -232,7 +232,121 @@ class TestNoiseBehavior:
             analytic.outage(scenario, p.replace(mu=1.0), 0.5, QUAD).value
 
 
+def exact_interference_limited(scenario, params, rate):
+    """Exact three-node or half-duplex outage at zero noise and
+    alpha1 = alpha2 = alpha, for any power ratio and density:
+    1 - 1/(1 + 2J + 2*(p_u*T/p_b)^(2/alpha)*E(0, alpha)) with
+    J = T^(2/alpha)*E(T^(-1/alpha), alpha); half-duplex drops the last term.
+    E is the interference tail integral, here by tight adaptive quadrature."""
+    a = params.alpha1
+    t = threshold_from_rate(rate, scenario)
+    denominator = 1.0 + 2.0 * t ** (2.0 / a) * tail_integral_by_quad(
+        t ** (-1.0 / a), a)
+    if scenario is Scenario.THREE_NODE_FD:
+        denominator += 2.0 * (params.p_u * t / params.p_b) ** (2.0 / a) * \
+            tail_integral_by_quad(0.0, a)
+    return 1.0 - 1.0 / denominator
+
+
+ORACLE_CASES = [(scenario, NetworkParams(lam=lam, alpha1=alpha, alpha2=alpha,
+                                         p_u=ratio), rate)
+                for scenario in (Scenario.THREE_NODE_FD, Scenario.HALF_DUPLEX)
+                for alpha in (2.2, 3.0, 4.0, 6.0)
+                for ratio in (1e-3, 0.3, 1.0, 30.0)
+                for rate in (0.05, 1.0, 4.0)
+                for lam in (1e-4, 1e-2)]
+
+
+class TestExactOracle:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_general_route_matches_beyond_quartic(self):
+        # and the error bound each estimate reports covers its true error
+        for s, p, r in ORACLE_CASES:
+            est = analytic.outage(s, p, r, QUAD)
+            error = abs(est.value - exact_interference_limited(s, p, r))
+            assert error < 1e-9
+            assert error <= est.meta["abserr"] < 1e-7
+            assert est.meta["evaluations"] >= 21
+
+    @pytest.mark.parametrize("sigma_l2", [0.0, 1e-3])
+    def test_two_node_error_bound_against_tight_run(self, sigma_l2):
+        # both two-node routes, against runs at tolerances 1e5 times tighter
+        tight = QuadratureConfig(rel_tol_inner=1e-13, rel_tol_outer=1e-12,
+                                 tail_cut=1e-15, max_subdivisions=2000)
+        p = NetworkParams(sigma_l2=sigma_l2)
+        for rate in (0.1, 1.0, 3.0):
+            for route in (lambda q: analytic.two_node_outage(p, rate, q),
+                          lambda q: closedform.two_node_outage(rate, p.lam,
+                                                               sigma_l2, q)):
+                est = route(QUAD)
+                assert abs(est.value - route(tight).value) <= est.meta["abserr"]
+                assert est.meta["abserr"] < 1e-7
+
+    def test_noise_limited_half_duplex_query(self):
+        # benchmark reference block 0: coverage sits at small distances,
+        # where a quadrature in u = x^2 misses it (0.99999999)
+        p = NetworkParams(alpha1=5.772356456975604, alpha2=3.045705259383103,
+                          p_u=0.04309960279422604,
+                          sigma_n2=0.0026777726555827306,
+                          sigma_l2=0.0006010889016033227)
+        value = analytic.half_duplex_outage(p, 1.6700020114759768, QUAD).value
+        assert value == pytest.approx(0.9900207083923116, abs=1e-9)
+
+
+class TestEdgeOfDomain:
+    @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+    def test_infinite_threshold_is_certain_outage(self, scenario):
+        rate = 2000.0 if scenario is not Scenario.HALF_DUPLEX else 600.0
+        assert threshold_from_rate(rate, scenario) == math.inf
+        p = NetworkParams(sigma_n2=1e-3, sigma_l2=1e-3)
+        assert analytic.outage(scenario, p, rate, QUAD).value == 1.0
+
+    @pytest.mark.parametrize("lam", [1e-200, 1e-300])
+    @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+    def test_tiny_density(self, scenario, lam):
+        # the unit gains underflow, their ratios do not
+        assert analytic.outage(scenario, NetworkParams(lam=lam), 1.0,
+                               QUAD).value == \
+            analytic.outage(scenario, NetworkParams(), 1.0, QUAD).value
+
+
 class TestQuadratureContract:
+    def test_columns_meet_their_own_tolerance(self):
+        # columns 1e9 apart in scale: a shared absolute error would leave the
+        # small one with no correct digit
+        scales = np.array([1e9, 1.0, 1e-9])
+        result = integrate(lambda x: np.exp(-x)[:, None] * np.cos(
+            np.outer(x, [1.0, 3.0, 7.0])) * scales, 0.0, 10.0, 1e-10, QUAD)
+        w = np.array([1.0, 3.0, 7.0])
+        exact = scales * (1.0 + np.exp(-10.0) * (w * np.sin(10.0 * w)
+                                                 - np.cos(10.0 * w))) / (1.0 + w * w)
+        assert result.value.shape == (3,)
+        assert np.all(abs(result.value - exact) <= 1e-10 * abs(exact))
+        assert np.all(result.abserr <= 1e-10 * abs(result.value))
+
+    def test_scalar_integrand(self):
+        # one value per node, or one value for all nodes
+        result = integrate(lambda x: 3.0 * x * x, 0.0, 2.0, 1e-12, QUAD)
+        assert isinstance(result.value, float)
+        assert result.value == pytest.approx(8.0, rel=1e-14)
+        assert result.evaluations % 21 == 0
+        assert integrate(lambda x: 2.5, 0.0, 2.0, 1e-12, QUAD).value == \
+            pytest.approx(5.0, rel=1e-14)
+
+    def test_call_size_is_bounded(self):
+        # a nested integral's inner array grows with the nodes per call, so
+        # a round that cuts many subintervals calls the integrand in pieces
+        sizes = []
+
+        def oscillating(x):
+            sizes.append(x.size)
+            return np.cos(40.0 * x)
+
+        result = integrate(oscillating, 0.0, 10.0, 1e-10, QUAD)
+        assert result.value == pytest.approx(math.sin(400.0) / 40.0,
+                                             rel=1e-10)
+        assert max(sizes) == 16 * 21 and sum(sizes) == result.evaluations
+
     def test_failure_carries_error_estimate(self):
         cfg = QuadratureConfig(max_subdivisions=2)
         with pytest.raises(QuadratureError) as exc:

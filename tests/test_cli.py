@@ -8,6 +8,7 @@ from fdcell.cli import (
     EXIT_OK,
     main,
 )
+from fdcell.quadrature import Integral
 from fdcell.sweep import CSV_HEADER, rows_from_csv
 
 
@@ -43,7 +44,8 @@ class TestAnalyticCommand:
     def test_out_of_range_estimate_is_numerical_failure(self, capsys,
                                                         monkeypatch):
         # an outage outside [0, 1] after validation exits 3, not 2
-        monkeypatch.setattr(analytic, "integrate", lambda *args, **kw: -0.5)
+        monkeypatch.setattr(analytic, "integrate",
+                            lambda *args, **kw: Integral(-0.5, 0.0, 21))
         code, out, err = run(capsys, "analytic", "--scenario", "half-duplex",
                              "--rate", "1")
         assert code == EXIT_NUMERICAL
@@ -61,6 +63,26 @@ class TestAnalyticCommand:
         code, _, err = run(capsys, "analytic", "--scenario", "two-node",
                            "--rate", "1", "--alpha1", "1.5")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,scenario,rate", [
+        ("analytic", "two-node", "2000"),
+        ("analytic", "half-duplex", "600"),
+        ("simulate", "three-node", "2000"),
+    ])
+    def test_huge_rate_is_certain_outage(self, capsys, command, scenario, rate):
+        # 2^R - 1 overflows beyond R = 1024 (512 half-duplex): T = inf
+        trials = ("--trials", "200") if command == "simulate" else ()
+        code, out, err = run(capsys, command, "--scenario", scenario,
+                             "--rate", rate, *trials)
+        assert code == EXIT_OK, err
+        assert rows_from_csv(out)[0].outage == 1.0
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_nan_rate_is_configuration_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--scenario", "two-node",
+                             "--rate", "nan")
+        assert code == EXIT_CONFIG
+        assert not out and "configuration error" in err
 
 
 class TestSimulateCommand:
@@ -109,6 +131,17 @@ class TestSweepCommand:
                            "--scenarios", "three-node")
         assert code == EXIT_OK
         assert len(rows_from_csv(out)) == 2
+
+    def test_tiny_density_sweep(self, capsys):
+        code, out, err = run(capsys, "sweep", "--variable", "density",
+                             "--grid", "1e-200,1e-3", "--methods", "analytic",
+                             "--rate", "1")
+        assert code == EXIT_OK, err
+        rows = rows_from_csv(out)
+        assert len(rows) == 6
+        for tiny, ref in zip(rows[::2], rows[1::2]):
+            assert (tiny.value, ref.value) == (1e-200, 1e-3)
+            assert tiny.outage == ref.outage
 
     def test_missing_grid(self, capsys):
         code, _, err = run(capsys, "sweep", "--variable", "rate")

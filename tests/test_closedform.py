@@ -76,6 +76,27 @@ class TestTwoNodeOutage:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
+    def test_reports_error_bound_and_evaluations(self):
+        meta = closedform.two_node_outage(1.0, LAM, 1e-3, QUAD).meta
+        assert 0.0 < meta["abserr"] < 1e-7
+        assert meta["evaluations"] >= 21
+
+    @pytest.mark.parametrize("lam", [1e-160, 1e-200, 1e-300])
+    def test_tiny_density(self, lam):
+        # the (pi*lam)^2 normaliser of an integral in u underflows here
+        assert closedform.two_node_outage(1.0, lam, 0.0, QUAD).value == \
+            pytest.approx(closedform.two_node_outage(1.0, LAM, 0.0, QUAD).value,
+                          abs=1e-12)
+
+
+class TestInfiniteThreshold:
+    def test_certain_outage(self):
+        # T = 2^R - 1 overflows to inf beyond R = 1024 (512 half-duplex)
+        assert closedform.two_node_outage(2000.0, LAM, 0.0, QUAD).value == 1.0
+        assert closedform.three_node_outage(2000.0).value == 1.0
+        assert closedform.half_duplex_outage(600.0).value == 1.0
+
+
 class TestThreeNodeOutage:
     def test_zero_rate(self):
         assert closedform.three_node_outage(0.0).value == 0.0

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +30,17 @@ class TestThresholdFromRate:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             threshold_from_rate(-0.1, Scenario.TWO_NODE_FD)
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError):
+            threshold_from_rate(math.nan, Scenario.TWO_NODE_FD)
+
+    def test_overflow_is_infinite_threshold(self):
+        # 2^R - 1 exceeds the largest double beyond R = 1024 (512 half-duplex)
+        assert threshold_from_rate(1023.0, Scenario.TWO_NODE_FD) < math.inf
+        assert threshold_from_rate(1025.0, Scenario.TWO_NODE_FD) == math.inf
+        assert threshold_from_rate(513.0, Scenario.HALF_DUPLEX) == math.inf
+        assert threshold_from_rate(math.inf, Scenario.THREE_NODE_FD) == math.inf
 
     def test_half_duplex_dominates_at_equal_rate(self):
         for rate in (1e-12, 0.3, 1.0, 4.0):
@@ -94,11 +106,22 @@ class TestNetworkParams:
         assert p.sigma_l2 == 1e-3 and p.lam == 1e-3
 
     def test_sinr_scales(self):
-        # unit gains p*(lam*pi)^(alpha/2); mu scales only noise and loop
+        # unit gains p*(lam*pi)^(alpha/2) = 2e-4 (BS) and 5e-3 (user); mu
+        # scales only noise (0.2) and loop (1e-2); all are over the BS gain
         p = NetworkParams(lam=1e-2 / math.pi, alpha1=4.0, alpha2=3.0, p_b=2.0,
                           p_u=5.0, sigma_n2=0.1, sigma_l2=1e-3, mu=2.0)
-        assert p.sinr_scales() == pytest.approx((2e-4, 5e-3, 0.2, 1e-2),
-                                                rel=1e-12)
+        assert p.sinr_scales() == pytest.approx(
+            (5e-3 / 2e-4, 0.2 / 2e-4, 1e-2 / 2e-4), rel=1e-12)
+
+
+    def test_sinr_scales_at_tiny_density(self):
+        # g_b = p_b*(lam*pi)^(alpha1/2) underflows to 0 here; the ratios are
+        # exact at alpha1 = alpha2 and capped at the largest double otherwise
+        assert NetworkParams(lam=1e-300, p_u=0.3).sinr_scales() == (0.3, 0.0, 0.0)
+        gain_u, noise, loop = NetworkParams(lam=1e-300, alpha2=3.0, sigma_n2=1.0,
+                                            sigma_l2=1.0).sinr_scales()
+        assert gain_u == pytest.approx((1e-300 * math.pi) ** -0.5, rel=1e-12)
+        assert noise == loop == sys.float_info.max
 
 
 class TestOutageEstimate:

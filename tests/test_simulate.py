@@ -262,6 +262,21 @@ class TestEstimateOutage:
         ref = analytic.outage(scenario, params, 0.5, QUAD).value
         assert abs(est.value - ref) < 3.0 * est.stderr
 
+    def test_infinite_threshold_is_certain_outage(self):
+        sim = SimConfig(trials=300, seed=2)
+        for scenario in Scenario:
+            est = estimate_outage(DEFAULTS, scenario, 2000.0, sim)
+            assert est.value == 1.0 and est.stderr == 0.0
+
+    @pytest.mark.parametrize("lam", [1e-200, 1e-300])
+    def test_tiny_density(self, lam):
+        # the unit gains underflow below lam ~ 1e-155, their ratios do not
+        sim = SimConfig(trials=400, seed=3)
+        for scenario in Scenario:
+            assert estimate_outage(NetworkParams(lam=lam), scenario, 1.0,
+                                   sim).value == \
+                estimate_outage(DEFAULTS, scenario, 1.0, sim).value
+
     def test_metadata(self):
         sim = SimConfig(trials=100, seed=9)
         est = estimate_outage(DEFAULTS, Scenario.TWO_NODE_FD, 0.5, sim)
