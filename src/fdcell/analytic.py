@@ -52,18 +52,32 @@ def tail_integral(c, alpha: float):
     and Ganti, IEEE TCOM 2011).  Each branch keeps the series argument in
     [-1, 0], where 2F1 is well conditioned: up to c = 1 the head
     integral_0^c is subtracted from the full-line value, beyond it the tail
-    is expanded in powers of c^-alpha.
+    is expanded in powers of c^-alpha.  An array takes one masked 2F1 call
+    per branch; a single value, as the transforms' constants are, stays a
+    float, which costs a tenth of a masked call.
     """
     c = np.asarray(c, dtype=float)
+    if c.ndim == 0:
+        c = float(c)
+        return _tail_far(c, alpha) if c > 1.0 else _tail_near(c, alpha)
     out = np.empty(c.shape)
     far = c > 1.0
-    cf, cn = c[far], c[~far]
-    out[far] = cf ** (2.0 - alpha) / (alpha - 2.0) * hyp2f1(
-        1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -cf ** -alpha)
+    out[far] = _tail_far(c[far], alpha)
+    out[~far] = _tail_near(c[~far], alpha)
+    return out
+
+
+def _tail_far(c, alpha: float):
+    """tail_integral for c > 1, in powers of c^-alpha."""
+    return c ** (2.0 - alpha) / (alpha - 2.0) * hyp2f1(
+        1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -c ** -alpha)
+
+
+def _tail_near(c, alpha: float):
+    """tail_integral for 0 <= c <= 1: the full line minus the head."""
     full = (math.pi / alpha) / math.sin(2.0 * math.pi / alpha)
-    out[~far] = full - 0.5 * cn * cn * hyp2f1(1.0, 2.0 / alpha,
-                                              1.0 + 2.0 / alpha, -cn ** alpha)
-    return out[()]
+    return full - 0.5 * c * c * hyp2f1(1.0, 2.0 / alpha, 1.0 + 2.0 / alpha,
+                                       -c ** alpha)
 
 
 def bs_interference_laplace(x, threshold: float, params: NetworkParams):

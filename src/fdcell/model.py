@@ -97,15 +97,16 @@ class NetworkParams:
         lam falls, up to the largest double (not inf, so that a part that is
         0 in some trial stays 0).  mu cancels in the interference terms, so
         it stays on noise and loop only."""
-        lam_pi = np.float64(self.lam * math.pi)
+        lam_pi = self.lam * math.pi
 
         def over_gain_b(x: float, exponent: float) -> float:
             # x*(lam*pi)^exponent/p_b, exactly 0 at x = 0
             if x == 0.0:
                 return 0.0
-            with np.errstate(over="ignore"):
-                return min(float(x / self.p_b * lam_pi ** exponent),
-                           sys.float_info.max)
+            try:
+                return min(x / self.p_b * lam_pi ** exponent, sys.float_info.max)
+            except OverflowError:
+                return sys.float_info.max
 
         return (over_gain_b(self.p_u, (self.alpha2 - self.alpha1) / 2.0),
                 over_gain_b(self.mu * self.sigma_n2, -self.alpha1 / 2.0),

@@ -101,9 +101,12 @@ _WEIGHTS = np.zeros((2, 21))
 _WEIGHTS[0] = np.concatenate((_WK[:-1], _WK[::-1]))
 _WEIGHTS[1, 1:10:2] = _WG
 _WEIGHTS[1, 11:20:2] = _WG[::-1]
-# a subinterval is refined by cutting it into _PIECES equal parts: against
-# bisection, four halve the rounds a small feature takes to resolve, and a
-# round costs more than its 63 extra nodes
+# Rounds, not nodes, dominate the cost: a round is some 60 numpy calls on
+# small arrays whatever its size.  So the first round cuts [a, b] into eight
+# equal parts, which settles most single integrals of fdcell in one or two
+# rounds, and a refinement cuts a subinterval into _PIECES: against
+# bisection, four halve the rounds a small feature takes to resolve.
+_FIRST = np.linspace(0.0, 1.0, 9)
 _PIECES = 4
 _PARTS = np.linspace(0.0, 1.0, _PIECES + 1)
 # nodes per call of the integrand: in a nested integral the inner
@@ -121,9 +124,9 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     columns are integrated together on shared subintervals.  Column j is
     done when abserr[j] <= max(abs_tol, rel_tol*|value[j]|), where abserr is
     the sum over subintervals of |Kronrod - Gauss|.  After a first round on
-    the four quarters of [a, b], each round cuts into four, for every column
-    short of its tolerance, the subintervals with the largest errors until
-    the others hold at most half of it.
+    the eighths of [a, b], each round cuts into four, for every column short
+    of its tolerance, the subintervals with the largest errors until the
+    others hold at most half of it.
 
     Integrals known to be bounded by 1 (probabilities, Laplace factors) pass
     abs_tol = rel_tol: an absolute error of that size is what propagates
@@ -133,12 +136,11 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     Raises QuadratureError when the error estimate is not finite, or when a
     tolerance is still missed with cfg.max_subdivisions subintervals.
     """
-    # the first round has [a, b] already cut as a refinement would cut it
-    first = _PARTS if cfg.max_subdivisions >= _PIECES else \
+    first = _FIRST if cfg.max_subdivisions >= len(_FIRST) - 1 else \
         np.linspace(0.0, 1.0, cfg.max_subdivisions + 1)
-    spans = _cut(np.array([[a, b]], dtype=float), first)
-    kron, err, shape = _rule(fn, spans)
-    evaluations = 21 * len(spans)
+    lo, hi = _cut(np.array([a], dtype=float), np.array([b], dtype=float), first)
+    kron, err, shape = _rule(fn, lo, hi)
+    evaluations = 21 * len(lo)
     while True:
         value, abserr = kron.sum(axis=0), err.sum(axis=0)
         requested = np.maximum(abs_tol, rel_tol * abs(value))
@@ -147,12 +149,12 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             return Integral(_shaped(value, shape), _shaped(abserr, shape),
                             evaluations)
         # subintervals that can still be cut, each cut adding _PIECES - 1
-        room = (cfg.max_subdivisions - len(spans)) // (_PIECES - 1)
+        room = (cfg.max_subdivisions - len(lo)) // (_PIECES - 1)
         if room <= 0 or not np.isfinite(abserr).all():
             worst = np.argmax(np.where(unmet, abserr / requested, 0.0))
             raise QuadratureError(
                 f"quadrature did not converge on [{a:g}, {b:g}] with "
-                f"{len(spans)} subintervals (achieved {abserr[worst]:g}, "
+                f"{len(lo)} subintervals (achieved {abserr[worst]:g}, "
                 f"requested {requested[worst]:g})", _shaped(value, shape),
                 achieved=float(abserr[worst]), requested=float(requested[worst]))
         # in ascending order of error, a subinterval is split once it and
@@ -160,39 +162,39 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         scaled = err[:, unmet] / requested[unmet]
         ascending = np.sort(scaled, axis=0)
         kept = np.count_nonzero(np.cumsum(ascending, axis=0) <= 0.5, axis=0)
-        chosen = np.flatnonzero(
-            (scaled >= ascending[kept, np.arange(len(kept))]).any(axis=1))
+        split = (scaled >= ascending[kept, np.arange(len(kept))]).any(axis=1)
+        chosen = np.flatnonzero(split)
         if len(chosen) > room:
             chosen = chosen[np.argsort(-scaled[chosen].max(axis=1))[:room]]
-        new = _cut(spans[chosen], _PARTS)
-        k, e, _ = _rule(fn, new)
-        keep = np.ones(len(spans), dtype=bool)
-        keep[chosen] = False
-        spans = np.concatenate((spans[keep], new))
+            split[:] = False
+            split[chosen] = True
+        new_lo, new_hi = _cut(lo[split], hi[split], _PARTS)
+        k, e, _ = _rule(fn, new_lo, new_hi)
+        keep = ~split
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
         kron = np.concatenate((kron[keep], k))
         err = np.concatenate((err[keep], e))
-        evaluations += 21 * len(new)
+        evaluations += 21 * len(new_lo)
 
 
-def _cut(spans: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """The subintervals spans[i] = (lo, hi) cut at the fractions parts, which
-    run from 0 to 1, as rows (lo, hi); the cuts keep the ends exactly."""
-    lo, hi = spans[:, :1], spans[:, 1:]
-    cuts = lo + (hi - lo) * parts
-    cuts[:, -1:] = hi
-    return np.stack((cuts[:, :-1], cuts[:, 1:]), axis=2).reshape(-1, 2)
+def _cut(lo: np.ndarray, hi: np.ndarray, parts: np.ndarray):
+    """The subintervals [lo[i], hi[i]] cut at the fractions parts, which run
+    from 0 to 1, as arrays of ends; the cuts keep the ends exactly."""
+    cuts = lo[:, None] + (hi - lo)[:, None] * parts
+    cuts[:, -1] = hi
+    return cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
 
 
-def _rule(fn, spans: np.ndarray):
+def _rule(fn, lo: np.ndarray, hi: np.ndarray):
     """Kronrod estimates and |Kronrod - Gauss| errors, (subintervals,
-    columns) each, of fn on the subintervals spans[i] = (lo, hi), and the
-    shape of one node's value."""
-    lo, hi = spans[:, :1], spans[:, 1:]
+    columns) each, of fn on the subintervals [lo[i], hi[i]], and the shape
+    of one node's value."""
     half = 0.5 * (hi - lo)
-    x = (lo + half + half * _NODES).ravel()
+    x = ((lo + half)[:, None] + half[:, None] * _NODES).ravel()
     f = _call(fn, x) if x.size <= _CALL_NODES else np.concatenate(
         [_call(fn, x[i:i + _CALL_NODES]) for i in range(0, x.size, _CALL_NODES)])
-    kg = (_WEIGHTS @ f.reshape(len(spans), 21, -1)) * half[:, :, None]
+    kg = (_WEIGHTS @ f.reshape(len(lo), 21, -1)) * half[:, None, None]
     return kg[:, 0], abs(kg[:, 0] - kg[:, 1]), f.shape[1:]
 
 
