@@ -232,7 +232,7 @@ def _uplink_scale(x, threshold: float, params: NetworkParams):
 def _check_radial_args(x, threshold: float):
     """x as a float or an array, once every distance is > 0."""
     x = np.asarray(x, dtype=float)
-    if not np.all(x > 0):
+    if not (x > 0).all():
         raise ValueError(f"serving distance must be > 0, got {x.min()}")
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")

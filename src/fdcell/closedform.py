@@ -176,7 +176,7 @@ def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
 def _check_u(u):
     """u as a float or an array, once every squared distance is >= 0."""
     u = np.asarray(u, dtype=float)
-    if not np.all(u >= 0):
+    if not (u >= 0).all():
         raise ValueError(f"u must be >= 0, got {u.min()}")
     return u[()]
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -116,7 +116,8 @@ class NetworkParams:
         return replace(self, **changes)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # the fields are floats, so asdict's deep copy would only cost time
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class EstimateRangeError(ValueError):
