@@ -53,8 +53,8 @@ def tail_integral(c, alpha: float):
     [-1, 0], where 2F1 is well conditioned: up to c = 1 the head
     integral_0^c is subtracted from the full-line value, beyond it the tail
     is expanded in powers of c^-alpha.  An array takes one masked 2F1 call
-    per branch; a single value, as the transforms' constants are, stays a
-    float, which costs a tenth of a masked call.
+    per branch; a single value, as the transforms' constants are, is
+    computed as a float and skips the masking.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim == 0:
