@@ -107,36 +107,53 @@ def uplink_laplace_full(x, threshold: float, params: NetworkParams):
 
 
 def uplink_laplace_excluded(x, threshold: float, params: NetworkParams,
-                            quad: QuadratureConfig | None = None):
+                            quad: QuadratureConfig | None = None, *,
+                            meta: dict | None = None):
     """Laplace transform of the uplink interference with the nearest
     interferer held outside a disk of random scaled radius y (two-node
     architecture), averaged over y's law by adaptive quadrature:
 
         g(s) = integral_0^inf 2y*exp(-y^2) * exp(-2*s*tail_integral(y/sqrt(s), alpha2)) dy,
 
-    a function of s and alpha2 alone.  For an array of x, one integral over
-    y integrates all of them, each to its own tolerance.  Never below
-    :func:`uplink_laplace_full` at identical arguments, since excluding a disk
-    removes interference.
+    a function of s and alpha2 alone.  In c = y/sqrt(s) it reads
+
+        g(s) = integral_0^inf 2s*c * exp(-s*(c^2 + 2*tail_integral(c, alpha2))) dc,
+
+    where the costly kernel depends on c alone: for an array of x, each
+    round evaluates it once per node and combines it with every column's s
+    in one exp.  The integral runs in w = ln c, on one interval for all
+    columns, [ln(tail_cut/s_max)/2, ln(ln(1/tail_cut)/s_min)/2]: this cuts
+    every column's head below y = sqrt(tail_cut) and its tail beyond
+    y = sqrt(ln(1/tail_cut)), each worth at most tail_cut, and integrates
+    each column to its own tolerance.  s = 0 gives 1, s = inf gives 0.  When
+    meta is given, the inner nodes are added to meta["inner_evaluations"].
+    Never below :func:`uplink_laplace_full` at identical arguments, since
+    excluding a disk removes interference.
     """
     s = np.asarray(_uplink_scale(x, threshold, params), dtype=float)
     quad = quad or QuadratureConfig()
     a2 = params.alpha2
     tol = quad.rel_tol_inner
-    live = s > 0.0
+    live = (s > 0.0) & (s < math.inf)
     sl = s[live]
-    root_s = np.sqrt(sl)
+    log_s = np.log(sl)
 
-    def integrand(y: np.ndarray) -> np.ndarray:
-        y = y[:, None]
-        return 2.0 * y * np.exp(-y * y - 2.0 * sl * tail_integral(y / root_s, a2))
+    def integrand(w: np.ndarray) -> np.ndarray:
+        # 2s*c^2 * exp(-s*(c^2 + 2E(c))) as one exp: s*c^2 alone may overflow
+        c = np.exp(w)
+        k = c * c + 2.0 * tail_integral(c, a2)
+        return np.exp(log_s + (2.0 * w + math.log(2.0))[:, None] - k[:, None] * sl)
 
-    # the integrand is bounded by the exclusion-radius pdf, so each value is
-    # a probability-like quantity in (0, 1]
-    y_max = math.sqrt(math.log(1.0 / quad.tail_cut))
-    out = np.ones(s.shape)
+    out = np.where(s == math.inf, 0.0, 1.0)
     if sl.size:
-        out[live] = integrate(integrand, 0.0, y_max, tol, quad, abs_tol=tol).value
+        # the integrand is bounded by the exclusion-radius pdf, so each value
+        # is a probability-like quantity in (0, 1]
+        w_lo = 0.5 * (math.log(quad.tail_cut) - log_s.max())
+        w_hi = 0.5 * (math.log(math.log(1.0 / quad.tail_cut)) - log_s.min())
+        inner = integrate(integrand, w_lo, w_hi, tol, quad, abs_tol=tol)
+        out[live] = inner.value
+        if meta is not None:
+            meta["inner_evaluations"] += inner.evaluations
     return out[()]
 
 
@@ -145,8 +162,9 @@ def two_node_outage(params: NetworkParams, rate_r: float,
     """Downlink outage of the two-node architecture: both ends are
     full-duplex, so the user suffers residual loop interference but no
     same-cell uplink interferer."""
-    return _radial_outage(params, Scenario.TWO_NODE_FD, rate_r, quad,
-                          lambda x, t: uplink_laplace_excluded(x, t, params, quad))
+    return _radial_outage(
+        params, Scenario.TWO_NODE_FD, rate_r, quad,
+        lambda x, t, meta: uplink_laplace_excluded(x, t, params, quad, meta=meta))
 
 
 def three_node_outage(params: NetworkParams, rate_r: float,
@@ -155,7 +173,7 @@ def three_node_outage(params: NetworkParams, rate_r: float,
     full-duplex; the downlink user sees the whole uplink user process but no
     loop interference."""
     return _radial_outage(params, Scenario.THREE_NODE_FD, rate_r, quad,
-                          lambda x, t: uplink_laplace_full(x, t, params))
+                          lambda x, t, meta: uplink_laplace_full(x, t, params))
 
 
 def half_duplex_outage(params: NetworkParams, rate_r: float,
@@ -178,12 +196,13 @@ def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
 def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
                    quad: QuadratureConfig | None, uplink) -> OutageEstimate:
     """1 - integral of 2x*exp(-x^2) * P(covered | x) over the serving
-    distance x; uplink(x, T) is the uplink factor on an array of x, None for
-    half-duplex.  meta records the integral's nodes and an error bound: its
-    estimate, plus the truncated tail, plus for two-node the tolerance and
-    tail of the inner integrals, which the pdf weight carries over as is."""
+    distance x; uplink(x, T, meta) is the uplink factor on an array of x,
+    None for half-duplex.  meta records the integral's nodes, the nodes of
+    all inner integrals and an error bound: its estimate, plus the truncated
+    tail, plus for two-node the tolerance and both truncated tails of the
+    inner integrals, which the pdf weight carries over as is."""
     meta = {"scenario": scenario.value, "rate": rate_r, "params": params.as_dict(),
-            "abserr": 0.0, "evaluations": 0}
+            "abserr": 0.0, "evaluations": 0, "inner_evaluations": 0}
     t = threshold_from_rate(rate_r, scenario)
     if t == 0.0 or t == math.inf:
         # the coverage integrand is exactly the serving-distance pdf, or 0
@@ -204,7 +223,7 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         w *= bs_interference_laplace(x, t, params)
         if uplink is not None:
             live = w > 0.0
-            w[live] *= uplink(x[live], t)
+            w[live] *= uplink(x[live], t, meta)
         return w
 
     quad = quad or QuadratureConfig()
@@ -216,7 +235,7 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
                           abs_tol=quad.rel_tol_outer)
     abserr = cover.abserr + quad.tail_cut
     if scenario is Scenario.TWO_NODE_FD:
-        abserr += quad.rel_tol_inner + quad.tail_cut
+        abserr += quad.rel_tol_inner + 2.0 * quad.tail_cut
     meta.update(abserr=abserr, evaluations=cover.evaluations)
     return OutageEstimate(1.0 - cover.value, Method.ANALYTIC_GENERAL, meta=meta)
 

@@ -9,6 +9,7 @@ or --config) supplies defaults; flags override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -81,7 +82,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: building it costs
+    more than a cheap query, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fdcell",
         description="Downlink outage of full-duplex cellular networks.")

@@ -63,17 +63,27 @@ def bs_kernel(u, rate_r: float, lam: float):
 
 
 def uplink_kernel(u, rate_r: float, lam: float,
-                  quad: QuadratureConfig | None = None):
+                  quad: QuadratureConfig | None = None, *,
+                  meta: dict | None = None):
     """Uplink interference weight averaged over the squared exclusion radius v,
     at squared serving distance u (a float or an array):
 
         integral over v >= 0 of exp(-pi*lam*(v + u*sqrt(T)*arccot(v/(u*sqrt(T))))).
 
     In z = pi*lam*v the integrand is exp(-z - c*arccot(z/c)) with
-    c = pi*lam*u*sqrt(T).  It is at most exp(-z), so it is truncated at
-    z = ln(1/tail_cut) like the analytic route's Gaussian tails; at c = 0 the
-    integral is exactly 1/(pi*lam).  For an array of u, one integral over z
-    integrates all of them, each to its own tolerance.
+    c = pi*lam*u*sqrt(T), and in z = c*e^w it is
+
+        c*e^w * exp(-c*(e^w + arccot(e^w))),
+
+    whose arccot kernel depends on w alone: for an array of u, each round
+    evaluates it once per node and combines it with every column's c in one
+    exp.  The integral over z is at most 1; it runs in w on one interval for
+    all columns, [ln(tail_cut/c_max), ln(ln(1/tail_cut)/c_min)], which cuts
+    every column's head below z = tail_cut and its tail beyond
+    z = ln(1/tail_cut), each worth at most tail_cut, and integrates each
+    column to its own tolerance.  At c = 0 the weight is exactly
+    1/(pi*lam), at c = inf it is 0.  When meta is given, the inner nodes are
+    added to meta["inner_evaluations"].
     """
     u = _check_u(u)
     quad = quad or QuadratureConfig()
@@ -81,17 +91,24 @@ def uplink_kernel(u, rate_r: float, lam: float,
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
     scale = np.asarray(pil * (u * math.sqrt(t)))
     tol = quad.rel_tol_inner
-    live = scale > 0.0
+    live = (scale > 0.0) & (scale < math.inf)
     c = scale[live]
+    log_c = np.log(c)
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        z = z[:, None]
-        return np.exp(-z - c * arccot(z / c))
+    def integrand(w: np.ndarray) -> np.ndarray:
+        # c*e^w * exp(-c*(e^w + arccot(e^w))) as one exp: c*e^w may overflow
+        ew = np.exp(w)
+        k = ew + arccot(ew)
+        return np.exp(log_c + w[:, None] - k[:, None] * c)
 
-    out = np.ones(scale.shape)
+    out = np.where(scale == math.inf, 0.0, 1.0)
     if c.size:
-        out[live] = integrate(integrand, 0.0, math.log(1.0 / quad.tail_cut),
-                              tol, quad, abs_tol=tol).value
+        w_lo = math.log(quad.tail_cut) - log_c.max()
+        w_hi = math.log(math.log(1.0 / quad.tail_cut)) - log_c.min()
+        inner = integrate(integrand, w_lo, w_hi, tol, quad, abs_tol=tol)
+        out[live] = inner.value
+        if meta is not None:
+            meta["inner_evaluations"] += inner.evaluations
     return (out / pil)[()]
 
 
@@ -102,8 +119,9 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
     Takes sigma_l2 explicitly rather than a NetworkParams because only the
     density, the rate and the residual loop gain survive the specialization.
     The outer integral runs over z = pi*lam*u, so no power of the density
-    scales its integrand; meta records its nodes and an error bound: its
-    estimate, plus the tolerance and truncated tails of both integrals.
+    scales its integrand; meta records its nodes, the nodes of all inner
+    integrals and an error bound: its estimate, plus its truncated tail, plus
+    the tolerance and both truncated tails of the inner integrals.
     """
     quad = quad or QuadratureConfig()
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
@@ -121,7 +139,7 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
         w = bs_kernel(u, rate_r, lam)
         live = w > 0.0
         ul = u[live]
-        w[live] *= pil * uplink_kernel(ul, rate_r, lam, quad) / (
+        w[live] *= pil * uplink_kernel(ul, rate_r, lam, quad, meta=meta) / (
             1.0 + li * ul * ul)
         return w
 
@@ -129,7 +147,7 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
     with np.errstate(over="ignore"):
         cover = integrate(integrand, 0.0, math.log(1.0 / quad.tail_cut),
                           quad.rel_tol_outer, quad, abs_tol=quad.rel_tol_outer)
-    meta.update(abserr=cover.abserr + 2.0 * quad.tail_cut + quad.rel_tol_inner,
+    meta.update(abserr=cover.abserr + 3.0 * quad.tail_cut + quad.rel_tol_inner,
                 evaluations=cover.evaluations)
     return OutageEstimate(1.0 - cover.value, Method.ANALYTIC_CLOSED_FORM,
                           meta=meta)
@@ -185,4 +203,4 @@ def _meta(scenario: Scenario, rate_r: float, **extra) -> dict:
     params = {"alpha1": 4.0, "alpha2": 4.0, "power_ratio": 1.0, "sigma_n2": 0.0}
     params.update(extra)
     return {"scenario": scenario.value, "rate": rate_r, "params": params,
-            "abserr": 0.0, "evaluations": 0}
+            "abserr": 0.0, "evaluations": 0, "inner_evaluations": 0}

@@ -153,6 +153,51 @@ class TestUplinkLaplaceExcluded:
         assert value == pytest.approx(oracle, abs=1e-5)
 
 
+    @staticmethod
+    def y_form_by_quad(s, a2):
+        """g(s) in the exclusion radius y, the form before the substitution
+        y = c*sqrt(s), by tight adaptive quadrature; beyond y = 7 the pdf
+        weight holds less than 1e-21."""
+        f = lambda y: 2.0 * y * math.exp(
+            -y * y - 2.0 * s * analytic.tail_integral(y / math.sqrt(s), a2))
+        points = [math.sqrt(s)] if math.sqrt(s) < 7.0 else None
+        return sp_integrate.quad(f, 0.0, 7.0, epsabs=1e-14, epsrel=1e-13,
+                                 limit=400, points=points)[0]
+
+    @pytest.mark.parametrize("a2", [2.05, 3.0, 4.0, 8.0])
+    def test_against_y_form(self, a2):
+        # at alpha1 = alpha2, equal powers and T = 1, x = sqrt(s); one call
+        # per s, and one call on all of them, whose shared interval must
+        # still hold each column's head and tail
+        p = NetworkParams(alpha1=a2, alpha2=a2)
+        x = np.sqrt([1e-10, 1e-4, 1.0, 1e2, 1e4])
+        s = analytic._uplink_scale(x, 1.0, p)
+        oracle = [self.y_form_by_quad(si, a2) for si in s]
+        single = [analytic.uplink_laplace_excluded(xi, 1.0, p, QUAD) for xi in x]
+        batch = analytic.uplink_laplace_excluded(x, 1.0, p, QUAD)
+        assert single == pytest.approx(oracle, abs=1e-9, rel=0)
+        assert batch == pytest.approx(oracle, abs=1e-9, rel=0)
+
+    def test_zero_and_infinite_scale_columns(self):
+        # x^alpha1 underflows to s = 0 (no interference) and overflows to
+        # s = inf (certain loss); the finite column is unaffected by them
+        x = np.array([1e-200, 1.0, 1e100])
+        meta = {"inner_evaluations": 0}
+        with np.errstate(over="ignore"):
+            s = analytic._uplink_scale(x, 1.0, DEFAULTS)
+            value = analytic.uplink_laplace_excluded(x, 1.0, DEFAULTS, QUAD,
+                                                     meta=meta)
+            dead = analytic.uplink_laplace_excluded(x[[0, 2]], 1.0, DEFAULTS,
+                                                    QUAD, meta=meta)
+        assert s[0] == 0.0 and s[2] == math.inf
+        assert value[0] == 1.0 and value[2] == 0.0
+        assert value[1] == analytic.uplink_laplace_excluded(1.0, 1.0, DEFAULTS,
+                                                            QUAD)
+        # the dead columns alone run no inner integral
+        assert (dead == [1.0, 0.0]).all()
+        assert meta["inner_evaluations"] > 0 and meta["inner_evaluations"] % 21 == 0
+
+
 class TestTwoNodeOutage:
     def test_zero_rate(self):
         assert analytic.two_node_outage(DEFAULTS, 0.0, QUAD).value == 0.0
@@ -281,6 +326,17 @@ class TestExactOracle:
                 est = route(QUAD)
                 assert abs(est.value - route(tight).value) <= est.meta["abserr"]
                 assert est.meta["abserr"] < 1e-7
+
+    def test_reports_inner_evaluations(self):
+        # the nodes of all inner integrals; only two-node has any
+        p = NetworkParams(sigma_l2=1e-3)
+        est = analytic.two_node_outage(p, 1.0, QUAD)
+        inner = est.meta["inner_evaluations"]
+        assert inner >= est.meta["evaluations"] and inner % 21 == 0
+        for scenario in (Scenario.THREE_NODE_FD, Scenario.HALF_DUPLEX):
+            assert analytic.outage(scenario, p, 1.0, QUAD).meta[
+                "inner_evaluations"] == 0
+        assert analytic.two_node_outage(p, 0.0, QUAD).meta["inner_evaluations"] == 0
 
     def test_noise_limited_half_duplex_query(self):
         # benchmark reference block 0: coverage sits at small distances,

@@ -1,6 +1,6 @@
 import pytest
 
-from fdcell import analytic, closedform
+from fdcell import analytic, cli, closedform
 from fdcell.cli import (
     EXIT_COMPARE,
     EXIT_CONFIG,
@@ -8,6 +8,7 @@ from fdcell.cli import (
     EXIT_OK,
     main,
 )
+from fdcell.model import NetworkParams
 from fdcell.quadrature import Integral
 from fdcell.sweep import CSV_HEADER, rows_from_csv
 
@@ -252,6 +253,25 @@ class TestConfigFile:
         assert by_flag == by_key
         _, default, _ = run(capsys, *base)
         assert by_flag != default
+
+    def test_reused_parser_keeps_calls_independent(self, capsys, tmp_path):
+        # the parser is built once per process; neither a flag nor a config
+        # file of one call may leak into the next
+        assert cli._build_parser() is cli._build_parser()
+        base = ("analytic", "--scenario", "three-node", "--rate", "1")
+        default = analytic.three_node_outage(NetworkParams(), 1.0).value
+        code, low, _ = run(capsys, *base, "--pu", "0.3")
+        assert code == EXIT_OK
+        assert rows_from_csv(low)[0].outage != pytest.approx(default, rel=1e-6)
+        code, out, _ = run(capsys, *base)
+        assert code == EXIT_OK
+        assert rows_from_csv(out)[0].outage == pytest.approx(default, rel=1e-9)
+        conf = tmp_path / "fd.conf"
+        conf.write_text("pu = 0.3\n")
+        code, by_key, _ = run(capsys, "--config", str(conf), *base)
+        assert code == EXIT_OK and by_key == low
+        code, again, _ = run(capsys, *base)
+        assert code == EXIT_OK and again == out
 
     def test_quad_settings_via_config(self, capsys, tmp_path):
         conf = tmp_path / "fd.conf"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
 
 from fdcell import closedform
 from fdcell.quadrature import QuadratureConfig
@@ -49,6 +50,42 @@ class TestUplinkKernel:
         assert value == pytest.approx(oracle, rel=1e-6)
 
 
+    @staticmethod
+    def z_form_by_quad(c):
+        """pi*lam times the kernel in z = pi*lam*v, the form before the
+        substitution z = c*e^w, by tight adaptive quadrature; beyond z = 60
+        the integrand is below 1e-26."""
+        f = lambda z: math.exp(-z - c * math.atan2(1.0, z / c))
+        points = [c] if c < 60.0 else None
+        return sp_integrate.quad(f, 0.0, 60.0, epsabs=1e-14, epsrel=1e-13,
+                                 limit=400, points=points)[0]
+
+    def test_against_z_form(self):
+        # c = pi*lam*u*sqrt(T) with T = 1; one call per c, and one call on
+        # all of them, whose shared interval must still hold each column's
+        # head and tail
+        c = np.array([1e-10, 1e-4, 1.0, 1e2, 1e4])
+        pil = math.pi * LAM
+        u = c / pil
+        oracle = [self.z_form_by_quad(ci) for ci in pil * u]
+        single = [pil * closedform.uplink_kernel(ui, 1.0, LAM, QUAD) for ui in u]
+        batch = pil * closedform.uplink_kernel(u, 1.0, LAM, QUAD)
+        assert single == pytest.approx(oracle, abs=1e-9, rel=0)
+        assert batch == pytest.approx(oracle, abs=1e-9, rel=0)
+
+    def test_zero_and_infinite_scale_columns(self):
+        pil = math.pi * LAM
+        u = np.array([0.0, 100.0, math.inf])
+        meta = {"inner_evaluations": 0}
+        value = closedform.uplink_kernel(u, 1.0, LAM, QUAD, meta=meta)
+        assert value[0] == 1.0 / pil and value[2] == 0.0
+        assert value[1] == closedform.uplink_kernel(100.0, 1.0, LAM, QUAD)
+        # the dead columns alone run no inner integral
+        dead = closedform.uplink_kernel(u[[0, 2]], 1.0, LAM, QUAD, meta=meta)
+        assert (dead == [1.0 / pil, 0.0]).all()
+        assert meta["inner_evaluations"] > 0 and meta["inner_evaluations"] % 21 == 0
+
+
 class TestTwoNodeOutage:
     def test_zero_rate(self):
         assert closedform.two_node_outage(0.0, LAM, 0.0, QUAD).value == 0.0
@@ -80,6 +117,14 @@ class TestTwoNodeOutage:
         meta = closedform.two_node_outage(1.0, LAM, 1e-3, QUAD).meta
         assert 0.0 < meta["abserr"] < 1e-7
         assert meta["evaluations"] >= 21
+
+    def test_reports_inner_evaluations(self):
+        # the nodes of all inner integrals; only two-node has any
+        meta = closedform.two_node_outage(1.0, LAM, 1e-3, QUAD).meta
+        inner = meta["inner_evaluations"]
+        assert inner >= meta["evaluations"] and inner % 21 == 0
+        assert closedform.three_node_outage(1.0).meta["inner_evaluations"] == 0
+        assert closedform.half_duplex_outage(1.0).meta["inner_evaluations"] == 0
 
     @pytest.mark.parametrize("lam", [1e-160, 1e-200, 1e-300])
     def test_tiny_density(self, lam):
