@@ -12,15 +12,20 @@ Distances are scaled to x = r*sqrt(lam*pi), the square root of the
 simulator's u = lam*pi*r^2, with the fixed nearest-point law 2x*exp(-x^2):
 the density and the powers enter only through the gain ratios and the mu
 rule of :meth:`NetworkParams.sinr_scales`.  Only the Gaussian-weighted
-integrals (serving distance x, and the exclusion distance y of the two-node
-uplink) run by adaptive quadrature, on [0, sqrt(ln(1/tail_cut))].  In x the
-quadrature sees an affine image of the physical radial integral; in u, a
-noise-limited query's coverage sits against the origin of a long interval,
-where it is missed.
+integrals run by adaptive quadrature: over the serving distance x on
+[0, sqrt(ln(1/tail_cut))], and for the two-node uplink over the exclusion
+distance y.  In x the quadrature sees an affine image of the physical radial
+integral; in u, a noise-limited query's coverage sits against the origin of
+a long interval, where it is missed.
 
 The transforms and :func:`tail_integral` take arrays, so each round of the
 outer quadrature evaluates its integrand once on all its nodes, and the
-two-node uplink factor integrates over y for all of them in one call.
+two-node uplink factor integrates over the exclusion distance for all of
+them in one call.  That inner integral runs in w = ln c, with y = c*sqrt(s)
+for the column's uplink scale s: in c the kernel tail_integral(c, alpha2)
+no longer depends on the outer node, so a round computes it once per inner
+node, not once per (inner, outer) pair, and the log scale lets one interval
+hold the columns' features whatever their spread in s.
 """
 
 from __future__ import annotations

@@ -50,7 +50,9 @@ class QuadratureConfig:
     rel_tol_outer    -- relative tolerance for the outermost radial integral
     tail_cut         -- epsilon at which Gaussian-weighted integrals are
                         truncated: at x = sqrt(ln(1/eps)) in the scaled
-                        distance x = r*sqrt(lam*pi) of fdcell.analytic
+                        distance x = r*sqrt(lam*pi) of fdcell.analytic; the
+                        inner integrals, on a log scale, cut a head and a
+                        tail of at most eps each
     max_subdivisions -- cap on the number of subintervals of one integral
     """
 

@@ -152,7 +152,6 @@ class TestUplinkLaplaceExcluded:
         oracle = uplink_excluded_tensor_oracle(7.0, 2.5, p)
         assert value == pytest.approx(oracle, abs=1e-5)
 
-
     @staticmethod
     def y_form_by_quad(s, a2):
         """g(s) in the exclusion radius y, the form before the substitution
@@ -182,20 +181,20 @@ class TestUplinkLaplaceExcluded:
         # x^alpha1 underflows to s = 0 (no interference) and overflows to
         # s = inf (certain loss); the finite column is unaffected by them
         x = np.array([1e-200, 1.0, 1e100])
-        meta = {"inner_evaluations": 0}
+        meta, dead_meta = {"inner_evaluations": 0}, {"inner_evaluations": 0}
         with np.errstate(over="ignore"):
             s = analytic._uplink_scale(x, 1.0, DEFAULTS)
             value = analytic.uplink_laplace_excluded(x, 1.0, DEFAULTS, QUAD,
                                                      meta=meta)
             dead = analytic.uplink_laplace_excluded(x[[0, 2]], 1.0, DEFAULTS,
-                                                    QUAD, meta=meta)
+                                                    QUAD, meta=dead_meta)
         assert s[0] == 0.0 and s[2] == math.inf
         assert value[0] == 1.0 and value[2] == 0.0
         assert value[1] == analytic.uplink_laplace_excluded(1.0, 1.0, DEFAULTS,
                                                             QUAD)
-        # the dead columns alone run no inner integral
-        assert (dead == [1.0, 0.0]).all()
         assert meta["inner_evaluations"] > 0 and meta["inner_evaluations"] % 21 == 0
+        # the dead columns alone run no inner integral
+        assert (dead == [1.0, 0.0]).all() and dead_meta["inner_evaluations"] == 0
 
 
 class TestTwoNodeOutage:

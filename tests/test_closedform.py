@@ -49,7 +49,6 @@ class TestUplinkKernel:
         value = closedform.uplink_kernel(u, rate, LAM, QUAD)
         assert value == pytest.approx(oracle, rel=1e-6)
 
-
     @staticmethod
     def z_form_by_quad(c):
         """pi*lam times the kernel in z = pi*lam*v, the form before the
@@ -67,23 +66,26 @@ class TestUplinkKernel:
         c = np.array([1e-10, 1e-4, 1.0, 1e2, 1e4])
         pil = math.pi * LAM
         u = c / pil
-        oracle = [self.z_form_by_quad(ci) for ci in pil * u]
+        oracle = [self.z_form_by_quad(ci) for ci in c]
         single = [pil * closedform.uplink_kernel(ui, 1.0, LAM, QUAD) for ui in u]
         batch = pil * closedform.uplink_kernel(u, 1.0, LAM, QUAD)
         assert single == pytest.approx(oracle, abs=1e-9, rel=0)
         assert batch == pytest.approx(oracle, abs=1e-9, rel=0)
 
     def test_zero_and_infinite_scale_columns(self):
+        # c = 0 is the bare exclusion-radius law, c = inf certain loss; the
+        # finite column is unaffected by them
         pil = math.pi * LAM
         u = np.array([0.0, 100.0, math.inf])
-        meta = {"inner_evaluations": 0}
+        meta, dead_meta = {"inner_evaluations": 0}, {"inner_evaluations": 0}
         value = closedform.uplink_kernel(u, 1.0, LAM, QUAD, meta=meta)
         assert value[0] == 1.0 / pil and value[2] == 0.0
         assert value[1] == closedform.uplink_kernel(100.0, 1.0, LAM, QUAD)
-        # the dead columns alone run no inner integral
-        dead = closedform.uplink_kernel(u[[0, 2]], 1.0, LAM, QUAD, meta=meta)
-        assert (dead == [1.0 / pil, 0.0]).all()
         assert meta["inner_evaluations"] > 0 and meta["inner_evaluations"] % 21 == 0
+        # the dead columns alone run no inner integral
+        dead = closedform.uplink_kernel(u[[0, 2]], 1.0, LAM, QUAD,
+                                        meta=dead_meta)
+        assert (dead == [1.0 / pil, 0.0]).all() and dead_meta["inner_evaluations"] == 0
 
 
 class TestTwoNodeOutage:
