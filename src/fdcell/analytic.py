@@ -21,11 +21,8 @@ a long interval, where it is missed.
 The transforms and :func:`tail_integral` take arrays, so each round of the
 outer quadrature evaluates its integrand once on all its nodes, and the
 two-node uplink factor integrates over the exclusion distance for all of
-them in one call.  That inner integral runs in w = ln c, with y = c*sqrt(s)
-for the column's uplink scale s: in c the kernel tail_integral(c, alpha2)
-no longer depends on the outer node, so a round computes it once per inner
-node, not once per (inner, outer) pair, and the log scale lets one interval
-hold the columns' features whatever their spread in s.
+them in one call of :func:`fdcell.quadrature.exclusion_average`, which
+:mod:`fdcell.closedform` calls too, with its own kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .model import Method, NetworkParams, OutageEstimate, Scenario, threshold_from_rate
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, exclusion_average, integrate
 
 __all__ = [
     "bs_interference_laplace",
@@ -116,50 +113,27 @@ def uplink_laplace_excluded(x, threshold: float, params: NetworkParams,
                             meta: dict | None = None):
     """Laplace transform of the uplink interference with the nearest
     interferer held outside a disk of random scaled radius y (two-node
-    architecture), averaged over y's law by adaptive quadrature:
+    architecture), averaged over y's law:
 
         g(s) = integral_0^inf 2y*exp(-y^2) * exp(-2*s*tail_integral(y/sqrt(s), alpha2)) dy,
 
-    a function of s and alpha2 alone.  In c = y/sqrt(s) it reads
+    a function of s and alpha2 alone.  In t = y^2/s it reads
 
-        g(s) = integral_0^inf 2s*c * exp(-s*(c^2 + 2*tail_integral(c, alpha2))) dc,
+        g(s) = integral_0^inf s*exp(-s*(t + 2*tail_integral(sqrt(t), alpha2))) dt,
 
-    where the costly kernel depends on c alone: for an array of x, each
-    round evaluates it once per node and combines it with every column's s
-    in one exp.  The integral runs in w = ln c, on one interval for all
-    columns, [ln(tail_cut/s_max)/2, ln(ln(1/tail_cut)/s_min)/2]: this cuts
-    every column's head below y = sqrt(tail_cut) and its tail beyond
-    y = sqrt(ln(1/tail_cut)), each worth at most tail_cut, and integrates
-    each column to its own tolerance.  s = 0 gives 1, s = inf gives 0.  When
-    meta is given, the inner nodes are added to meta["inner_evaluations"].
-    Never below :func:`uplink_laplace_full` at identical arguments, since
-    excluding a disk removes interference.
+    the :func:`fdcell.quadrature.exclusion_average` of a kernel of t alone,
+    which sets the variable, the interval and the limits s = 0 -> 1 and
+    s = inf -> 0.  When meta is given, the inner nodes are added to
+    meta["inner_evaluations"].  Never below :func:`uplink_laplace_full` at
+    identical arguments, since excluding a disk removes interference.
     """
-    s = np.asarray(_uplink_scale(x, threshold, params), dtype=float)
     quad = quad or QuadratureConfig()
     a2 = params.alpha2
-    tol = quad.rel_tol_inner
-    live = (s > 0.0) & (s < math.inf)
-    sl = s[live]
-    log_s = np.log(sl)
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        # 2s*c^2 * exp(-s*(c^2 + 2E(c))) as one exp: s*c^2 alone may overflow
-        c = np.exp(w)
-        k = c * c + 2.0 * tail_integral(c, a2)
-        return np.exp(log_s + (2.0 * w + math.log(2.0))[:, None] - k[:, None] * sl)
-
-    out = np.where(s == math.inf, 0.0, 1.0)
-    if sl.size:
-        # the integrand is bounded by the exclusion-radius pdf, so each value
-        # is a probability-like quantity in (0, 1]
-        w_lo = 0.5 * (math.log(quad.tail_cut) - log_s.max())
-        w_hi = 0.5 * (math.log(math.log(1.0 / quad.tail_cut)) - log_s.min())
-        inner = integrate(integrand, w_lo, w_hi, tol, quad, abs_tol=tol)
-        out[live] = inner.value
-        if meta is not None:
-            meta["inner_evaluations"] += inner.evaluations
-    return out[()]
+    g = exclusion_average(lambda t: 2.0 * tail_integral(np.sqrt(t), a2),
+                          _uplink_scale(x, threshold, params), quad)
+    if meta is not None:
+        meta["inner_evaluations"] += g.evaluations
+    return g.value
 
 
 def two_node_outage(params: NetworkParams, rate_r: float,
@@ -213,7 +187,7 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         # the coverage integrand is exactly the serving-distance pdf, or 0
         return OutageEstimate(0.0 if t == 0.0 else 1.0, Method.ANALYTIC_GENERAL,
                               meta=meta)
-    gain_u, noise, loop = params.sinr_scales()
+    _, noise, loop = params.sinr_scales()
     noise_coef = t * noise
     # averaging over the unit-mean loop gain L turns exp(-li_coef*x^a1*L)
     # into 1/(1 + li_coef*x^a1); only the two-node user has a loop

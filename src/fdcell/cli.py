@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .model import EstimateRangeError, NetworkParams, Scenario
+from .model import EstimateRangeError, Method, NetworkParams, OutageEstimate, Scenario
 from .quadrature import QuadratureConfig, QuadratureError
 from .simulate import SimConfig, SimMode, estimate_outage
 from .sweep import (
@@ -190,20 +190,11 @@ def _load_config(path: str | None) -> dict:
     return values
 
 
-def _network_params(args, defaults: dict) -> NetworkParams:
+def _settings(cls, keys: dict, args, defaults: dict):
+    """cls built from the fields that keys names: each from its flag, else
+    its config key, else cls's own default."""
     kwargs = {}
-    for dest, _ in _PARAM_KEYS.values():
-        flag = getattr(args, dest, None)
-        if flag is not None:
-            kwargs[dest] = flag
-        elif dest in defaults:
-            kwargs[dest] = defaults[dest]
-    return NetworkParams(**kwargs)
-
-
-def _sim_config(args, defaults: dict) -> SimConfig:
-    kwargs = {}
-    for dest, _ in _SIM_KEYS.values():
+    for dest, _ in keys.values():
         flag = getattr(args, dest, None)
         if flag is not None:
             kwargs[dest] = flag
@@ -211,13 +202,7 @@ def _sim_config(args, defaults: dict) -> SimConfig:
             kwargs[dest] = defaults[dest]
     if "mode" in kwargs:
         kwargs["mode"] = SimMode(kwargs["mode"])
-    return SimConfig(**kwargs)
-
-
-def _quad_config(defaults: dict) -> QuadratureConfig:
-    kwargs = {dest: defaults[dest] for dest, _ in _QUAD_KEYS.values()
-              if dest in defaults}
-    return QuadratureConfig(**kwargs)
+    return cls(**kwargs)
 
 
 def _rate(args, defaults: dict) -> float:
@@ -243,8 +228,8 @@ def _emit_rows(rows: list[SweepRow], args, defaults: dict,
 
 
 def _cmd_analytic(args, defaults: dict) -> int:
-    params = _network_params(args, defaults)
-    quad = _quad_config(defaults)
+    params = _settings(NetworkParams, _PARAM_KEYS, args, defaults)
+    quad = _settings(QuadratureConfig, _QUAD_KEYS, args, defaults)
     rate = _rate(args, defaults)
     scenario = Scenario(args.scenario)
     if args.method == "closed":
@@ -253,22 +238,26 @@ def _cmd_analytic(args, defaults: dict) -> int:
         est = closedform.outage(scenario, params, rate, quad)
     else:
         est = analytic.outage(scenario, params, rate, quad)
-    row = SweepRow(scenario.value, est.method.value, "rate", rate,
-                   params.sigma_l2 if scenario is Scenario.TWO_NODE_FD else 0.0,
-                   est.value, None, 0.0)
-    _emit_rows([row], args, defaults)
-    return EXIT_OK
+    return _emit_estimate(est, scenario, params, rate, args, defaults)
 
 
 def _cmd_simulate(args, defaults: dict) -> int:
-    params = _network_params(args, defaults)
-    sim = _sim_config(args, defaults)
+    params = _settings(NetworkParams, _PARAM_KEYS, args, defaults)
+    sim = _settings(SimConfig, _SIM_KEYS, args, defaults)
     rate = _rate(args, defaults)
     scenario = Scenario(args.scenario)
     est = estimate_outage(params, scenario, rate, sim, workers=args.workers)
+    return _emit_estimate(est, scenario, params, rate, args, defaults)
+
+
+def _emit_estimate(est: OutageEstimate, scenario: Scenario,
+                   params: NetworkParams, rate: float, args,
+                   defaults: dict) -> int:
+    """Write one estimate as a single row, as a sweep would."""
+    stderr = est.stderr if est.method is Method.MONTE_CARLO else None
     row = SweepRow(scenario.value, est.method.value, "rate", rate,
                    params.sigma_l2 if scenario is Scenario.TWO_NODE_FD else 0.0,
-                   est.value, est.stderr, 0.0)
+                   est.value, stderr, 0.0)
     _emit_rows([row], args, defaults)
     return EXIT_OK
 
@@ -284,8 +273,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args, defaults: dict) -> int:
-    sim = _sim_config(args, defaults)
-    quad = _quad_config(defaults)
+    sim = _settings(SimConfig, _SIM_KEYS, args, defaults)
+    quad = _settings(QuadratureConfig, _QUAD_KEYS, args, defaults)
     methods = tuple(m.strip() for m in args.methods.split(",")) \
         if args.methods else None
     if args.preset:
@@ -302,7 +291,8 @@ def _cmd_sweep(args, defaults: dict) -> int:
             if args.li_levels else ()
         spec = SweepSpec(variable=args.variable, grid=_parse_grid(args.grid),
                          scenarios=scenarios, li_levels=li,
-                         fixed=_network_params(args, defaults),
+                         fixed=_settings(NetworkParams, _PARAM_KEYS, args,
+                                         defaults),
                          methods=methods or ("analytic",),
                          rate=_rate(args, defaults) if args.variable != "rate"
                          else 0.0,

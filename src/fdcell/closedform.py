@@ -5,10 +5,11 @@ network is interference-limited (no noise), the radial outage integrals
 collapse: the three-node and half-duplex outages become elementary formulas
 and the two-node outage reduces to a double integral in the squared
 distances u = r^2 and v = rho^2 with arccot kernels.  These serve both as
-fast evaluation paths and as oracles for the general quadrature in
-:mod:`fdcell.analytic`, which shares none of their kernels.  The kernels take
-arrays of u, so the two-node inner integral over v runs once for all outer
-nodes of a round.
+fast paths and as oracles for the general quadrature in
+:mod:`fdcell.analytic`, which shares the quadrature driver and
+:func:`fdcell.quadrature.exclusion_average` with them but none of their
+kernels.  The kernels take arrays of u, so the two-node inner integral over
+v runs once for all outer nodes of a round.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from .model import Method, NetworkParams, OutageEstimate, Scenario, threshold_from_rate
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, exclusion_average, integrate
 
 __all__ = [
     "REQUIREMENTS",
@@ -70,46 +71,23 @@ def uplink_kernel(u, rate_r: float, lam: float,
 
         integral over v >= 0 of exp(-pi*lam*(v + u*sqrt(T)*arccot(v/(u*sqrt(T))))).
 
-    In z = pi*lam*v the integrand is exp(-z - c*arccot(z/c)) with
-    c = pi*lam*u*sqrt(T), and in z = c*e^w it is
+    In t = v/(u*sqrt(T)) it is 1/(pi*lam) times
 
-        c*e^w * exp(-c*(e^w + arccot(e^w))),
+        integral_0^inf c*exp(-c*(t + arccot(t))) dt,  c = pi*lam*u*sqrt(T),
 
-    whose arccot kernel depends on w alone: for an array of u, each round
-    evaluates it once per node and combines it with every column's c in one
-    exp.  The integral over z is at most 1; it runs in w on one interval for
-    all columns, [ln(tail_cut/c_max), ln(ln(1/tail_cut)/c_min)], which cuts
-    every column's head below z = tail_cut and its tail beyond
-    z = ln(1/tail_cut), each worth at most tail_cut, and integrates each
-    column to its own tolerance.  At c = 0 the weight is exactly
-    1/(pi*lam), at c = inf it is 0.  When meta is given, the inner nodes are
-    added to meta["inner_evaluations"].
+    the :func:`fdcell.quadrature.exclusion_average` of a kernel of t alone,
+    which sets the variable, the interval and the limits: at c = 0 the
+    weight is exactly 1/(pi*lam), at c = inf it is 0.  When meta is given,
+    the inner nodes are added to meta["inner_evaluations"].
     """
     u = _check_u(u)
     quad = quad or QuadratureConfig()
     pil = math.pi * lam
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
-    scale = np.asarray(pil * (u * math.sqrt(t)))
-    tol = quad.rel_tol_inner
-    live = (scale > 0.0) & (scale < math.inf)
-    c = scale[live]
-    log_c = np.log(c)
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        # c*e^w * exp(-c*(e^w + arccot(e^w))) as one exp: c*e^w may overflow
-        ew = np.exp(w)
-        k = ew + arccot(ew)
-        return np.exp(log_c + w[:, None] - k[:, None] * c)
-
-    out = np.where(scale == math.inf, 0.0, 1.0)
-    if c.size:
-        w_lo = math.log(quad.tail_cut) - log_c.max()
-        w_hi = math.log(math.log(1.0 / quad.tail_cut)) - log_c.min()
-        inner = integrate(integrand, w_lo, w_hi, tol, quad, abs_tol=tol)
-        out[live] = inner.value
-        if meta is not None:
-            meta["inner_evaluations"] += inner.evaluations
-    return (out / pil)[()]
+    g = exclusion_average(arccot, pil * (u * math.sqrt(t)), quad)
+    if meta is not None:
+        meta["inner_evaluations"] += g.evaluations
+    return g.value / pil
 
 
 def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
@@ -118,10 +96,12 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
 
     Takes sigma_l2 explicitly rather than a NetworkParams because only the
     density, the rate and the residual loop gain survive the specialization.
-    The outer integral runs over z = pi*lam*u, so no power of the density
-    scales its integrand; meta records its nodes, the nodes of all inner
-    integrals and an error bound: its estimate, plus its truncated tail, plus
-    the tolerance and both truncated tails of the inner integrals.
+    The outer integral runs over x = sqrt(pi*lam*u), as the general route's
+    does: no power of the density scales it, and a high-rate coverage
+    density is not pressed against the origin as in pi*lam*u.  meta records
+    its nodes, the nodes of all inner integrals and an error bound: its
+    estimate, plus its truncated tail, plus the tolerance and both truncated
+    tails of the inner integrals.
     """
     quad = quad or QuadratureConfig()
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
@@ -132,11 +112,11 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
     pil = math.pi * lam
     li = sigma_l2 * t
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        # the coverage density in z, so the integral is the coverage
+    def integrand(x: np.ndarray) -> np.ndarray:
+        # the coverage density in x, so the integral is the coverage
         # probability in (0, 1]
-        u = z / pil
-        w = bs_kernel(u, rate_r, lam)
+        u = x * x / pil
+        w = 2.0 * x * bs_kernel(u, rate_r, lam)
         live = w > 0.0
         ul = u[live]
         w[live] *= pil * uplink_kernel(ul, rate_r, lam, quad, meta=meta) / (
@@ -145,7 +125,8 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
 
     # at tiny densities li*u^2 overflows: inf is the right limit
     with np.errstate(over="ignore"):
-        cover = integrate(integrand, 0.0, math.log(1.0 / quad.tail_cut),
+        cover = integrate(integrand, 0.0,
+                          math.sqrt(math.log(1.0 / quad.tail_cut)),
                           quad.rel_tol_outer, quad, abs_tol=quad.rel_tol_outer)
     meta.update(abserr=cover.abserr + 3.0 * quad.tail_cut + quad.rel_tol_inner,
                 evaluations=cover.evaluations)

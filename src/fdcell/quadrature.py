@@ -11,17 +11,20 @@ tolerance is met.  Unlike QUADPACK it evaluates all nodes of all new
 subintervals in one call of the integrand on an array, and the integrand may
 return several columns, each integrated to its own tolerance on shared
 subintervals: a nested integral evaluates its inner integrals for a whole
-batch of outer nodes in one call.
+batch of outer nodes in one call, as :func:`exclusion_average` does for
+both two-node routes, each with its own kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["Integral", "QuadratureConfig", "QuadratureError", "integrate"]
+__all__ = ["Integral", "QuadratureConfig", "QuadratureError",
+           "exclusion_average", "integrate"]
 
 
 class QuadratureError(ArithmeticError):
@@ -42,17 +45,16 @@ class QuadratureError(ArithmeticError):
 class QuadratureConfig:
     """Tolerances and truncation rules for the radial integrals.
 
-    rel_tol_inner    -- relative tolerance for the integrals nested inside an
-                        outage integral: the exclusion-radius average of the
-                        two-node uplink transform and closedform.uplink_kernel;
+    rel_tol_inner    -- relative tolerance for exclusion_average, the
+                        integral nested inside a two-node outage integral;
                         kept 100x tighter than the outer one so inner error
                         never dominates the outer estimate
     rel_tol_outer    -- relative tolerance for the outermost radial integral
     tail_cut         -- epsilon at which Gaussian-weighted integrals are
                         truncated: at x = sqrt(ln(1/eps)) in the scaled
-                        distance x = r*sqrt(lam*pi) of fdcell.analytic; the
-                        inner integrals, on a log scale, cut a head and a
-                        tail of at most eps each
+                        distance x = r*sqrt(lam*pi) of the outage
+                        integrals; exclusion_average cuts a head and a tail
+                        of at most eps each
     max_subdivisions -- cap on the number of subintervals of one integral
     """
 
@@ -178,6 +180,46 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         kron = np.concatenate((kron[keep], k))
         err = np.concatenate((err[keep], e))
         evaluations += 21 * len(new_lo)
+
+
+def exclusion_average(kappa: Callable[[np.ndarray], np.ndarray], s,
+                      cfg: QuadratureConfig) -> Integral:
+    """g(s) = integral_0^inf s*exp(-s*(t + kappa(t))) dt for each s >= 0 (a
+    float or an array): the two-node uplink factor averaged over the
+    exclusion radius, E[exp(-s*kappa(V/s))] for the simulator's
+    v_rho = V ~ Exp(1), where kappa >= 0 maps an array of t to the kernel.
+
+    Integrates in w = ln t on one interval for all columns,
+    [ln(tail_cut/s_max), ln(ln(1/tail_cut)/s_min)], so a round evaluates
+    kappa once per node, and cuts a head (s*t < tail_cut) and a tail
+    (s*t > ln(1/tail_cut)) of at most tail_cut each, which abserr adds.
+    Each column, a probability, meets cfg.rel_tol_inner also as an
+    absolute tolerance.  s = 0 gives 1 and s = inf gives 0 without
+    quadrature; evaluations is 0 when no column needs any.
+    """
+    s = np.asarray(s, dtype=float)
+    live = (s > 0.0) & (s < math.inf)
+    sl = s[live]
+    log_s = np.log(sl)
+
+    def integrand(w: np.ndarray) -> np.ndarray:
+        # s*t * exp(-s*(t + kappa(t))) as one exp: s*t alone may overflow
+        t = np.exp(w)
+        k = t + kappa(t)
+        return np.exp(log_s + w[:, None] - k[:, None] * sl)
+
+    value = np.where(s == math.inf, 0.0, 1.0)
+    abserr = np.zeros(s.shape)
+    evaluations = 0
+    if sl.size:
+        w_lo = math.log(cfg.tail_cut) - log_s.max()
+        w_hi = math.log(math.log(1.0 / cfg.tail_cut)) - log_s.min()
+        tol = cfg.rel_tol_inner
+        inner = integrate(integrand, w_lo, w_hi, tol, cfg, abs_tol=tol)
+        value[live] = inner.value
+        abserr[live] = inner.abserr + 2.0 * cfg.tail_cut
+        evaluations = inner.evaluations
+    return Integral(value[()], abserr[()], evaluations)
 
 
 def _cut(lo: np.ndarray, hi: np.ndarray, parts: np.ndarray):

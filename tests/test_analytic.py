@@ -6,7 +6,12 @@ from scipy import integrate as sp_integrate
 
 from fdcell import analytic, closedform
 from fdcell.model import NetworkParams, Scenario, threshold_from_rate
-from fdcell.quadrature import QuadratureConfig, QuadratureError, integrate
+from fdcell.quadrature import (
+    QuadratureConfig,
+    QuadratureError,
+    exclusion_average,
+    integrate,
+)
 
 QUAD = QuadratureConfig()
 DEFAULTS = NetworkParams()
@@ -417,3 +422,35 @@ class TestQuadratureContract:
             QuadratureConfig(tail_cut=1.5)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
+
+
+class TestExclusionAverage:
+    # a constant kernel k gives exactly exp(-s*k), so beyond the tolerance
+    # the only error is the cut head and tail
+    BOUND = QUAD.rel_tol_inner + 2.0 * QUAD.tail_cut
+
+    @pytest.mark.parametrize("k", [0.0, 1e-6, 1.0])
+    def test_constant_kernel(self, k):
+        # one call on columns 1e24 apart, whose shared interval must still
+        # hold each column's head and tail
+        s = np.array([1e-12, 1e-6, 1.0, 1e6, 1e12])
+        g = exclusion_average(lambda t: np.full(t.shape, k), s, QUAD)
+        assert np.all(abs(g.value - np.exp(-s * k)) <= self.BOUND)
+        assert np.all(g.abserr <= self.BOUND)
+        assert g.evaluations > 0 and g.evaluations % 21 == 0
+
+    def test_limits_and_scalar(self):
+        one = lambda t: np.ones(t.shape)
+        g = exclusion_average(one, np.array([0.0, 2.0, math.inf]), QUAD)
+        assert g.value[0] == 1.0 and g.value[2] == 0.0
+        assert g.abserr[0] == 0.0 and g.abserr[2] == 0.0
+        assert g.value[1] == pytest.approx(math.exp(-2.0), abs=self.BOUND)
+        # a 0-d s gives a 0-d value, the same as its column in an array
+        scalar = exclusion_average(one, 2.0, QUAD)
+        assert np.ndim(scalar.value) == 0 and scalar.value == g.value[1]
+        assert scalar.evaluations == g.evaluations
+        # the limits alone run no quadrature
+        dead = exclusion_average(one, np.array([0.0, math.inf]), QUAD)
+        assert list(dead.value) == [1.0, 0.0] and dead.evaluations == 0
+        zero = exclusion_average(one, 0.0, QUAD)
+        assert np.ndim(zero.value) == 0 and zero.value == 1.0
