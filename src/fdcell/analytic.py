@@ -77,9 +77,13 @@ def _tail_far(c, alpha: float):
 
 def _tail_near(c, alpha: float):
     """tail_integral for 0 <= c <= 1: the full line minus the head."""
-    full = (math.pi / alpha) / math.sin(2.0 * math.pi / alpha)
-    return full - 0.5 * c * c * hyp2f1(1.0, 2.0 / alpha, 1.0 + 2.0 / alpha,
-                                       -c ** alpha)
+    return _full_line(alpha) - 0.5 * c * c * hyp2f1(
+        1.0, 2.0 / alpha, 1.0 + 2.0 / alpha, -c ** alpha)
+
+
+def _full_line(alpha: float) -> float:
+    """tail_integral(0, alpha) = (pi/alpha) / sin(2*pi/alpha)."""
+    return (math.pi / alpha) / math.sin(2.0 * math.pi / alpha)
 
 
 def bs_interference_laplace(x, threshold: float, params: NetworkParams):
@@ -105,7 +109,7 @@ def uplink_laplace_full(x, threshold: float, params: NetworkParams):
     exp(-2*s*tail_integral(0, alpha2)), with s from :func:`_uplink_scale`.
     """
     s = _uplink_scale(x, threshold, params)
-    return np.exp(-2.0 * s * tail_integral(0.0, params.alpha2))
+    return np.exp(-2.0 * s * _full_line(params.alpha2))
 
 
 def uplink_laplace_excluded(x, threshold: float, params: NetworkParams,
@@ -232,6 +236,6 @@ def _check_radial_args(x, threshold: float):
     x = np.asarray(x, dtype=float)
     if not (x > 0).all():
         raise ValueError(f"serving distance must be > 0, got {x.min()}")
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     return x[()]

@@ -13,12 +13,14 @@ import functools
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from .model import EstimateRangeError, Method, NetworkParams, OutageEstimate, Scenario
+from .model import EstimateRangeError, NetworkParams, Scenario
 from .quadrature import QuadratureConfig, QuadratureError
 from .simulate import SimConfig, SimMode, estimate_outage
 from .sweep import (
+    PRESETS,
+    VARIABLES,
     ConfigError,
     SweepRow,
     SweepSpec,
@@ -39,29 +41,16 @@ EXIT_COMPARE = 4
 
 CONFIG_ENV = "FDCELL_CONFIG"
 
-_PARAM_KEYS = {
-    "lambda": ("lam", float),
-    "alpha1": ("alpha1", float),
-    "alpha2": ("alpha2", float),
-    "pb": ("p_b", float),
-    "pu": ("p_u", float),
-    "sigma_n2": ("sigma_n2", float),
-    "sigma_l2": ("sigma_l2", float),
-    "mu": ("mu", float),
-}
-_SIM_KEYS = {
-    "trials": ("trials", int),
-    "seed": ("seed", int),
-    "mode": ("mode", str),
-    "window_factor": ("window_factor", float),
-}
-_QUAD_KEYS = {
-    "rel_tol_inner": ("rel_tol_inner", float),
-    "rel_tol_outer": ("rel_tol_outer", float),
-    "tail_cut": ("tail_cut", float),
-    "max_subdivisions": ("max_subdivisions", int),
-}
-_OTHER_KEYS = {"rate": float, "out": str}
+# Config keys: each field of the settings classes under its own name, or the
+# name of its flag where that differs, cast to the type of its default.
+_ALIASES = {"lam": "lambda", "p_b": "pb", "p_u": "pu"}
+_KEYS = {_ALIASES.get(f.name, f.name): (f.name, type(f.default))
+         for cls in (NetworkParams, SimConfig, QuadratureConfig)
+         for f in fields(cls)}
+_KEYS.update(rate=("rate", float), out=("out", str))
+# what a preset fixes itself, so their flags are rejected with --preset
+_PRESET_FIXED = tuple(f.name for f in fields(NetworkParams)) + (
+    "rate", "variable", "grid", "li_levels", "scenarios")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=[s.value for s in Scenario])
     p.add_argument("--rate", type=float, help="target rate, bits per channel use")
     p.add_argument("--method", choices=["general", "closed"], default="general")
-    p.set_defaults(handler=_cmd_analytic)
+    p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("simulate", parents=[params, mc, out],
                        help="one Monte Carlo outage estimate")
@@ -133,16 +122,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="threads over blocks of trials; the result is "
                    "identical for any count (2 threads on 2 cores: ~1.4x faster)")
-    p.set_defaults(handler=_cmd_simulate)
+    p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("sweep", parents=[params, mc, out],
                        help="reproduce a figure preset or a custom sweep")
-    p.add_argument("--preset", choices=["fig2", "fig3", "fig4", "fig5"])
-    p.add_argument("--variable", choices=["bs_power", "rate", "residual_li",
-                                          "density"])
+    p.add_argument("--preset", choices=PRESETS)
+    p.add_argument("--variable", choices=VARIABLES)
     p.add_argument("--grid", help="lo:hi:steps[:log|linear] or comma list")
-    p.add_argument("--scenarios", help="comma list of scenarios",
-                   default="two-node,three-node,half-duplex")
+    p.add_argument("--scenarios", help="comma list of scenarios (default all)")
     p.add_argument("--li-levels", dest="li_levels",
                    help="comma list of sigma_l2 levels for two-node runs")
     p.add_argument("--methods",
@@ -165,7 +152,6 @@ def _load_config(path: str | None) -> dict:
     path = path or os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    known = {**_PARAM_KEYS, **_SIM_KEYS, **_QUAD_KEYS}
     values: dict = {}
     try:
         with open(path) as fh:
@@ -178,39 +164,37 @@ def _load_config(path: str | None) -> dict:
                 key, _, val = line.partition("=")
                 key = key.strip().replace("-", "_")
                 val = val.strip()
-                if key in known:
-                    dest, cast = known[key]
-                    values[dest] = cast(val)
-                elif key in _OTHER_KEYS:
-                    values[key] = _OTHER_KEYS[key](val)
-                else:
+                if key not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                dest, cast = _KEYS[key]
+                values[dest] = cast(val)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values
 
 
-def _settings(cls, keys: dict, args, defaults: dict):
-    """cls built from the fields that keys names: each from its flag, else
-    its config key, else cls's own default."""
+def _setting(name: str, args, defaults: dict):
+    """A setting from its flag, else its config key, else None."""
+    flag = getattr(args, name, None)
+    return flag if flag is not None else defaults.get(name)
+
+
+def _settings(cls, args, defaults: dict):
+    """cls with each field from _setting, else cls's own default."""
     kwargs = {}
-    for dest, _ in keys.values():
-        flag = getattr(args, dest, None)
-        if flag is not None:
-            kwargs[dest] = flag
-        elif dest in defaults:
-            kwargs[dest] = defaults[dest]
-    if "mode" in kwargs:
-        kwargs["mode"] = SimMode(kwargs["mode"])
+    for f in fields(cls):
+        value = _setting(f.name, args, defaults)
+        if value is not None:
+            # the --mode flag arrives as a string, all else already cast
+            kwargs[f.name] = type(f.default)(value)
     return cls(**kwargs)
 
 
 def _rate(args, defaults: dict) -> float:
-    if getattr(args, "rate", None) is not None:
-        return args.rate
-    if "rate" in defaults:
-        return defaults["rate"]
-    raise ConfigError("a target rate is required (--rate or config file)")
+    rate = _setting("rate", args, defaults)
+    if rate is None:
+        raise ConfigError("a target rate is required (--rate or config file)")
+    return rate
 
 
 def _emit_rows(rows: list[SweepRow], args, defaults: dict,
@@ -218,7 +202,7 @@ def _emit_rows(rows: list[SweepRow], args, defaults: dict,
     """Write rows to --out, with `suffix` inserted before its extension, or
     to stdout."""
     text = rows_to_jsonl(rows) if args.jsonl else rows_to_csv(rows)
-    out = getattr(args, "out", None) or defaults.get("out")
+    out = _setting("out", args, defaults)
     if not out:
         sys.stdout.write(text)
         return
@@ -227,34 +211,27 @@ def _emit_rows(rows: list[SweepRow], args, defaults: dict,
         fh.write(text)
 
 
-def _cmd_analytic(args, defaults: dict) -> int:
-    params = _settings(NetworkParams, _PARAM_KEYS, args, defaults)
-    quad = _settings(QuadratureConfig, _QUAD_KEYS, args, defaults)
+def _cmd_estimate(args, defaults: dict) -> int:
+    """One outage by the command's route, written as a single row as a sweep
+    would write it."""
+    params = _settings(NetworkParams, args, defaults)
+    simulate = args.command == "simulate"
+    config = _settings(SimConfig if simulate else QuadratureConfig, args,
+                       defaults)
     rate = _rate(args, defaults)
     scenario = Scenario(args.scenario)
-    if args.method == "closed":
+    if simulate:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        est = estimate_outage(params, scenario, rate, config,
+                              workers=args.workers)
+    elif args.method == "closed":
         if not closedform.applicable(params):
             raise ConfigError(f"closed form needs {closedform.REQUIREMENTS}")
-        est = closedform.outage(scenario, params, rate, quad)
+        est = closedform.outage(scenario, params, rate, config)
     else:
-        est = analytic.outage(scenario, params, rate, quad)
-    return _emit_estimate(est, scenario, params, rate, args, defaults)
-
-
-def _cmd_simulate(args, defaults: dict) -> int:
-    params = _settings(NetworkParams, _PARAM_KEYS, args, defaults)
-    sim = _settings(SimConfig, _SIM_KEYS, args, defaults)
-    rate = _rate(args, defaults)
-    scenario = Scenario(args.scenario)
-    est = estimate_outage(params, scenario, rate, sim, workers=args.workers)
-    return _emit_estimate(est, scenario, params, rate, args, defaults)
-
-
-def _emit_estimate(est: OutageEstimate, scenario: Scenario,
-                   params: NetworkParams, rate: float, args,
-                   defaults: dict) -> int:
-    """Write one estimate as a single row, as a sweep would."""
-    stderr = est.stderr if est.method is Method.MONTE_CARLO else None
+        est = analytic.outage(scenario, params, rate, config)
+    stderr = est.stderr if simulate else None
     row = SweepRow(scenario.value, est.method.value, "rate", rate,
                    params.sigma_l2 if scenario is Scenario.TWO_NODE_FD else 0.0,
                    est.value, stderr, 0.0)
@@ -273,11 +250,16 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args, defaults: dict) -> int:
-    sim = _settings(SimConfig, _SIM_KEYS, args, defaults)
-    quad = _settings(QuadratureConfig, _QUAD_KEYS, args, defaults)
+    sim = _settings(SimConfig, args, defaults)
+    quad = _settings(QuadratureConfig, args, defaults)
     methods = tuple(m.strip() for m in args.methods.split(",")) \
         if args.methods else None
     if args.preset:
+        fixed = [name for name in _PRESET_FIXED
+                 if getattr(args, name) is not None]
+        if fixed:
+            raise ConfigError("--preset fixes its own settings; drop " + ", ".join(
+                "--" + _ALIASES.get(n, n).replace("_", "-") for n in fixed))
         specs = build_preset(args.preset, sim, quad)
         if methods:
             specs = [replace(s, methods=methods) for s in specs]
@@ -285,14 +267,13 @@ def _cmd_sweep(args, defaults: dict) -> int:
         if not args.variable or not args.grid:
             raise ConfigError("custom sweeps need --variable and --grid "
                               "(or use --preset)")
-        scenarios = tuple(Scenario(s.strip())
-                          for s in args.scenarios.split(","))
+        scenarios = tuple(Scenario(s.strip()) for s in (
+            args.scenarios or "two-node,three-node,half-duplex").split(","))
         li = tuple(float(v) for v in args.li_levels.split(",")) \
             if args.li_levels else ()
         spec = SweepSpec(variable=args.variable, grid=_parse_grid(args.grid),
                          scenarios=scenarios, li_levels=li,
-                         fixed=_settings(NetworkParams, _PARAM_KEYS, args,
-                                         defaults),
+                         fixed=_settings(NetworkParams, args, defaults),
                          methods=methods or ("analytic",),
                          rate=_rate(args, defaults) if args.variable != "rate"
                          else 0.0,

@@ -23,6 +23,7 @@ window are a prefix of its points at any wider window.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -158,13 +159,15 @@ def simulate_sinr(params: NetworkParams, scenario: Scenario, sim: SimConfig,
                   workers: int = 1) -> np.ndarray:
     """SINR parts (see :func:`sinr_of_realization`) of sim.trials trials in
     trial order.  Workers map over blocks, and each block is a pure function
-    of (seed, block index), so the result is identical for any worker count."""
+    of (seed, block index), so the result is identical for any worker count;
+    the pool has at most one thread per CPU and per block."""
 
     def run_block(block_index: int) -> np.ndarray:
         real = sample_realization(scenario, sim, block_index)
         return sinr_of_realization(real, params)
 
     blocks = range(-(-sim.trials // BLOCK))
+    workers = min(workers, os.cpu_count() or 1, len(blocks))
     if workers <= 1:
         parts = [run_block(b) for b in blocks]
     else:

@@ -118,6 +118,15 @@ class TestBsInterferenceLaplace:
             analytic.bs_interference_laplace(0.0, 1.0, DEFAULTS)
 
 
+@pytest.mark.parametrize("transform", [analytic.bs_interference_laplace,
+                                       analytic.uplink_laplace_full,
+                                       analytic.uplink_laplace_excluded])
+def test_nan_threshold_is_rejected(transform):
+    # a NaN threshold must raise, not read as no interference
+    with pytest.raises(ValueError, match="threshold"):
+        transform(1.0, math.nan, DEFAULTS)
+
+
 class TestUplinkLaplaceFull:
     def test_zero_threshold(self):
         assert analytic.uplink_laplace_full(scaled(10.0), 0.0, DEFAULTS) == 1.0

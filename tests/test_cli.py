@@ -8,7 +8,8 @@ from fdcell.cli import (
     EXIT_OK,
     main,
 )
-from fdcell.model import NetworkParams
+from fdcell.model import Method, NetworkParams, OutageEstimate
+from fdcell.simulate import SimMode
 from fdcell.quadrature import Integral
 from fdcell.sweep import CSV_HEADER, rows_from_csv
 
@@ -98,6 +99,15 @@ class TestSimulateCommand:
         assert row.method == "mc" and row.mc_stderr > 0
 
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one(self, capsys, workers):
+        code, out, err = run(capsys, "simulate", "--scenario", "half-duplex",
+                             "--rate", "1", "--trials", "100",
+                             "--workers", workers)
+        assert code == EXIT_CONFIG
+        assert not out and "--workers" in err
+
+
 class TestSweepCommand:
     def test_custom_sweep_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -183,6 +193,36 @@ class TestSweepCommand:
         rows = rows_from_csv(out)
         assert {r.method for r in rows} == {"closed-form"}
         assert len({r.value for r in rows}) == 41
+
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--lambda", "5", "--alpha1", "1.5", "--rate", "3"),
+         ("--lambda", "--alpha1", "--rate")),
+        (("--pb", "2", "--pu", "2", "--sigma-n2", "1", "--sigma-l2", "1",
+          "--mu", "2", "--alpha2", "3"),
+         ("--pb", "--pu", "--sigma-n2", "--sigma-l2", "--mu", "--alpha2")),
+        (("--variable", "rate", "--grid", "0:1:2", "--li-levels", "0"),
+         ("--variable", "--grid", "--li-levels")),
+        (("--scenarios", "two-node"), ("--scenarios",)),
+    ])
+    def test_preset_rejects_flags_it_fixes(self, capsys, flags, named):
+        code, out, err = run(capsys, "sweep", "--preset", "fig3",
+                             "--methods", "closed-form", *flags)
+        assert code == EXIT_CONFIG
+        assert not out
+        for flag in named:
+            assert flag in err
+
+    def test_preset_takes_model_keys_as_defaults(self, capsys, tmp_path):
+        # a config file only supplies defaults, which a preset overrides
+        conf = tmp_path / "fd.conf"
+        conf.write_text("lambda = 5\nalpha1 = 1.5\nrate = 3\n")
+        base = ("sweep", "--preset", "fig3", "--methods", "closed-form")
+        code, by_conf, err = run(capsys, "--config", str(conf), *base)
+        assert code == EXIT_OK, err
+        _, plain, _ = run(capsys, *base)
+        strip = lambda text: [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
+        assert strip(by_conf) == strip(plain)
 
 
 class TestCompareCommand:
@@ -279,3 +319,80 @@ class TestConfigFile:
         code, out, _ = run(capsys, "--config", str(conf), "analytic",
                            "--scenario", "three-node", "--rate", "1")
         assert code == EXIT_OK
+
+
+# key as written -> (settings object, field, value written, value parsed);
+# '-' and '_' are interchangeable in keys
+CONFIG_KEYS = [
+    ("lambda", "params", "lam", "0.02", 0.02),
+    ("alpha1", "params", "alpha1", "3.5", 3.5),
+    ("alpha2", "params", "alpha2", "3", 3.0),
+    ("pb", "params", "p_b", "2", 2.0),
+    ("pu", "params", "p_u", "0.5", 0.5),
+    ("sigma-n2", "params", "sigma_n2", "1e-3", 1e-3),
+    ("sigma_l2", "params", "sigma_l2", "1e-4", 1e-4),
+    ("mu", "params", "mu", "2", 2.0),
+    ("trials", "sim", "trials", "320", 320),
+    ("seed", "sim", "seed", "7", 7),
+    ("mode", "sim", "mode", "physical", SimMode.PHYSICAL),
+    ("window-factor", "sim", "window_factor", "20", 20.0),
+    ("rel_tol_inner", "quad", "rel_tol_inner", "1e-10", 1e-10),
+    ("rel-tol-outer", "quad", "rel_tol_outer", "1e-6", 1e-6),
+    ("tail_cut", "quad", "tail_cut", "1e-11", 1e-11),
+    ("max-subdivisions", "quad", "max_subdivisions", "150", 150),
+    ("rate", "rate", None, "0.75", 0.75),
+]
+
+
+class TestConfigKeys:
+    def test_every_key_reaches_its_field(self, capsys, tmp_path, monkeypatch):
+        keys = {k.replace("-", "_") for k, *_ in CONFIG_KEYS} | {"out"}
+        assert keys == set("lambda alpha1 alpha2 pb pu sigma_n2 sigma_l2 mu "
+                           "trials seed mode window_factor rel_tol_inner "
+                           "rel_tol_outer tail_cut max_subdivisions rate "
+                           "out".split())
+        out = tmp_path / "row.csv"
+        conf = tmp_path / "fd.conf"
+        conf.write_text("".join(f"{k} = {text}\n"
+                                for k, _, _, text, _ in CONFIG_KEYS)
+                        + f"out = {out}\n")
+        seen = {}
+
+        def general(scenario, params, rate, quad):
+            seen.update(params=params, quad=quad, rate=rate)
+            return OutageEstimate(0.5, Method.ANALYTIC_GENERAL)
+
+        def mc(params, scenario, rate, sim, workers=1):
+            seen.update(sim=sim)
+            return OutageEstimate(0.5, Method.MONTE_CARLO, 0.01)
+
+        monkeypatch.setattr(analytic, "outage", general)
+        monkeypatch.setattr(cli, "estimate_outage", mc)
+        for command in ("analytic", "simulate"):
+            code, stdout, err = run(capsys, "--config", str(conf), command,
+                                    "--scenario", "two-node")
+            assert code == EXIT_OK, err
+            assert not stdout
+            row = rows_from_csv(out.read_text())[0]
+            assert (row.value, row.sigma_l2) == (0.75, 1e-4)
+        for key, where, name, _, parsed in CONFIG_KEYS:
+            got = seen[where] if name is None else getattr(seen[where], name)
+            assert got == parsed and type(got) is type(parsed), key
+
+    @pytest.mark.parametrize("key", ["lam", "p_b", "p_u"])
+    def test_field_names_of_aliased_keys_are_unknown(self, capsys, tmp_path,
+                                                     key):
+        conf = tmp_path / "fd.conf"
+        conf.write_text(f"{key} = 0.5\n")
+        code, out, err = run(capsys, "--config", str(conf), "analytic",
+                             "--scenario", "three-node", "--rate", "1")
+        assert code == EXIT_CONFIG
+        assert not out and "unknown key" in err
+
+    def test_bad_mode_fails_every_command(self, capsys, tmp_path):
+        conf = tmp_path / "fd.conf"
+        conf.write_text("mode = bogus\n")
+        code, out, err = run(capsys, "--config", str(conf), "analytic",
+                             "--scenario", "three-node", "--rate", "1")
+        assert code == EXIT_CONFIG
+        assert not out and "configuration error" in err

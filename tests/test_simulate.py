@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fdcell import analytic, closedform
+from fdcell import analytic, closedform, simulate
 from fdcell.model import NetworkParams, Scenario
 from fdcell.quadrature import QuadratureConfig
 from fdcell.simulate import (
@@ -223,6 +223,36 @@ class TestEstimateOutage:
         rerun = estimate_outage(DEFAULTS, Scenario.TWO_NODE_FD, 1.0, sim,
                                 workers=2)
         assert serial.value == rerun.value
+
+    @pytest.mark.parametrize("workers, cpus, blocks, pool", [
+        (1000, 4, 3, 3), (1000, 4, 10, 4), (3, 8, 10, 3), (1000, None, 10, None),
+        (4, 1, 10, None), (0, 4, 10, None), (-5, 4, 10, None)])
+    def test_pool_is_capped(self, monkeypatch, workers, cpus, blocks, pool):
+        # min(workers, CPUs, blocks) threads, serial at 1 or fewer; a fake
+        # pool maps serially, so no thread is started
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", FakePool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        sim = SimConfig(trials=blocks * BLOCK, seed=2)
+        parts = simulate_sinr(DEFAULTS, Scenario.THREE_NODE_FD, sim,
+                              workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        serial = simulate_sinr(DEFAULTS, Scenario.THREE_NODE_FD, sim)
+        assert np.array_equal(parts, serial)
 
     def test_sinr_samples_reusable_across_rates(self):
         sim = SimConfig(trials=2000, seed=5)
