@@ -167,7 +167,11 @@ def _load_config(path: str | None) -> dict:
                 if key not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 dest, cast = _KEYS[key]
-                values[dest] = cast(val)
+                try:
+                    values[dest] = cast(val)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: "
+                                      f"{exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values

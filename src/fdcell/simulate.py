@@ -90,60 +90,83 @@ class SimConfig:
 
 @dataclass
 class NetworkRealization:
-    """A block of network snapshots in radial form, one trial per row.
+    """A block of network snapshots in radial form, one trial per row,
+    shared by every scenario asked for.
 
     Positions are u = lam*pi*r^2, increasing along each row, so column 0 of
-    bs_u is the serving BS and column 0 of bs_fadings its fading h.  Rows
-    run past the window, because the streams are drawn in whole chunks; the
-    SINR ignores the points beyond it.
+    bs_u is the serving BS and column 0 of bs_fadings its fading h.  user_u
+    maps each scenario to the users it sees: none for half-duplex, the plain
+    PPP from u = 0 for three-node and physical two-node (one shared array),
+    and the PPP from v_rho for matched two-node.  Both come from the same
+    gaps, so the k-th user of either has fading user_fadings[:, k].  Rows run
+    past the window, because the streams are drawn in whole chunks; the SINR
+    ignores the points beyond it.
     """
 
     bs_u: np.ndarray             # (rows, n) BS positions
     bs_fadings: np.ndarray       # (rows, n) unit-mean fading of each BS link
-    user_u: np.ndarray           # (rows, m) uplink user positions; m = 0 for half-duplex
-    user_fadings: np.ndarray     # (rows, m) unit-mean fading of each user link
-    li_gain: np.ndarray          # (rows,) unit-mean residual loop gain, 0 off two-node
+    user_u: dict[Scenario, np.ndarray]  # (rows, m) uplink user positions; m = 0 for half-duplex
+    user_fadings: np.ndarray     # (rows, largest m) unit-mean fading of each user link
+    li_gain: np.ndarray          # (rows,) unit-mean residual loop gain, read by two-node only
     window: float                # interference counts the points with u <= window
     resampled: int = 0           # zero-BS redraws: 0 by construction, a first BS always exists
 
 
-def sample_realization(scenario: Scenario, sim: SimConfig,
+def sample_realization(scenarios: tuple[Scenario, ...], sim: SimConfig,
                        block_index: int) -> NetworkRealization:
-    """Draw trials BLOCK*block_index ... BLOCK*(block_index+1)-1.
+    """Draw trials BLOCK*block_index ... BLOCK*(block_index+1)-1 of every
+    scenario in `scenarios`.
 
-    Users are omitted for half-duplex; for the matched two-node mode they
-    start at v_rho = lam*pi*rho^2 ~ Exp(1), a PPP restricted outside the
-    exclusion disk.  The user stream begins with one v_rho and one unit loop
-    gain per row, whatever the scenario, so its points do not depend on it.
+    The BSs are drawn once.  The user stream is drawn once unless only
+    half-duplex is asked for; it begins with one v_rho and one unit loop gain
+    per row, whatever the scenarios, so its points do not depend on them.
+    Its gaps are cumulated once per start the scenarios need: from 0, and
+    for matched two-node from v_rho = lam*pi*rho^2 ~ Exp(1), a PPP restricted
+    outside the exclusion disk.
     """
     key = (int(block_index) << 64) | int(sim.seed)
     window = sim.window_factor ** 2
-    bs_u, bs_fadings = _points(_stream(key, 0), np.zeros(BLOCK), window)
+    (bs_u,), bs_fadings = _points(_stream(key, 0), [np.zeros(BLOCK)], window)
     li_gain = np.zeros(BLOCK)
-    if scenario is Scenario.HALF_DUPLEX:
-        user_u = user_fadings = np.empty((BLOCK, 0))
-    else:
+    # each scenario's users: None for none, else whether they start at v_rho
+    held = {s: None if s is Scenario.HALF_DUPLEX else
+            s is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED
+            for s in scenarios}
+    starts = sorted({h for h in held.values() if h is not None})
+    users = {None: np.empty((BLOCK, 0))}
+    user_fadings = users[None]
+    if starts:
         rng = _stream(key, 1)
-        v_rho, loop = rng.standard_exponential((2, BLOCK))
-        matched = scenario is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED
-        user_u, user_fadings = _points(rng, v_rho if matched else np.zeros(BLOCK),
-                                       window)
-        if scenario is Scenario.TWO_NODE_FD:
-            li_gain = loop
-    return NetworkRealization(bs_u, bs_fadings, user_u, user_fadings, li_gain, window)
+        v_rho, li_gain = rng.standard_exponential((2, BLOCK))
+        user_u, user_fadings = _points(
+            rng, [v_rho if h else np.zeros(BLOCK) for h in starts], window)
+        users.update(zip(starts, user_u))
+    return NetworkRealization(bs_u, bs_fadings,
+                              {s: users[h] for s, h in held.items()},
+                              user_fadings, li_gain, window)
 
 
 def sinr_of_realization(real: NetworkRealization,
-                        params: NetworkParams) -> np.ndarray:
-    """Per-trial SINR parts of a block at unit density and powers, shape
-    (4, rows): h0*u0^(-alpha1/2), sum(h*u^(-alpha1/2)), sum(k*u^(-alpha2/2))
-    and the loop gain.  Only params.alpha1 and params.alpha2 are read."""
+                        params: NetworkParams) -> dict[Scenario, np.ndarray]:
+    """Per-trial SINR parts of a block at unit density and powers, for each
+    scenario of the realization, shape (4, rows): h0*u0^(-alpha1/2),
+    sum(h*u^(-alpha1/2)), sum(k*u^(-alpha2/2)) and the loop gain, 0 off
+    two-node.  The BS parts are reduced once and the uplink sum once per
+    user start.  Only params.alpha1 and params.alpha2 are read."""
     a1 = params.alpha1 / 2.0
     signal = real.bs_fadings[:, 0] * real.bs_u[:, 0] ** -a1
     i_bs = _window_sum(real.bs_u[:, 1:], real.bs_fadings[:, 1:], real.window, a1)
-    i_up = _window_sum(real.user_u, real.user_fadings, real.window,
-                       params.alpha2 / 2.0)
-    return np.stack((signal, i_bs, i_up, real.li_gain))
+    no_loop = np.zeros(len(signal))
+    i_up: dict[int, np.ndarray] = {}   # keyed by the id of a start's array
+    parts = {}
+    for scenario, user_u in real.user_u.items():
+        if id(user_u) not in i_up:
+            i_up[id(user_u)] = _window_sum(
+                user_u, real.user_fadings[:, :user_u.shape[1]], real.window,
+                params.alpha2 / 2.0)
+        loop = real.li_gain if scenario is Scenario.TWO_NODE_FD else no_loop
+        parts[scenario] = np.stack((signal, i_bs, i_up[id(user_u)], loop))
+    return parts
 
 
 def sinr_at(parts: np.ndarray, params: NetworkParams) -> np.ndarray:
@@ -155,15 +178,16 @@ def sinr_at(parts: np.ndarray, params: NetworkParams) -> np.ndarray:
         return signal / (noise + loop_scale * loop + i_bs + gain_u * i_up)
 
 
-def simulate_sinr(params: NetworkParams, scenario: Scenario, sim: SimConfig,
-                  workers: int = 1) -> np.ndarray:
+def simulate_sinr(params: NetworkParams, scenarios: tuple[Scenario, ...],
+                  sim: SimConfig, workers: int = 1) -> dict[Scenario, np.ndarray]:
     """SINR parts (see :func:`sinr_of_realization`) of sim.trials trials in
-    trial order.  Workers map over blocks, and each block is a pure function
-    of (seed, block index), so the result is identical for any worker count;
-    the pool has at most one thread per CPU and per block."""
+    trial order, for each scenario, from one draw shared by all of them.
+    Workers map over blocks, and each block is a pure function of (seed,
+    block index), so the result is identical for any worker count; the pool
+    has at most one thread per CPU and per block."""
 
-    def run_block(block_index: int) -> np.ndarray:
-        real = sample_realization(scenario, sim, block_index)
+    def run_block(block_index: int) -> dict[Scenario, np.ndarray]:
+        real = sample_realization(scenarios, sim, block_index)
         return sinr_of_realization(real, params)
 
     blocks = range(-(-sim.trials // BLOCK))
@@ -173,18 +197,20 @@ def simulate_sinr(params: NetworkParams, scenario: Scenario, sim: SimConfig,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_block, blocks))
-    return np.concatenate(parts, axis=1)[:, :sim.trials]
+    return {s: np.concatenate([p[s] for p in parts], axis=1)[:, :sim.trials]
+            for s in scenarios}
 
 
 def estimate_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
                     sim: SimConfig, workers: int = 1,
                     parts: np.ndarray | None = None) -> OutageEstimate:
     """Fraction of trials whose SINR falls below the rate's threshold, with
-    the binomial standard error.  `parts` from :func:`simulate_sinr` at the
-    same scenario, sim and path-loss exponents reuse one simulation."""
+    the binomial standard error.  `parts`, the scenario's entry of
+    :func:`simulate_sinr` at the same sim and path-loss exponents, reuse one
+    simulation."""
     threshold = threshold_from_rate(rate_r, scenario)
     if parts is None:
-        parts = simulate_sinr(params, scenario, sim, workers)
+        parts = simulate_sinr(params, (scenario,), sim, workers)[scenario]
     p = np.count_nonzero(sinr_at(parts, params) < threshold) / sim.trials
     stderr = math.sqrt(p * (1.0 - p) / sim.trials)
     meta = {"scenario": scenario.value, "rate": rate_r, "params": params.as_dict(),
@@ -198,23 +224,28 @@ def _stream(key: int, which: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, which]))
 
 
-def _points(rng: np.random.Generator, start: np.ndarray,
-            window: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-rate PPP on (start, inf) per row, in increasing order, with
-    unit-mean exponential fadings: CHUNK columns at a time until every row is
-    past the window."""
-    u_parts, fading_parts = [], []
-    last = start
-    while True:
-        gaps, fadings = rng.standard_exponential((2, len(start), CHUNK))
-        gaps[:, 0] += last
-        u = np.cumsum(gaps, axis=1)
-        u_parts.append(u)
+def _points(rng: np.random.Generator, starts: list[np.ndarray],
+            window: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Unit-rate PPPs on (start, inf) per row, in increasing order, one per
+    start and all cumulated from the same gaps, with unit-mean exponential
+    fadings: CHUNK columns at a time until every row is past the window.
+    Each start keeps the chunks up to the one that takes all its rows past
+    the window, so its points do not depend on the other starts."""
+    u_parts, fading_parts = [[] for _ in starts], []
+    last = dict(enumerate(starts))   # the starts with rows inside the window
+    while last:
+        gaps, fadings = rng.standard_exponential((2, BLOCK, CHUNK))
         fading_parts.append(fadings)
-        last = u[:, -1]
-        if last.min() > window:
-            break
-    return np.concatenate(u_parts, axis=1), np.concatenate(fading_parts, axis=1)
+        first = gaps[:, 0].copy()
+        for j, prev in list(last.items()):
+            gaps[:, 0] = first + prev
+            u = np.cumsum(gaps, axis=1)
+            u_parts[j].append(u)
+            last[j] = u[:, -1]
+            if last[j].min() > window:
+                del last[j]
+    return ([np.concatenate(p, axis=1) for p in u_parts],
+            np.concatenate(fading_parts, axis=1))
 
 
 def _window_sum(u: np.ndarray, fadings: np.ndarray, window: float,

@@ -146,16 +146,25 @@ def make_grid(lo: float, hi: float, steps: int, spacing: str = "linear") -> tupl
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every (scenario x method x grid point x LI level) combination.
 
-    Monte Carlo draws one simulation per scenario and rescales its per-trial
-    SINR parts at every grid point and LI level, whatever the swept variable:
-    no swept parameter changes a realization.  The simulation's time is
-    spread evenly over the scenario's Monte Carlo rows.
+    Monte Carlo runs one simulation per sweep, whose blocks are drawn once
+    for all the scenarios, and rescales each scenario's per-trial SINR parts
+    at every grid point and LI level, whatever the swept variable: no swept
+    parameter changes a realization.  The simulation's time is spread evenly
+    over all of the sweep's Monte Carlo rows.
     """
+    points = {s: _grid_points(spec, s) for s in spec.scenarios}
+    parts, mc_ms = {}, 0.0
+    if Method.MONTE_CARLO.value in spec.methods:
+        t0 = time.perf_counter()
+        parts = simulate_sinr(spec.fixed, spec.scenarios, spec.sim)
+        mc_ms = (time.perf_counter() - t0) * 1e3 / sum(
+            len(points[s]) for s in spec.scenarios)
     rows: list[SweepRow] = []
     for scenario in spec.scenarios:
-        points = _grid_points(spec, scenario)
         for method in spec.methods:
-            rows.extend(_run_method(spec, scenario, method, points))
+            shared_ms = mc_ms if method == Method.MONTE_CARLO.value else 0.0
+            rows.extend(_run_method(spec, scenario, method, points[scenario],
+                                    parts.get(scenario), shared_ms))
     order = {s.value: i for i, s in enumerate(Scenario)}
     grid_index = {v: i for i, v in enumerate(spec.grid)}
     rows.sort(key=lambda r: (order[r.scenario], r.method,
@@ -185,12 +194,10 @@ def _params_at(spec: SweepSpec, value: float, li: float):
 
 
 def _run_method(spec: SweepSpec, scenario: Scenario, method: str,
-                points: list[tuple[float, float]]) -> list[SweepRow]:
-    parts, shared_ms = None, 0.0
-    if method == Method.MONTE_CARLO.value:
-        t0 = time.perf_counter()
-        parts = simulate_sinr(spec.fixed, scenario, spec.sim)
-        shared_ms = (time.perf_counter() - t0) * 1e3 / len(points)
+                points: list[tuple[float, float]], parts: np.ndarray | None,
+                shared_ms: float) -> list[SweepRow]:
+    """A scenario's rows by one method; Monte Carlo rescales `parts`, and
+    each row's elapsed_ms includes `shared_ms`."""
     rows: list[SweepRow] = []
     for value, li in points:
         params, rate = _params_at(spec, value, li)

@@ -50,7 +50,7 @@ def test_traced_sampling_reports_resampled(monkeypatch):
     monkeypatch.setattr(simulate, "sample_realization",
                         tracer.wrap(name, simulate.sample_realization, hot=True))
     sim = simulate.SimConfig(trials=2 * simulate.BLOCK, seed=1)
-    simulate.simulate_sinr(NetworkParams(), Scenario.TWO_NODE_FD, sim)
+    simulate.simulate_sinr(NetworkParams(), (Scenario.TWO_NODE_FD,), sim)
     assert tracer.calls[name] == 2 and not tracer.errors
     assert tracer.resampled == 0
 

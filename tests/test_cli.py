@@ -396,3 +396,13 @@ class TestConfigKeys:
                              "--scenario", "three-node", "--rate", "1")
         assert code == EXIT_CONFIG
         assert not out and "configuration error" in err
+
+    @pytest.mark.parametrize("key, value", [("trials", "1e5"), ("mode", "bogus")])
+    def test_bad_value_names_its_line(self, capsys, tmp_path, key, value):
+        conf = tmp_path / "fd.conf"
+        conf.write_text(f"# defaults\nrate = 1\n{key} = {value}\n")
+        code, out, err = run(capsys, "--config", str(conf), "simulate",
+                             "--scenario", "three-node")
+        assert code == EXIT_CONFIG and not out
+        assert err.startswith(f"configuration error: {conf}:3: "
+                              f"bad value for {key}: ")

@@ -24,37 +24,85 @@ QUAD = QuadratureConfig()
 
 def make_realization(bs, users=(), h=1.0, g=None, k=None, li=0.0,
                      lam=DEFAULTS.lam, window=math.inf):
-    """One-trial realization from distances: bs[0] is the serving BS with
-    fading h, g the fadings of the other BSs, k those of the users, li the
-    unit-mean loop gain."""
+    """One-trial realization from distances for all three scenarios: bs[0]
+    is the serving BS with fading h, g the fadings of the other BSs, k those
+    of the users that two-node and three-node both see, li the unit-mean
+    loop gain."""
     bs = np.asarray(bs, dtype=float)
     users = np.asarray(users, dtype=float)
     g = np.ones(len(bs) - 1) if g is None else np.asarray(g, dtype=float)
     k = np.ones(len(users)) if k is None else np.asarray(k, dtype=float)
+    user_u = (lam * math.pi * users * users)[None, :]
     return NetworkRealization(
         bs_u=(lam * math.pi * bs * bs)[None, :],
         bs_fadings=np.concatenate(([h], g))[None, :],
-        user_u=(lam * math.pi * users * users)[None, :],
+        user_u={Scenario.TWO_NODE_FD: user_u, Scenario.THREE_NODE_FD: user_u,
+                Scenario.HALF_DUPLEX: np.empty((1, 0))},
         user_fadings=k[None, :],
         li_gain=np.array([li]),
         window=window,
     )
 
 
-def sinr(real, params):
-    return float(sinr_at(sinr_of_realization(real, params), params)[0])
+def sinr(real, params, scenario=Scenario.TWO_NODE_FD):
+    parts = sinr_of_realization(real, params)[scenario]
+    return float(sinr_at(parts, params)[0])
 
 
 def trial(scenario, sim, i):
     """Trial i of a simulation, cut to the points inside the window:
     (bs_u, bs_fadings, user_u, user_fadings, li_gain)."""
-    real = sample_realization(scenario, sim, i // BLOCK)
+    real = sample_realization((scenario,), sim, i // BLOCK)
     row = i % BLOCK
+    user_u = real.user_u[scenario][row]
     bs_in = real.bs_u[row] <= real.window
-    user_in = real.user_u[row] <= real.window
+    user_in = user_u <= real.window
     return (real.bs_u[row][bs_in], real.bs_fadings[row][bs_in],
-            real.user_u[row][user_in], real.user_fadings[row][user_in],
+            user_u[user_in], real.user_fadings[row][:len(user_u)][user_in],
             real.li_gain[row])
+
+
+def legacy_parts(params, scenario, sim, block_index):
+    """A block's SINR parts as one scenario's own draw made them before the
+    draw was shared: the bitwise oracle of the shared path."""
+
+    def points(rng, start):
+        u_parts, fading_parts, last = [], [], start
+        while True:
+            gaps, fadings = rng.standard_exponential((2, len(start), 128))
+            gaps[:, 0] += last
+            u = np.cumsum(gaps, axis=1)
+            u_parts.append(u)
+            fading_parts.append(fadings)
+            last = u[:, -1]
+            if last.min() > window:
+                return (np.concatenate(u_parts, axis=1),
+                        np.concatenate(fading_parts, axis=1))
+
+    def stream(which):
+        return np.random.Generator(np.random.Philox(
+            key=(block_index << 64) | sim.seed, counter=[0, 0, 0, which]))
+
+    def window_sum(u, fadings, half_alpha):
+        return np.where(u <= window, fadings * u ** -half_alpha, 0.0).sum(axis=1)
+
+    window = sim.window_factor ** 2
+    bs_u, bs_fadings = points(stream(0), np.zeros(BLOCK))
+    li_gain = np.zeros(BLOCK)
+    if scenario is Scenario.HALF_DUPLEX:
+        user_u = user_fadings = np.empty((BLOCK, 0))
+    else:
+        rng = stream(1)
+        v_rho, loop = rng.standard_exponential((2, BLOCK))
+        matched = scenario is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED
+        user_u, user_fadings = points(rng, v_rho if matched else np.zeros(BLOCK))
+        if scenario is Scenario.TWO_NODE_FD:
+            li_gain = loop
+    a1 = params.alpha1 / 2.0
+    return np.stack((bs_fadings[:, 0] * bs_u[:, 0] ** -a1,
+                     window_sum(bs_u[:, 1:], bs_fadings[:, 1:], a1),
+                     window_sum(user_u, user_fadings, params.alpha2 / 2.0),
+                     li_gain))
 
 
 class TestSimConfig:
@@ -88,18 +136,24 @@ class TestSampleRealization:
             assert len(a[2]) != len(b[2]) or not np.array_equal(a[2], b[2])
 
     def test_half_duplex_has_no_users(self):
-        real = sample_realization(Scenario.HALF_DUPLEX, self.SIM, 0)
-        assert real.user_u.shape == (BLOCK, 0)
+        real = sample_realization((Scenario.HALF_DUPLEX,), self.SIM, 0)
+        assert real.user_u[Scenario.HALF_DUPLEX].shape == (BLOCK, 0)
         assert real.user_fadings.shape == (BLOCK, 0)
         assert np.all(real.li_gain == 0.0)
+        # drawn with the others, half-duplex still sees no users
+        real = sample_realization(tuple(Scenario), self.SIM, 0)
+        assert real.user_u[Scenario.HALF_DUPLEX].shape == (BLOCK, 0)
+        parts = sinr_of_realization(real, DEFAULTS)[Scenario.HALF_DUPLEX]
+        assert np.all(parts[2:] == 0.0)
 
     def test_serving_distance_is_minimum(self):
         # rows increase, so the first point of a row is its nearest BS
-        real = sample_realization(Scenario.THREE_NODE_FD, self.SIM, 0)
+        real = sample_realization((Scenario.THREE_NODE_FD,), self.SIM, 0)
+        user_u = real.user_u[Scenario.THREE_NODE_FD]
         assert np.all(np.diff(real.bs_u, axis=1) > 0)
-        assert np.all(np.diff(real.user_u, axis=1) > 0)
+        assert np.all(np.diff(user_u, axis=1) > 0)
         assert np.array_equal(real.bs_u[:, 0], real.bs_u.min(axis=1))
-        assert np.all(real.bs_u > 0) and np.all(real.user_u > 0)
+        assert np.all(real.bs_u > 0) and np.all(user_u > 0)
 
     def test_mean_bs_count_matches_window(self):
         # lam*pi*R^2 = window_factor^2 = 144 at defaults: the mean number of
@@ -108,7 +162,7 @@ class TestSampleRealization:
         mean_expected = sim.window_factor ** 2
         counts = np.concatenate([
             np.count_nonzero(real.bs_u <= mean_expected, axis=1) for real in (
-                sample_realization(Scenario.HALF_DUPLEX, sim, b)
+                sample_realization((Scenario.HALF_DUPLEX,), sim, b)
                 for b in range(2000 // BLOCK))])
         tol = 4.0 * math.sqrt(mean_expected / len(counts))
         assert abs(np.mean(counts) - mean_expected) < tol
@@ -133,24 +187,45 @@ class TestSampleRealization:
         assert abs(np.mean(first_u) - 2.0) < 4.0 * math.sqrt(2.0 / len(first_u))
 
     def test_no_loop_gain_for_three_node(self):
-        real = sample_realization(Scenario.THREE_NODE_FD, self.SIM, 0)
-        assert np.all(real.li_gain == 0.0)
-        real = sample_realization(Scenario.TWO_NODE_FD, self.SIM, 0)
-        assert np.all(real.li_gain > 0.0)
+        real = sample_realization(tuple(Scenario), self.SIM, 0)
+        parts = sinr_of_realization(real, DEFAULTS)
+        assert np.all(parts[Scenario.THREE_NODE_FD][3] == 0.0)
+        assert np.all(parts[Scenario.HALF_DUPLEX][3] == 0.0)
+        assert np.all(parts[Scenario.TWO_NODE_FD][3] > 0.0)
 
     def test_narrow_window_is_prefix_of_wide(self):
         for scenario in (Scenario.TWO_NODE_FD, Scenario.THREE_NODE_FD):
-            narrow = sample_realization(scenario, SimConfig(
+            narrow = sample_realization((scenario,), SimConfig(
                 trials=10, seed=5, window_factor=12.0), 3)
-            wide = sample_realization(scenario, SimConfig(
+            wide = sample_realization((scenario,), SimConfig(
                 trials=10, seed=5, window_factor=24.0), 3)
             for field in ("bs_u", "bs_fadings", "user_u", "user_fadings"):
                 a, b = getattr(narrow, field), getattr(wide, field)
+                if field == "user_u":
+                    a, b = a[scenario], b[scenario]
                 assert a.shape[1] < b.shape[1]
                 assert np.array_equal(a, b[:, :a.shape[1]])
             assert np.array_equal(narrow.li_gain, wide.li_gain)
             assert np.all(narrow.bs_u[:, -1] > narrow.window)
-            assert np.all(narrow.user_u[:, -1] > narrow.window)
+            assert np.all(narrow.user_u[scenario][:, -1] > narrow.window)
+
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_one_draw_serves_every_scenario(self, mode):
+        # each start keeps the chunks its own draw keeps: sampled alone or
+        # together, a scenario sees the same arrays
+        sim = SimConfig(trials=10, seed=8, mode=mode)
+        together = sample_realization(tuple(Scenario), sim, 2)
+        for scenario in Scenario:
+            alone = sample_realization((scenario,), sim, 2)
+            assert np.array_equal(alone.bs_u, together.bs_u)
+            assert np.array_equal(alone.user_u[scenario],
+                                  together.user_u[scenario])
+            m = alone.user_u[scenario].shape[1]
+            assert np.array_equal(alone.user_fadings[:, :m],
+                                  together.user_fadings[:, :m])
+        plain = together.user_u[Scenario.THREE_NODE_FD]
+        assert (together.user_u[Scenario.TWO_NODE_FD] is plain) == \
+            (mode is SimMode.PHYSICAL)
 
 
 class TestSinrOfRealization:
@@ -175,11 +250,13 @@ class TestSinrOfRealization:
             pytest.approx(expected_term / (p.p_b * 1.0 * 5.0 ** -4.0))
 
     def test_loop_interference_only_in_two_node(self):
-        # the sampler leaves the loop gain 0 off two-node (see
-        # test_no_loop_gain_for_three_node), and sigma_l2 scales it
+        # one realization's loop gain reaches two-node only, and sigma_l2
+        # scales it
         p = NetworkParams(p_u=2.0, sigma_n2=1.0, sigma_l2=0.5)
-        two = sinr(make_realization([5.0], h=1.0, li=1.0), p)
-        three = sinr(make_realization([5.0], h=1.0), p)
+        real = make_realization([5.0], h=1.0, li=1.0)
+        two = sinr(real, p)
+        three = sinr(real, p, Scenario.THREE_NODE_FD)
+        assert three == sinr(make_realization([5.0], h=1.0), p)
         assert two < three
         assert 1.0 / two - 1.0 / three == \
             pytest.approx(2.0 * 0.5 / (p.p_b * 5.0 ** -4.0))
@@ -248,15 +325,17 @@ class TestEstimateOutage:
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", FakePool)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
         sim = SimConfig(trials=blocks * BLOCK, seed=2)
-        parts = simulate_sinr(DEFAULTS, Scenario.THREE_NODE_FD, sim,
-                              workers=workers)
+        scenarios = (Scenario.THREE_NODE_FD,)
+        parts = simulate_sinr(DEFAULTS, scenarios, sim, workers=workers)
         assert sizes == ([] if pool is None else [pool])
-        serial = simulate_sinr(DEFAULTS, Scenario.THREE_NODE_FD, sim)
-        assert np.array_equal(parts, serial)
+        serial = simulate_sinr(DEFAULTS, scenarios, sim)
+        assert np.array_equal(parts[Scenario.THREE_NODE_FD],
+                              serial[Scenario.THREE_NODE_FD])
 
     def test_sinr_samples_reusable_across_rates(self):
         sim = SimConfig(trials=2000, seed=5)
-        samples = simulate_sinr(DEFAULTS, Scenario.THREE_NODE_FD, sim)
+        samples = simulate_sinr(DEFAULTS, tuple(Scenario), sim)[
+            Scenario.THREE_NODE_FD]
         direct = estimate_outage(DEFAULTS, Scenario.THREE_NODE_FD, 1.5, sim)
         shared = estimate_outage(DEFAULTS, Scenario.THREE_NODE_FD, 1.5, sim,
                                  parts=samples)
@@ -264,8 +343,10 @@ class TestEstimateOutage:
 
     def test_trial_does_not_depend_on_trial_count(self):
         # 100 is not a multiple of BLOCK: the last block is cut
-        few = simulate_sinr(DEFAULTS, Scenario.TWO_NODE_FD, SimConfig(trials=100, seed=5))
-        many = simulate_sinr(DEFAULTS, Scenario.TWO_NODE_FD, SimConfig(trials=2000, seed=5))
+        scenarios = (Scenario.TWO_NODE_FD,)
+        few = simulate_sinr(DEFAULTS, scenarios, SimConfig(trials=100, seed=5))
+        many = simulate_sinr(DEFAULTS, scenarios, SimConfig(trials=2000, seed=5))
+        few, many = few[Scenario.TWO_NODE_FD], many[Scenario.TWO_NODE_FD]
         assert few.shape == (4, 100)
         assert np.array_equal(few, many[:, :100])
 
@@ -312,6 +393,43 @@ class TestEstimateOutage:
         est = estimate_outage(DEFAULTS, Scenario.TWO_NODE_FD, 0.5, sim)
         assert est.meta["scenario"] == "two-node"
         assert est.meta["trials"] == 100 and est.meta["mode"] == "matched"
+
+
+class TestSharedDraw:
+    """One draw per block serves every scenario and reproduces, bit for bit,
+    the parts each scenario's own draw gave before the draw was shared."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("window_factor", [8.0, 30.0])
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_matches_per_scenario_oracle(self, mode, window_factor, workers):
+        # 100 trials is not a multiple of BLOCK: the last block is cut
+        sim = SimConfig(trials=100, seed=77, window_factor=window_factor,
+                        mode=mode)
+        params = NetworkParams(alpha1=3.5, alpha2=4.5)
+        parts = simulate_sinr(params, tuple(Scenario), sim, workers=workers)
+        assert list(parts) == list(Scenario)
+        blocks = -(-sim.trials // BLOCK)
+        for scenario in Scenario:
+            oracle = np.concatenate([legacy_parts(params, scenario, sim, b)
+                                     for b in range(blocks)], axis=1)
+            assert parts[scenario].shape == (4, sim.trials)
+            assert np.array_equal(parts[scenario], oracle[:, :sim.trials])
+
+    def test_half_duplex_alone_draws_no_users(self, monkeypatch):
+        streams = []
+        stream = simulate._stream
+
+        def counting(key, which):
+            streams.append(which)
+            return stream(key, which)
+
+        monkeypatch.setattr(simulate, "_stream", counting)
+        simulate_sinr(DEFAULTS, (Scenario.HALF_DUPLEX,), SimConfig(trials=40))
+        assert streams == [0, 0, 0]
+        streams.clear()
+        simulate_sinr(DEFAULTS, tuple(Scenario), SimConfig(trials=40))
+        assert streams == [0, 1] * 3
 
 
 class TestPhysicalVersusMatched:

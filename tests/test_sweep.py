@@ -1,6 +1,5 @@
 import logging
 import math
-from collections import Counter
 
 import pytest
 
@@ -137,21 +136,24 @@ class TestRunSweep:
             direct = estimate_outage(params, Scenario(r.scenario), rate, SMALL_SIM)
             assert (r.outage, r.mc_stderr) == (direct.value, direct.stderr)
 
-    def test_one_simulation_per_scenario(self, monkeypatch):
-        calls = Counter()
+    def test_one_simulation_per_sweep(self, monkeypatch):
+        calls = []
         sample = simulate.sample_realization
 
         def counting(*args):
-            calls[next(a for a in args if isinstance(a, Scenario))] += 1
+            calls.append(next(a for a in args if isinstance(a, tuple)))
             return sample(*args)
 
         monkeypatch.setattr(simulate, "sample_realization", counting)
         sim = SimConfig(trials=100, seed=13)
         spec = SweepSpec(variable="density", grid=make_grid(1e-4, 1e-2, 3, "log"),
                          li_levels=(0.0, 1e-3), methods=("mc",), sim=sim)
-        assert len(run_sweep(spec)) == 3 * 4
+        rows = run_sweep(spec)
+        assert len(rows) == 3 * 4
         blocks = -(-sim.trials // BLOCK)
-        assert calls == {s: blocks for s in spec.scenarios}
+        assert calls == [spec.scenarios] * blocks
+        # the simulation's time is shared by all the sweep's rows
+        assert all(r.elapsed_ms > 0 for r in rows)
 
     def test_default_li_level_is_fixed_sigma_l2(self):
         # without li_levels the two-node rows use the configured loop gain
