@@ -1,12 +1,12 @@
-"""Fast paths for the quartic path-loss special case.
+"""Oracles for the quartic path-loss special case.
 
 When both path-loss exponents are 4, BS and user powers are equal and the
 network is interference-limited (no noise), the radial outage integrals
 collapse: the three-node and half-duplex outages become elementary formulas
 and the two-node outage reduces to a double integral in the squared
-distances u = r^2 and v = rho^2 with arccot kernels.  These serve both as
-fast paths and as oracles for the general quadrature in
-:mod:`fdcell.analytic`, which shares the quadrature driver and
+distances u = r^2 and v = rho^2 with arccot kernels.  They are oracles for
+the general quadrature in :mod:`fdcell.analytic`, which is as fast on this
+case, and which shares the quadrature driver and
 :func:`fdcell.quadrature.exclusion_average` with them but none of their
 kernels.  The kernels take arrays of u, so the two-node inner integral over
 v runs once for all outer nodes of a round.

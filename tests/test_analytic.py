@@ -315,6 +315,40 @@ ORACLE_CASES = [(scenario, NetworkParams(lam=lam, alpha1=alpha, alpha2=alpha,
                 for lam in (1e-4, 1e-2)]
 
 
+def exact_two_node(params, rate):
+    """Exact two-node outage at zero noise, zero loop gain and
+    alpha1 = alpha2 = alpha, for any power ratio and density: in v = x^2 the
+    nested integral separates, and the v integral of v*exp(-v*A(t)) is
+    1/A(t)^2, leaving
+    coverage = integral_0^inf c / (1 + 2J + c*(t + 2E(sqrt(t), alpha)))^2 dt
+    with c = (T*p_u/p_b)^(2/alpha), J = T^(2/alpha)*E(T^(-1/alpha), alpha)
+    and E the interference tail integral."""
+    a = params.alpha1
+    t = threshold_from_rate(rate, Scenario.TWO_NODE_FD)
+    if t == 0.0:
+        return 0.0
+    c = (t * params.p_u / params.p_b) ** (2.0 / a)
+    base = 1.0 + 2.0 * t ** (2.0 / a) * analytic.tail_integral(t ** (-1.0 / a), a)
+
+    def integrand(s):
+        return c / (base + c * (s + 2.0 * analytic.tail_integral(math.sqrt(s), a))) ** 2
+
+    # the integrand falls from c/base^2 on the scale s ~ base/c
+    knee = base / c
+    head = sp_integrate.quad(integrand, 0.0, knee, epsabs=0.0, epsrel=1e-12,
+                             limit=200)[0]
+    tail = sp_integrate.quad(integrand, knee, math.inf, epsabs=0.0,
+                             epsrel=1e-12, limit=200)[0]
+    return 1.0 - head - tail
+
+
+TWO_NODE_ORACLE_CASES = [NetworkParams(lam=lam, alpha1=alpha, alpha2=alpha,
+                                       p_u=ratio)
+                         for alpha in (2.2, 3.0, 4.0, 6.0)
+                         for ratio in (1e-3, 1.0, 30.0)
+                         for lam in (1e-4, 1e-2)]
+
+
 class TestExactOracle:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_general_route_matches_beyond_quartic(self):
@@ -325,6 +359,21 @@ class TestExactOracle:
             assert error < 1e-9
             assert error <= est.meta["abserr"] < 1e-7
             assert est.meta["evaluations"] >= 21
+
+    def test_two_node_matches_beyond_quartic(self):
+        # at alpha = 4 and p_u = p_b the closed form meets the oracle too, by
+        # a route that shares neither of its integrals
+        closed = 0
+        for p in TWO_NODE_ORACLE_CASES:
+            for rate in (0.05, 1.0, 4.0):
+                exact = exact_two_node(p, rate)
+                est = analytic.two_node_outage(p, rate, QUAD)
+                assert abs(est.value - exact) < 1e-9, (p, rate)
+                if closedform.applicable(p):
+                    est = closedform.two_node_outage(rate, p.lam, 0.0, QUAD)
+                    assert abs(est.value - exact) < 1e-9, (p, rate)
+                    closed += 1
+        assert closed == 6
 
     @pytest.mark.parametrize("sigma_l2", [0.0, 1e-3])
     def test_two_node_error_bound_against_tight_run(self, sigma_l2):

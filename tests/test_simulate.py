@@ -212,8 +212,10 @@ class TestSampleRealization:
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_one_draw_serves_every_scenario(self, mode):
         # each start keeps the chunks its own draw keeps: sampled alone or
-        # together, a scenario sees the same arrays
-        sim = SimConfig(trials=10, seed=8, mode=mode)
+        # together, a scenario sees the same arrays.  In block 2 of seed 77
+        # at window 10.3, the matched users pass the window one chunk before
+        # the plain ones.
+        sim = SimConfig(trials=100, seed=77, window_factor=10.3, mode=mode)
         together = sample_realization(tuple(Scenario), sim, 2)
         for scenario in Scenario:
             alone = sample_realization((scenario,), sim, 2)
@@ -224,8 +226,10 @@ class TestSampleRealization:
             assert np.array_equal(alone.user_fadings[:, :m],
                                   together.user_fadings[:, :m])
         plain = together.user_u[Scenario.THREE_NODE_FD]
-        assert (together.user_u[Scenario.TWO_NODE_FD] is plain) == \
-            (mode is SimMode.PHYSICAL)
+        two_node = together.user_u[Scenario.TWO_NODE_FD]
+        assert (two_node is plain) == (mode is SimMode.PHYSICAL)
+        if mode is SimMode.MATCHED:
+            assert two_node.shape[1] < plain.shape[1]
 
 
 class TestSinrOfRealization:
@@ -400,10 +404,11 @@ class TestSharedDraw:
     the parts each scenario's own draw gave before the draw was shared."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("window_factor", [8.0, 30.0])
+    @pytest.mark.parametrize("window_factor", [8.0, 10.3, 30.0])
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_matches_per_scenario_oracle(self, mode, window_factor, workers):
-        # 100 trials is not a multiple of BLOCK: the last block is cut
+        # 100 trials is not a multiple of BLOCK: the last block is cut; at
+        # window 10.3 one block's starts keep different chunk counts
         sim = SimConfig(trials=100, seed=77, window_factor=window_factor,
                         mode=mode)
         params = NetworkParams(alpha1=3.5, alpha2=4.5)
