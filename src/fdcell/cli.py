@@ -292,6 +292,9 @@ def _cmd_sweep(args, defaults: dict) -> int:
 
 
 def _cmd_compare(args, defaults: dict) -> int:
+    if not 0.0 <= args.max_flagged_frac <= 1.0:
+        raise ConfigError("--max-flagged-frac must be in [0, 1], got "
+                          f"{args.max_flagged_frac}")
     try:
         with open(args.infile) as fh:
             rows = rows_from_csv(fh.read())

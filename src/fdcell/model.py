@@ -41,6 +41,14 @@ class Method(Enum):
     MONTE_CARLO = "mc"
 
 
+# the lower bound of each NetworkParams field, all of which must be finite,
+# and whether the bound itself is allowed
+_LOWER_BOUNDS = {"lam": (0.0, False), "alpha1": (2.0, False),
+                 "alpha2": (2.0, False), "p_b": (0.0, False),
+                 "p_u": (0.0, False), "sigma_n2": (0.0, True),
+                 "sigma_l2": (0.0, True), "mu": (0.0, False)}
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Physical constants of the cellular model.
@@ -68,22 +76,11 @@ class NetworkParams:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if not self.alpha1 > 2:
-            raise ValueError(f"alpha1 must be > 2, got {self.alpha1}")
-        if not self.alpha2 > 2:
-            raise ValueError(f"alpha2 must be > 2, got {self.alpha2}")
-        if not self.p_b > 0:
-            raise ValueError(f"p_b must be > 0, got {self.p_b}")
-        if not self.p_u > 0:
-            raise ValueError(f"p_u must be > 0, got {self.p_u}")
-        if self.sigma_n2 < 0:
-            raise ValueError(f"sigma_n2 must be >= 0, got {self.sigma_n2}")
-        if self.sigma_l2 < 0:
-            raise ValueError(f"sigma_l2 must be >= 0, got {self.sigma_l2}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+        for name, (low, closed) in _LOWER_BOUNDS.items():
+            v = getattr(self, name)
+            if not (math.isfinite(v) and (v >= low if closed else v > low)):
+                raise ValueError(f"{name} must be finite and "
+                                 f"{'>=' if closed else '>'} {low:g}, got {v}")
 
     def sinr_scales(self) -> tuple[float, float, float]:
         """The user unit gain, the noise and the loop scale, each over the BS

@@ -84,8 +84,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.window_factor < 5:
-            raise ValueError(f"window_factor must be >= 5, got {self.window_factor}")
+        # an infinite window never closes, and NaN fails both comparisons
+        if not 5 <= self.window_factor < math.inf:
+            raise ValueError("window_factor must be finite and >= 5, got "
+                             f"{self.window_factor}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -1,7 +1,8 @@
 """Parameter sweeps producing plot-ready tables, and analytic-vs-MC agreement.
 
 A sweep enumerates (scenario x method x grid point x loop-interference level)
-and emits one row per combination with a fixed CSV schema:
+and emits one row per combination.  The columns of the fixed CSV schema, and
+the keys of a JSON line in the same order, are the fields of SweepRow:
 
     scenario,method,variable,value,sigma_l2,outage,mc_stderr,elapsed_ms
 
@@ -13,12 +14,13 @@ is the one column excluded from rerun-identity guarantees.
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import logging
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,8 +51,6 @@ log = logging.getLogger(__name__)
 VARIABLES = ("bs_power", "rate", "residual_li", "density")
 METHOD_NAMES = tuple(m.value for m in Method)
 
-CSV_HEADER = "scenario,method,variable,value,sigma_l2,outage,mc_stderr,elapsed_ms"
-
 
 class ConfigError(ValueError):
     """Invalid sweep or CLI configuration, reported before any computation."""
@@ -70,9 +70,7 @@ class SweepSpec:
 
     variable: str
     grid: tuple[float, ...]
-    scenarios: tuple[Scenario, ...] = (Scenario.TWO_NODE_FD,
-                                       Scenario.THREE_NODE_FD,
-                                       Scenario.HALF_DUPLEX)
+    scenarios: tuple[Scenario, ...] = tuple(Scenario)
     li_levels: tuple[float, ...] = ()
     fixed: NetworkParams = NetworkParams()
     methods: tuple[str, ...] = ("analytic",)
@@ -86,7 +84,7 @@ class SweepSpec:
                               f"expected one of {VARIABLES}")
         if not self.grid:
             raise ConfigError("sweep grid must not be empty")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+        if not all(a < b for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         if not self.scenarios:
             raise ConfigError("at least one scenario is required")
@@ -96,16 +94,16 @@ class SweepSpec:
             if m not in METHOD_NAMES:
                 raise ConfigError(f"unknown method {m!r}; expected subset of "
                                   f"{METHOD_NAMES}")
-        if any(li < 0 for li in self.li_levels):
+        # written so that NaN fails every check
+        if not all(li >= 0 for li in self.li_levels):
             raise ConfigError("li_levels must be >= 0")
-        if self.rate < 0:
+        if not self.rate >= 0:
             raise ConfigError("rate must be >= 0")
-        if self.variable == "rate" and any(v < 0 for v in self.grid):
-            raise ConfigError("rate grid must be >= 0")
-        if self.variable in ("bs_power", "density") and any(v <= 0 for v in self.grid):
-            raise ConfigError(f"{self.variable} grid must be > 0")
-        if self.variable == "residual_li" and any(v < 0 for v in self.grid):
-            raise ConfigError("residual_li grid must be >= 0")
+        if self.variable in ("bs_power", "density"):
+            if not all(v > 0 for v in self.grid):
+                raise ConfigError(f"{self.variable} grid must be > 0")
+        elif not all(v >= 0 for v in self.grid):
+            raise ConfigError(f"{self.variable} grid must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,16 @@ class SweepRow:
     def __post_init__(self) -> None:
         if not 0.0 <= self.outage <= 1.0:
             raise ValueError(f"outage {self.outage} outside [0, 1]")
+
+
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(_COLUMNS)
+_values = operator.attrgetter(*_COLUMNS)
+# how each column is read back, by its field's annotation: only mc_stderr
+# may be an empty cell
+_READ = {"str": str, "float": float,
+         "float | None": lambda cell: float(cell) if cell else None}
+_CASTS = tuple(_READ[f.type] for f in fields(SweepRow))
 
 
 def make_grid(lo: float, hi: float, steps: int, spacing: str = "linear") -> tuple[float, ...]:
@@ -160,11 +168,26 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         mc_ms = (time.perf_counter() - t0) * 1e3 / sum(
             len(points[s]) for s in spec.scenarios)
     rows: list[SweepRow] = []
-    for scenario in spec.scenarios:
-        for method in spec.methods:
-            shared_ms = mc_ms if method == Method.MONTE_CARLO.value else 0.0
-            rows.extend(_run_method(spec, scenario, method, points[scenario],
-                                    parts.get(scenario), shared_ms))
+    for scenario, method in itertools.product(spec.scenarios, spec.methods):
+        for value, li in points[scenario]:
+            params, rate = _params_at(spec, value, li)
+            t0 = time.perf_counter()
+            if method == Method.ANALYTIC_GENERAL.value:
+                est = analytic.outage(scenario, params, rate, spec.quad)
+            elif method == Method.ANALYTIC_CLOSED_FORM.value:
+                if not closedform.applicable(params):
+                    log.info("closed form not applicable for %s at %s=%g "
+                             "(needs %s); skipped", scenario.value,
+                             spec.variable, value, closedform.REQUIREMENTS)
+                    continue
+                est = closedform.outage(scenario, params, rate, spec.quad)
+            else:
+                est = estimate_outage(params, scenario, rate, spec.sim,
+                                      parts=parts[scenario])
+            mc = est.method is Method.MONTE_CARLO
+            ms = (time.perf_counter() - t0) * 1e3 + (mc_ms if mc else 0.0)
+            rows.append(SweepRow(scenario.value, method, spec.variable, value,
+                                 li, est.value, est.stderr if mc else None, ms))
     order = {s.value: i for i, s in enumerate(Scenario)}
     grid_index = {v: i for i, v in enumerate(spec.grid)}
     rows.sort(key=lambda r: (order[r.scenario], r.method,
@@ -191,33 +214,6 @@ def _params_at(spec: SweepSpec, value: float, li: float):
     elif spec.variable == "density":
         p = p.replace(lam=value)
     return p, value if spec.variable == "rate" else spec.rate
-
-
-def _run_method(spec: SweepSpec, scenario: Scenario, method: str,
-                points: list[tuple[float, float]], parts: np.ndarray | None,
-                shared_ms: float) -> list[SweepRow]:
-    """A scenario's rows by one method; Monte Carlo rescales `parts`, and
-    each row's elapsed_ms includes `shared_ms`."""
-    rows: list[SweepRow] = []
-    for value, li in points:
-        params, rate = _params_at(spec, value, li)
-        t0 = time.perf_counter()
-        if method == Method.ANALYTIC_GENERAL.value:
-            est = analytic.outage(scenario, params, rate, spec.quad)
-        elif method == Method.ANALYTIC_CLOSED_FORM.value:
-            if not closedform.applicable(params):
-                log.info("closed form not applicable for %s at %s=%g "
-                         "(needs %s); skipped", scenario.value, spec.variable,
-                         value, closedform.REQUIREMENTS)
-                continue
-            est = closedform.outage(scenario, params, rate, spec.quad)
-        else:
-            est = estimate_outage(params, scenario, rate, spec.sim, parts=parts)
-        ms = shared_ms + (time.perf_counter() - t0) * 1e3
-        stderr = est.stderr if est.method is Method.MONTE_CARLO else None
-        rows.append(SweepRow(scenario.value, method, spec.variable, value,
-                             li, est.value, stderr, ms))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +270,11 @@ def compare_report(rows: list[SweepRow]) -> AgreementReport:
         elif r.method == Method.MONTE_CARLO.value:
             mc_rows[key] = r
     report = AgreementReport()
-    for key in sorted(set(analytic_rows) & set(mc_rows),
-                      key=lambda k: (k[0], k[1], k[2], k[3])):
+    for key in sorted(set(analytic_rows) & set(mc_rows)):
         a, m = analytic_rows[key], mc_rows[key]
         diff = abs(a.outage - m.outage)
         stderr = m.mc_stderr or 0.0
-        if stderr > 0:
-            z = diff / stderr
-        else:
-            z = 0.0 if diff == 0.0 else math.inf
+        z = diff / stderr if stderr > 0 else (math.inf if diff else 0.0)
         report.pairs.append(PairAgreement(*key, a.outage, m.outage, stderr, z))
     if not report.pairs:
         report.notice = "no matchable analytic/mc pairs in the given rows"
@@ -292,20 +284,18 @@ def compare_report(rows: list[SweepRow]) -> AgreementReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(x: float | None) -> str:
+def _cell(x: str | float | None) -> str:
+    """A CSV cell: text as it is, a number to 10 significant digits, None
+    empty."""
     if x is None:
         return ""
-    return f"{x:.10g}"
+    return x if isinstance(x, str) else f"{x:.10g}"
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in rows:
-        buf.write(",".join((r.scenario, r.method, r.variable, _fmt(r.value),
-                            _fmt(r.sigma_l2), _fmt(r.outage), _fmt(r.mc_stderr),
-                            _fmt(r.elapsed_ms))) + "\n")
-    return buf.getvalue()
+    lines = [CSV_HEADER]
+    lines.extend(",".join([_cell(v) for v in _values(r)]) for r in rows)
+    return "\n".join(lines) + "\n"
 
 
 def rows_from_csv(text: str) -> list[SweepRow]:
@@ -314,77 +304,50 @@ def rows_from_csv(text: str) -> list[SweepRow]:
         raise ConfigError(f"expected header {CSV_HEADER!r}")
     rows = []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 8:
+        cells = ln.split(",")
+        if len(cells) != len(_COLUMNS):
             raise ConfigError(f"malformed row: {ln!r}")
-        scenario, method, variable, value, sl, outage, stderr, ms = parts
-        rows.append(SweepRow(scenario, method, variable, float(value), float(sl),
-                             float(outage), float(stderr) if stderr else None,
-                             float(ms)))
+        rows.append(SweepRow(*[cast(cell) for cast, cell in zip(_CASTS, cells)]))
     return rows
 
 
 def rows_to_jsonl(rows: list[SweepRow]) -> str:
-    out = []
+    """One JSON object per row, keyed by column, holding the values that its
+    CSV row reads back as."""
+    lines = []
     for r in rows:
-        out.append(json.dumps({
-            "scenario": r.scenario, "method": r.method, "variable": r.variable,
-            "value": float(_fmt(r.value)), "sigma_l2": float(_fmt(r.sigma_l2)),
-            "outage": float(_fmt(r.outage)),
-            "mc_stderr": None if r.mc_stderr is None else float(_fmt(r.mc_stderr)),
-            "elapsed_ms": float(_fmt(r.elapsed_ms)),
-        }))
-    return "\n".join(out) + "\n" if out else ""
+        record = {c: cast(_cell(v))
+                  for c, cast, v in zip(_COLUMNS, _CASTS, _values(r))}
+        lines.append(json.dumps(record) + "\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
-# figure presets
+# figure presets: each name's sweeps, which build_preset gives the caller's
+# Monte Carlo and quadrature settings
 
-_ALL = (Scenario.TWO_NODE_FD, Scenario.THREE_NODE_FD, Scenario.HALF_DUPLEX)
-
-
-def _fig2(sim: SimConfig, quad: QuadratureConfig) -> list[SweepSpec]:
-    """Outage vs BS power at unit noise: P_b = P_u over a log grid."""
-    return [SweepSpec(variable="bs_power", grid=make_grid(1e-2, 1e4, 13, "log"),
-                      scenarios=_ALL, li_levels=(0.0, 1e-3),
-                      fixed=NetworkParams(sigma_n2=1.0),
-                      methods=("analytic", "mc"), rate=0.1, sim=sim, quad=quad)]
-
-
-def _fig3(sim: SimConfig, quad: QuadratureConfig) -> list[SweepSpec]:
-    """Outage vs target rate, interference-limited."""
-    return [SweepSpec(variable="rate", grid=make_grid(0.0, 4.0, 41),
-                      scenarios=_ALL, li_levels=(0.0, 1e-5, 1e-3),
-                      fixed=NetworkParams(),
-                      methods=("analytic", "closed-form", "mc"),
-                      sim=sim, quad=quad)]
-
-
-def _fig4(sim: SimConfig, quad: QuadratureConfig) -> list[SweepSpec]:
-    """Two-node outage vs residual loop gain, one sweep per target rate.
-
-    The per-curve rates {0.5, 1, 2} are this package's documented choice; the
-    swept grid spans the regime where the loop residual goes from negligible
-    to dominant.
-    """
-    return [SweepSpec(variable="residual_li", grid=make_grid(1e-6, 1e-1, 11, "log"),
-                      scenarios=(Scenario.TWO_NODE_FD,),
-                      fixed=NetworkParams(),
-                      methods=("analytic", "closed-form", "mc"),
-                      rate=rate, sim=sim, quad=quad)
-            for rate in (0.5, 1.0, 2.0)]
-
-
-def _fig5(sim: SimConfig, quad: QuadratureConfig) -> list[SweepSpec]:
-    """Outage vs network density at a low target rate, interference-limited."""
-    return [SweepSpec(variable="density", grid=make_grid(1e-4, 1e-2, 9, "log"),
-                      scenarios=_ALL, li_levels=(0.0, 1e-3, 1e-1),
-                      fixed=NetworkParams(),
-                      methods=("analytic", "closed-form", "mc"),
-                      rate=0.1, sim=sim, quad=quad)]
-
-
-PRESETS = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4, "fig5": _fig5}
+PRESETS: dict[str, tuple[SweepSpec, ...]] = {
+    # outage vs BS power at unit noise: P_b = P_u over a log grid
+    "fig2": (SweepSpec("bs_power", make_grid(1e-2, 1e4, 13, "log"),
+                       li_levels=(0.0, 1e-3), fixed=NetworkParams(sigma_n2=1.0),
+                       methods=("analytic", "mc")),),
+    # outage vs target rate, interference-limited
+    "fig3": (SweepSpec("rate", make_grid(0.0, 4.0, 41),
+                       li_levels=(0.0, 1e-5, 1e-3),
+                       methods=("analytic", "closed-form", "mc")),),
+    # two-node outage vs residual loop gain, one sweep per target rate: the
+    # rates {0.5, 1, 2} are this package's documented choice, and the grid
+    # spans the regime where the loop residual goes from negligible to
+    # dominant
+    "fig4": tuple(SweepSpec("residual_li", make_grid(1e-6, 1e-1, 11, "log"),
+                            scenarios=(Scenario.TWO_NODE_FD,),
+                            methods=("analytic", "closed-form", "mc"), rate=rate)
+                  for rate in (0.5, 1.0, 2.0)),
+    # outage vs network density at a low target rate, interference-limited
+    "fig5": (SweepSpec("density", make_grid(1e-4, 1e-2, 9, "log"),
+                       li_levels=(0.0, 1e-3, 1e-1),
+                       methods=("analytic", "closed-form", "mc")),),
+}
 
 
 def build_preset(name: str, sim: SimConfig | None = None,
@@ -392,4 +355,5 @@ def build_preset(name: str, sim: SimConfig | None = None,
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; expected one of "
                           f"{sorted(PRESETS)}")
-    return PRESETS[name](sim or SimConfig(), quad or QuadratureConfig())
+    return [replace(spec, sim=sim or SimConfig(), quad=quad or QuadratureConfig())
+            for spec in PRESETS[name]]

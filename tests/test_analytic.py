@@ -473,6 +473,22 @@ class TestQuadratureContract:
         assert exc.value.requested > 0
         assert math.isfinite(exc.value.value)
 
+    def test_subdivision_cap_trims_a_round(self):
+        # a peak on the border of two eighths asks to cut both of them; a cap
+        # of 12 leaves room to cut one (8 - 1 + 4 = 11 subintervals), then none
+        def peak(x):
+            sizes.append(x.size)
+            return 1.0 / ((x - 0.5) ** 2 + 1e-6)
+
+        sizes = []
+        integrate(peak, 0.0, 1.0, 1e-10, QuadratureConfig(max_subdivisions=200))
+        assert sizes[:2] == [8 * 21, 8 * 21]
+        sizes = []
+        with pytest.raises(QuadratureError, match="with 11 subintervals"):
+            integrate(peak, 0.0, 1.0, 1e-10, QuadratureConfig(max_subdivisions=12))
+        assert sizes == [8 * 21, 4 * 21]
+        assert sum(sizes) <= 12 * 21
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol_inner=0.0)

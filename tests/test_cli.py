@@ -86,6 +86,21 @@ class TestAnalyticCommand:
         assert code == EXIT_CONFIG
         assert not out and "configuration error" in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("simulate", "--sigma-l2", "nan"), ("analytic", "--sigma-l2", "nan"),
+        ("analytic", "--alpha1", "inf"), ("analytic", "--mu", "inf"),
+        ("analytic", "--pu", "inf"),
+    ])
+    def test_non_finite_param_is_configuration_error(self, capsys, command,
+                                                     flag, value):
+        # unchecked, a NaN loop gain gave outage 0 and exit 0, and inf gave
+        # exit 3 or a traceback
+        trials = ("--trials", "100") if command == "simulate" else ()
+        code, out, err = run(capsys, command, "--scenario", "two-node",
+                             "--rate", "1", *trials, flag, value)
+        assert code == EXIT_CONFIG
+        assert not out and "configuration error" in err
+
 
 class TestSimulateCommand:
     def test_deterministic(self, capsys):
@@ -153,6 +168,13 @@ class TestSweepCommand:
         for tiny, ref in zip(rows[::2], rows[1::2]):
             assert (tiny.value, ref.value) == (1e-200, 1e-3)
             assert tiny.outage == ref.outage
+
+    @pytest.mark.parametrize("grid", ["0:1", "0:1:3:log:x"])
+    def test_grid_with_wrong_field_count(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", "--variable", "rate",
+                             "--grid", grid)
+        assert code == EXIT_CONFIG and not out
+        assert "lo:hi:steps" in err
 
     def test_missing_grid(self, capsys):
         code, _, err = run(capsys, "sweep", "--variable", "rate")
@@ -259,8 +281,43 @@ class TestCompareCommand:
         code, _, err = run(capsys, "compare", "--in", str(tmp_path / "nope.csv"))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("frac, code", [("0.01", EXIT_COMPARE),
+                                            ("1", EXIT_OK), ("nan", EXIT_CONFIG),
+                                            ("-0.1", EXIT_CONFIG),
+                                            ("1.5", EXIT_CONFIG)])
+    def test_max_flagged_frac_range(self, capsys, tmp_path, frac, code):
+        # z = 40: a NaN bound would let it pass, a negative one fail anything
+        path = self.write(tmp_path,
+                          "two-node,analytic,rate,1,0,0.30,,1\n"
+                          "two-node,mc,rate,1,0,0.70,0.01,1\n")
+        got, _, err = run(capsys, "compare", "--in", path,
+                          "--max-flagged-frac", frac)
+        assert got == code
+        if code == EXIT_CONFIG:
+            assert "--max-flagged-frac" in err
+
+
+def test_no_command_exits_2(capsys):
+    code, out, err = run(capsys)
+    assert code == EXIT_CONFIG and not out and "usage" in err
+
 
 class TestConfigFile:
+    def test_line_without_equals_names_its_line(self, capsys, tmp_path):
+        conf = tmp_path / "fd.conf"
+        conf.write_text("rate = 1\nlambda 1e-3\n")
+        code, out, err = run(capsys, "--config", str(conf), "analytic",
+                             "--scenario", "three-node")
+        assert code == EXIT_CONFIG and not out
+        assert f"{conf}:2: expected key = value" in err
+
+    def test_unreadable_config(self, capsys, tmp_path):
+        # a directory cannot be opened as a file
+        code, out, err = run(capsys, "--config", str(tmp_path), "analytic",
+                             "--scenario", "three-node", "--rate", "1")
+        assert code == EXIT_CONFIG and not out
+        assert "cannot read config file" in err
+
     def test_defaults_and_override(self, capsys, tmp_path, monkeypatch):
         conf = tmp_path / "fd.conf"
         conf.write_text("# defaults\nlambda = 1e-2\nrate = 0.5\n")

@@ -28,6 +28,14 @@ class TestBsKernel:
                                                                       rel=1e-14)
 
 
+@pytest.mark.parametrize("u", [-1.0, np.array([0.0, 5.0, -1e-12])])
+def test_negative_squared_distance_rejected(u):
+    with pytest.raises(ValueError, match="u must be >= 0"):
+        closedform.bs_kernel(u, 1.0, LAM)
+    with pytest.raises(ValueError, match="u must be >= 0"):
+        closedform.uplink_kernel(u, 1.0, LAM, QUAD)
+
+
 class TestUplinkKernel:
     def test_zero_u_is_pure_exponential_integral(self):
         assert closedform.uplink_kernel(0.0, 1.0, LAM, QUAD) == \

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -97,6 +98,12 @@ class TestNetworkParams:
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
             NetworkParams(**bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(NetworkParams)])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NetworkParams(**{name: value})
 
     def test_zero_noise_and_li_allowed(self):
         NetworkParams(sigma_n2=0.0, sigma_l2=0.0)

@@ -113,6 +113,8 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("bad", [
         {"trials": 0}, {"window_factor": 4.0}, {"seed": -1}, {"seed": 2 ** 64},
+        # a window that never closes would sample without end
+        {"window_factor": math.nan}, {"window_factor": math.inf},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):

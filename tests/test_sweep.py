@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 
@@ -5,9 +6,11 @@ import pytest
 
 from fdcell import closedform, simulate
 from fdcell.model import NetworkParams, Scenario
+from fdcell.quadrature import QuadratureConfig
 from fdcell.simulate import BLOCK, SimConfig, estimate_outage
 from fdcell.sweep import (
     CSV_HEADER,
+    PRESETS,
     ConfigError,
     SweepRow,
     SweepSpec,
@@ -67,6 +70,35 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SweepSpec(variable="density", grid=(0.0, 1e-3))
 
+    def test_empty_methods(self):
+        with pytest.raises(ConfigError, match="method"):
+            small_rate_spec(methods=())
+
+    @pytest.mark.parametrize("variable, grid", [
+        ("rate", (-1.0, 0.0)), ("residual_li", (-1e-3, 1e-3)),
+        ("bs_power", (-1.0, 1.0)),
+    ])
+    def test_negative_grids(self, variable, grid):
+        with pytest.raises(ConfigError, match="grid must be"):
+            SweepSpec(variable=variable, grid=grid)
+
+    @pytest.mark.parametrize("rate", [-0.1, math.nan])
+    def test_bad_fixed_rate(self, rate):
+        with pytest.raises(ConfigError, match="rate must be >= 0"):
+            SweepSpec(variable="density", grid=(1e-3,), rate=rate)
+
+    @pytest.mark.parametrize("variable", ["rate", "density", "bs_power",
+                                          "residual_li"])
+    @pytest.mark.parametrize("grid", [(0.5, math.nan), (math.nan,),
+                                      (math.nan, 0.5)])
+    def test_nan_in_grid(self, variable, grid):
+        with pytest.raises(ConfigError, match="grid"):
+            SweepSpec(variable=variable, grid=grid)
+
+    def test_nan_li_level(self):
+        with pytest.raises(ConfigError, match="li_levels"):
+            small_rate_spec(li_levels=(0.0, math.nan))
+
 
 class TestMakeGrid:
     def test_linear(self):
@@ -79,6 +111,11 @@ class TestMakeGrid:
         assert g[0] == pytest.approx(1e-4) and g[-1] == pytest.approx(1e-2)
         ratios = [b / a for a, b in zip(g, g[1:])]
         assert all(r == pytest.approx(ratios[0]) for r in ratios)
+
+    def test_single_point(self):
+        assert make_grid(2.0, 1.0, 1) == (2.0,)
+        with pytest.raises(ConfigError, match="at least one point"):
+            make_grid(0.0, 1.0, 0)
 
     def test_errors(self):
         with pytest.raises(ConfigError):
@@ -231,9 +268,40 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             rows_from_csv("a,b\n1,2\n")
 
-    def test_jsonl(self):
-        import json
+    def test_columns_are_pinned(self):
+        # the fixed schema: reordering or renaming SweepRow's fields fails
+        columns = ["scenario", "method", "variable", "value", "sigma_l2",
+                   "outage", "mc_stderr", "elapsed_ms"]
+        assert CSV_HEADER == ",".join(columns)
+        rows = [SweepRow("two-node", "mc", "rate", 1.0, 1e-3, 0.25, 0.01, 2.5),
+                SweepRow("half-duplex", "analytic", "rate", 1.0, 0.0, 0.5,
+                         None, 0.0)]
+        assert rows_to_csv(rows) == (
+            CSV_HEADER + "\n"
+            "two-node,mc,rate,1,0.001,0.25,0.01,2.5\n"
+            "half-duplex,analytic,rate,1,0,0.5,,0\n")
+        records = [json.loads(ln) for ln in rows_to_jsonl(rows).splitlines()]
+        assert [list(rec) for rec in records] == [columns, columns]
+        assert list(records[1].values()) == [
+            "half-duplex", "analytic", "rate", 1.0, 0.0, 0.5, None, 0.0]
 
+    @pytest.mark.parametrize("row", [
+        "two-node,analytic,rate,1,0,0.5,",          # a cell short
+        "two-node,analytic,rate,1,0,0.5,,0,9",      # a cell over
+    ])
+    def test_csv_rejects_malformed_rows(self, row):
+        with pytest.raises(ConfigError, match="malformed row"):
+            rows_from_csv(CSV_HEADER + "\n" + row + "\n")
+
+    @pytest.mark.parametrize("row", [
+        "two-node,analytic,rate,1,0,1.5,,0",        # outage above 1
+        "two-node,analytic,rate,1,0,0.5,,",         # only mc_stderr may be empty
+    ])
+    def test_csv_rejects_bad_values(self, row):
+        with pytest.raises(ValueError):
+            rows_from_csv(CSV_HEADER + "\n" + row + "\n")
+
+    def test_jsonl(self):
         rows = run_sweep(small_rate_spec(methods=("analytic",),
                                          scenarios=(Scenario.HALF_DUPLEX,)))
         lines = rows_to_jsonl(rows).splitlines()
@@ -270,6 +338,16 @@ class TestPresets:
         spec = build_preset("fig5", SMALL_SIM)[0]
         assert spec.variable == "density" and spec.rate == 0.1
         assert 1e-1 in spec.li_levels
+
+    def test_settings_reach_every_spec(self):
+        quad = QuadratureConfig(rel_tol_outer=1e-6)
+        for name in PRESETS:
+            specs = build_preset(name, SMALL_SIM, quad)
+            assert all(s.sim == SMALL_SIM and s.quad == quad for s in specs)
+            # the stored presets keep the default settings
+            assert all(s.sim == SimConfig() and s.quad == QuadratureConfig()
+                       for s in PRESETS[name])
+            assert build_preset(name) == list(PRESETS[name])
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
