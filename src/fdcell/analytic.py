@@ -23,14 +23,19 @@ outer quadrature evaluates its integrand once on all its nodes, and the
 two-node uplink factor integrates over the exclusion distance for all of
 them in one call of :func:`fdcell.quadrature.exclusion_average`, which
 :mod:`fdcell.closedform` calls too, with its own kernel.
+
+This route is the package's only user of scipy: :func:`tail_integral` imports
+``scipy.special.hyp2f1`` on its first call, not when this module is imported.
+That import costs about 0.2 s and 17 MB, so ``import fdcell``, Monte Carlo,
+the closed forms and the CLI's other commands run without it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .model import Method, NetworkParams, OutageEstimate, Scenario, threshold_from_rate
 from .quadrature import QuadratureConfig, exclusion_average, integrate
@@ -71,14 +76,21 @@ def tail_integral(c, alpha: float):
 
 def _tail_far(c, alpha: float):
     """tail_integral for c > 1, in powers of c^-alpha."""
-    return c ** (2.0 - alpha) / (alpha - 2.0) * hyp2f1(
+    return c ** (2.0 - alpha) / (alpha - 2.0) * _hyp2f1()(
         1.0, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, -c ** -alpha)
 
 
 def _tail_near(c, alpha: float):
     """tail_integral for 0 <= c <= 1: the full line minus the head."""
-    return _full_line(alpha) - 0.5 * c * c * hyp2f1(
+    return _full_line(alpha) - 0.5 * c * c * _hyp2f1()(
         1.0, 2.0 / alpha, 1.0 + 2.0 / alpha, -c ** alpha)
+
+
+@functools.cache
+def _hyp2f1():
+    """scipy's Gauss hypergeometric ufunc, imported on the first call."""
+    from scipy.special import hyp2f1
+    return hyp2f1
 
 
 def _full_line(alpha: float) -> float:

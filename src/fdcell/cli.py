@@ -13,6 +13,7 @@ import functools
 import logging
 import os
 import sys
+import time
 from dataclasses import fields, replace
 
 from .model import EstimateRangeError, NetworkParams, Scenario
@@ -224,6 +225,7 @@ def _cmd_estimate(args, defaults: dict) -> int:
                        defaults)
     rate = _rate(args, defaults)
     scenario = Scenario(args.scenario)
+    t0 = time.perf_counter()
     if simulate:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
@@ -235,10 +237,11 @@ def _cmd_estimate(args, defaults: dict) -> int:
         est = closedform.outage(scenario, params, rate, config)
     else:
         est = analytic.outage(scenario, params, rate, config)
+    ms = (time.perf_counter() - t0) * 1e3
     stderr = est.stderr if simulate else None
     row = SweepRow(scenario.value, est.method.value, "rate", rate,
                    params.sigma_l2 if scenario is Scenario.TWO_NODE_FD else 0.0,
-                   est.value, stderr, 0.0)
+                   est.value, stderr, ms)
     _emit_rows([row], args, defaults)
     return EXIT_OK
 

@@ -104,6 +104,14 @@ class SweepSpec:
                 raise ConfigError(f"{self.variable} grid must be > 0")
         elif not all(v >= 0 for v in self.grid):
             raise ConfigError(f"{self.variable} grid must be >= 0")
+        # every row's model, so that its bounds fail here, before any row runs
+        for value, li in {point for s in self.scenarios
+                          for point in _grid_points(self, s)}:
+            try:
+                _params_at(self, value, li)
+            except ValueError as exc:
+                raise ConfigError(f"{self.variable} = {value:g}, sigma_l2 = "
+                                  f"{li:g}: {exc}") from exc
 
 
 @dataclass(frozen=True)

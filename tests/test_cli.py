@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from fdcell import analytic, cli, closedform
+import fdcell
+from fdcell import analytic, cli, closedform, sweep
 from fdcell.cli import (
     EXIT_COMPARE,
     EXIT_CONFIG,
@@ -18,6 +24,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def values(text):
+    """CSV lines without their last cell, elapsed_ms: it is wall time, the
+    one column that differs on a rerun."""
+    return [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
 
 
 class TestAnalyticCommand:
@@ -55,6 +67,17 @@ class TestAnalyticCommand:
         code, _, err = run(capsys, "analytic", "--scenario", "half-duplex",
                            "--rate", "1", "--alpha1", "1.5")
         assert code == EXIT_CONFIG and "configuration error" in err
+
+    def test_row_records_its_wall_time(self, capsys):
+        code, out, _ = run(capsys, "analytic", "--scenario", "two-node",
+                           "--rate", "1", "--sigma-l2", "1e-3", "--alpha1", "3",
+                           "--pu", "0.5")
+        assert code == EXIT_OK
+        cells = out.splitlines()[1].split(",")
+        # the seven cells before elapsed_ms are as they were when it was 0
+        assert cells[:7] == ["two-node", "analytic", "rate", "1", "0.001",
+                             "0.7480302736", ""]
+        assert float(cells[7]) > 0
 
     def test_missing_rate(self, capsys):
         code, _, err = run(capsys, "analytic", "--scenario", "two-node")
@@ -109,7 +132,7 @@ class TestSimulateCommand:
         code1, out1, _ = run(capsys, *argv)
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == EXIT_OK
-        assert out1 == out2
+        assert values(out1) == values(out2)
         row = rows_from_csv(out1)[0]
         assert row.method == "mc" and row.mc_stderr > 0
 
@@ -141,8 +164,7 @@ class TestSweepCommand:
                 "--trials", "800", "--seed", "4")
         assert run(capsys, *argv, "--out", str(a))[0] == EXIT_OK
         assert run(capsys, *argv, "--out", str(b))[0] == EXIT_OK
-        strip = lambda text: [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
-        assert strip(a.read_text()) == strip(b.read_text())
+        assert values(a.read_text()) == values(b.read_text())
 
     def test_jsonl_flag(self, capsys):
         code, out, _ = run(capsys, "sweep", "--variable", "rate",
@@ -168,6 +190,21 @@ class TestSweepCommand:
         for tiny, ref in zip(rows[::2], rows[1::2]):
             assert (tiny.value, ref.value) == (1e-200, 1e-3)
             assert tiny.outage == ref.outage
+
+    @pytest.mark.parametrize("variable, grid, li", [
+        ("rate", "0,1", "0,inf"), ("density", "1e-3,inf", "0"),
+        ("bs_power", "1,inf", "0")])
+    def test_infinite_value_fails_before_simulating(self, capsys, monkeypatch,
+                                                   variable, grid, li):
+        def spy(*args, **kwargs):
+            raise AssertionError("simulate_sinr ran")
+
+        monkeypatch.setattr(sweep, "simulate_sinr", spy)
+        code, out, err = run(capsys, "sweep", "--variable", variable,
+                             "--grid", grid, "--li-levels", li, "--rate", "1",
+                             "--methods", "analytic,mc", "--trials", "20000")
+        assert code == EXIT_CONFIG and not out
+        assert "must be finite" in err
 
     @pytest.mark.parametrize("grid", ["0:1", "0:1:3:log:x"])
     def test_grid_with_wrong_field_count(self, capsys, grid):
@@ -204,8 +241,7 @@ class TestSweepCommand:
         code, by_flag, _ = run(capsys, *base, "--sigma-l2", "1e-3")
         assert code == EXIT_OK
         _, by_level, _ = run(capsys, *base, "--li-levels", "1e-3")
-        strip = lambda text: [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
-        assert strip(by_flag) == strip(by_level)
+        assert values(by_flag) == values(by_level)
         assert {r.sigma_l2 for r in rows_from_csv(by_flag)} == {1e-3}
 
     def test_preset_methods_narrowing(self, capsys):
@@ -243,8 +279,7 @@ class TestSweepCommand:
         code, by_conf, err = run(capsys, "--config", str(conf), *base)
         assert code == EXIT_OK, err
         _, plain, _ = run(capsys, *base)
-        strip = lambda text: [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
-        assert strip(by_conf) == strip(plain)
+        assert values(by_conf) == values(plain)
 
 
 class TestCompareCommand:
@@ -347,9 +382,9 @@ class TestConfigFile:
         assert code == EXIT_OK
         code, by_flag, _ = run(capsys, *base, flag, "0.1")
         assert code == EXIT_OK
-        assert by_flag == by_key
+        assert values(by_flag) == values(by_key)
         _, default, _ = run(capsys, *base)
-        assert by_flag != default
+        assert values(by_flag) != values(default)
 
     def test_reused_parser_keeps_calls_independent(self, capsys, tmp_path):
         # the parser is built once per process; neither a flag nor a config
@@ -366,9 +401,9 @@ class TestConfigFile:
         conf = tmp_path / "fd.conf"
         conf.write_text("pu = 0.3\n")
         code, by_key, _ = run(capsys, "--config", str(conf), *base)
-        assert code == EXIT_OK and by_key == low
+        assert code == EXIT_OK and values(by_key) == values(low)
         code, again, _ = run(capsys, *base)
-        assert code == EXIT_OK and again == out
+        assert code == EXIT_OK and values(again) == values(out)
 
     def test_quad_settings_via_config(self, capsys, tmp_path):
         conf = tmp_path / "fd.conf"
@@ -463,3 +498,53 @@ class TestConfigKeys:
         assert code == EXIT_CONFIG and not out
         assert err.startswith(f"configuration error: {conf}:3: "
                               f"bad value for {key}: ")
+
+
+# Only the general analytic route needs scipy.special; every other command
+# runs without importing it.  Each case runs in a fresh interpreter, since
+# this one has imported it already.
+_SCIPY_PROBE = """
+import json, sys
+from fdcell import cli
+argv = json.loads(sys.argv[1])
+try:
+    code = cli.main(argv) if argv is not None else None
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, "scipy.special" in sys.modules]))
+"""
+
+
+class TestScipyLoadedOnDemand:
+    def probe(self, argv):
+        src = os.path.dirname(os.path.dirname(fdcell.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop(cli.CONFIG_ENV, None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("argv, code", [
+        (None, None),
+        (["--help"], EXIT_OK),
+        (["simulate", "--scenario", "two-node", "--rate", "1",
+          "--trials", "300", "--sigma-l2", "1e-3"], EXIT_OK),
+        (["sweep", "--variable", "rate", "--grid", "0:2:3", "--methods", "mc",
+          "--li-levels", "0,1e-3", "--trials", "300"], EXIT_OK),
+        (["analytic", "--scenario", "three-node"], EXIT_CONFIG),
+    ], ids=["import", "help", "simulate", "mc-sweep", "config-error"])
+    def test_not_loaded(self, argv, code):
+        assert self.probe(argv) == [code, False]
+
+    def test_not_loaded_by_compare(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text(CSV_HEADER + "\n"
+                        "two-node,analytic,rate,1,0,0.70,,1\n"
+                        "two-node,mc,rate,1,0,0.71,0.01,1\n")
+        assert self.probe(["compare", "--in", str(path)]) == [EXIT_OK, False]
+
+    def test_loaded_by_the_analytic_route(self):
+        assert self.probe(["analytic", "--scenario", "three-node",
+                           "--rate", "1"]) == [EXIT_OK, True]

@@ -172,3 +172,54 @@ class TestNoiseLimits:
             clean = clean_fn(NetworkParams(), rate, QUAD).value
             assert noisy_fn(noisy, rate, QUAD).value == \
                 pytest.approx(clean, abs=1e-4)
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda e: 10.0 ** e)
+
+
+# the general route's whole domain: alpha in (2, 8], powers 1e-6..1e4 apart,
+# rates down to 1e-9, densities over ten decades; the closed forms' own
+# point (alpha = 4, equal powers, no noise, mu = 1) is drawn on purpose,
+# since it has measure zero
+edge_exponents = st.one_of(st.just(4.0), st.floats(min_value=2.0, max_value=8.0,
+                                                   exclude_min=True))
+
+
+@st.composite
+def edge_params(draw):
+    oracle = draw(st.booleans())
+    a1 = 4.0 if oracle else draw(edge_exponents)
+    a2 = 4.0 if oracle else draw(edge_exponents)
+    ratio = 1.0 if oracle else draw(log_uniform(-6, 4))
+    sigma_n2 = 0.0 if oracle else draw(st.one_of(st.just(0.0), log_uniform(-6, 2)))
+    mu = 1.0 if oracle else draw(log_uniform(-1, 1))
+    return NetworkParams(lam=draw(log_uniform(-8, 2)), alpha1=a1, alpha2=a2,
+                         p_b=1.0, p_u=ratio, sigma_n2=sigma_n2, mu=mu,
+                         sigma_l2=draw(st.one_of(st.just(0.0), log_uniform(-6, 0))))
+
+
+class TestDomainEdges:
+    """The general route over the edges of its domain: a value in [0, 1],
+    nondecreasing in the rate and in the loop gain, and the closed form's
+    value wherever that applies."""
+
+    @given(params=edge_params(), r_lo=log_uniform(-9, 1), r_step=log_uniform(-3, 1),
+           li_step=log_uniform(-6, 0))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_general_route(self, params, r_lo, r_step, li_step):
+        r_hi = min(10.0, r_lo * (1.0 + r_step))
+        more_li = params.replace(sigma_l2=params.sigma_l2 + li_step)
+        tol = 10 * QUAD.rel_tol_outer
+        for scenario in Scenario:
+            lo = analytic.outage(scenario, params, r_lo, QUAD).value
+            hi = analytic.outage(scenario, params, r_hi, QUAD).value
+            assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
+            assert lo <= hi + tol
+            if closedform.applicable(params):
+                assert closedform.outage(scenario, params, r_lo, QUAD).value == \
+                    pytest.approx(lo, abs=1e-4)
+        lo = analytic.two_node_outage(params, r_lo, QUAD).value
+        hi = analytic.two_node_outage(more_li, r_lo, QUAD).value
+        assert 0.0 <= hi <= 1.0
+        assert lo <= hi + tol
