@@ -12,7 +12,9 @@ subintervals in one call of the integrand on an array, and the integrand may
 return several columns, each integrated to its own tolerance on shared
 subintervals: a nested integral evaluates its inner integrals for a whole
 batch of outer nodes in one call, as :func:`exclusion_average` does for
-both two-node routes, each with its own kernel.
+both two-node routes, each with its own kernel.  Calls are capped at four
+whole subintervals, so the arrays of such a nested integral stay under the
+allocator's threshold for serving them from the heap.
 """
 
 from __future__ import annotations
@@ -113,10 +115,11 @@ _WEIGHTS[1, 11:20:2] = _WG[::-1]
 _FIRST = np.linspace(0.0, 1.0, 9)
 _PIECES = 4
 _PARTS = np.linspace(0.0, 1.0, _PIECES + 1)
-# nodes per call of the integrand: in a nested integral the inner
-# integrand's array of (inner nodes, outer nodes) holds at most 336^2 values
-# whatever max_subdivisions allows
-_CALL_NODES = 16 * 21
+# nodes per call of the integrand, whole subintervals: in a nested integral
+# the inner integrand's arrays of (inner nodes, outer nodes) then hold at
+# most 84^2 doubles (56 kB), under glibc's 128 kB mmap threshold, so the
+# allocator reuses them from round to round instead of faulting in new pages
+_CALL_NODES = 4 * 21
 
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fdcell import analytic, closedform
 from fdcell.model import NetworkParams, Scenario, threshold_from_rate
 from fdcell.quadrature import QuadratureConfig
+from test_analytic import exact_two_node
 
 QUAD = QuadratureConfig()
 
@@ -180,29 +181,33 @@ def log_uniform(lo_exp, hi_exp):
 
 # the general route's whole domain: alpha in (2, 8], powers 1e-6..1e4 apart,
 # rates down to 1e-9, densities over ten decades; the closed forms' own
-# point (alpha = 4, equal powers, no noise, mu = 1) is drawn on purpose,
-# since it has measure zero
-edge_exponents = st.one_of(st.just(4.0), st.floats(min_value=2.0, max_value=8.0,
-                                                   exclude_min=True))
+# point (alpha = 4, equal powers, no noise, mu = 1) and the exact two-node
+# oracle's (alpha1 = alpha2, no noise, no loop gain) are drawn on purpose,
+# since they have measure zero
+edge_alphas = st.floats(min_value=2.0, max_value=8.0, exclude_min=True)
+edge_exponents = st.one_of(st.just(4.0), edge_alphas)
 
 
 @st.composite
 def edge_params(draw):
-    oracle = draw(st.booleans())
-    a1 = 4.0 if oracle else draw(edge_exponents)
-    a2 = 4.0 if oracle else draw(edge_exponents)
-    ratio = 1.0 if oracle else draw(log_uniform(-6, 4))
-    sigma_n2 = 0.0 if oracle else draw(st.one_of(st.just(0.0), log_uniform(-6, 2)))
-    mu = 1.0 if oracle else draw(log_uniform(-1, 1))
+    kind = draw(st.sampled_from(("closed", "exact", "any")))
+    closed, exact = kind == "closed", kind == "exact"
+    a1 = 4.0 if closed else draw(edge_alphas if exact else edge_exponents)
+    a2 = 4.0 if closed else a1 if exact else draw(edge_exponents)
+    ratio = 1.0 if closed else draw(log_uniform(-6, 4))
+    sigma_n2 = 0.0 if closed or exact else \
+        draw(st.one_of(st.just(0.0), log_uniform(-6, 2)))
+    mu = 1.0 if closed else draw(log_uniform(-1, 1))
+    sigma_l2 = 0.0 if exact else draw(st.one_of(st.just(0.0), log_uniform(-6, 0)))
     return NetworkParams(lam=draw(log_uniform(-8, 2)), alpha1=a1, alpha2=a2,
                          p_b=1.0, p_u=ratio, sigma_n2=sigma_n2, mu=mu,
-                         sigma_l2=draw(st.one_of(st.just(0.0), log_uniform(-6, 0))))
+                         sigma_l2=sigma_l2)
 
 
 class TestDomainEdges:
     """The general route over the edges of its domain: a value in [0, 1],
     nondecreasing in the rate and in the loop gain, and the closed form's
-    value wherever that applies."""
+    and the exact two-node oracle's values wherever they apply."""
 
     @given(params=edge_params(), r_lo=log_uniform(-9, 1), r_step=log_uniform(-3, 1),
            li_step=log_uniform(-6, 0))
@@ -220,6 +225,14 @@ class TestDomainEdges:
                 assert closedform.outage(scenario, params, r_lo, QUAD).value == \
                     pytest.approx(lo, abs=1e-4)
         lo = analytic.two_node_outage(params, r_lo, QUAD).value
+        if params.sigma_n2 == params.sigma_l2 == 0.0 and \
+                params.alpha1 == params.alpha2:
+            # a coverage under ten outer tolerances can sit below the first
+            # round's nodes and be missed (TestExactOracle::
+            # test_tiny_coverage_is_missed)
+            exact = exact_two_node(params, r_lo)
+            if exact < 1.0 - 10 * QUAD.rel_tol_outer:
+                assert lo == pytest.approx(exact, abs=1e-9)
         hi = analytic.two_node_outage(more_li, r_lo, QUAD).value
         assert 0.0 <= hi <= 1.0
         assert lo <= hi + tol
