@@ -13,8 +13,9 @@ simulator's u = lam*pi*r^2, with the fixed nearest-point law 2x*exp(-x^2):
 the density and the powers enter only through the gain ratios and the mu
 rule of :meth:`NetworkParams.sinr_scales`.  Only the Gaussian-weighted
 integrals run by adaptive quadrature: over the serving distance x on
-[0, sqrt(ln(1/tail_cut))], and for the two-node uplink over the exclusion
-distance y.  In x the quadrature sees an affine image of the physical radial
+[0, sqrt(ln(1/tail_cut)/(1 + 2J))], J the BS interference exponent of
+:func:`bs_interference_laplace`, and for the two-node uplink over the
+exclusion distance y.  In x the quadrature sees an affine image of the physical radial
 integral; in u, a noise-limited query's coverage sits against the origin of
 a long interval, where it is missed.
 
@@ -108,11 +109,7 @@ def bs_interference_laplace(x, threshold: float, params: NetworkParams):
     with J = T^(2/alpha1) * tail_integral(T^(-1/alpha1), alpha1).
     """
     x = _check_radial_args(x, threshold)
-    j = 0.0
-    if threshold > 0.0:
-        a1 = params.alpha1
-        j = threshold ** (2.0 / a1) * tail_integral(threshold ** (-1.0 / a1), a1)
-    return np.exp(-2.0 * x * x * j)
+    return np.exp(-2.0 * x * x * _bs_exponent(threshold, params))
 
 
 def uplink_laplace_full(x, threshold: float, params: NetworkParams):
@@ -222,7 +219,12 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         return w
 
     quad = quad or QuadratureConfig()
-    x_max = math.sqrt(math.log(1.0 / quad.tail_cut))
+    # every factor but the weight and the BS transform is at most 1, so the
+    # integrand is at most 2x*exp(-x^2*(1 + 2J)), whose mass beyond x_max is
+    # at most tail_cut; a coverage squeezed towards 0 by a large J stays in
+    # view
+    x_max = math.sqrt(math.log(1.0 / quad.tail_cut)
+                      / (1.0 + 2.0 * _bs_exponent(t, params)))
     # at tiny densities the gain ratios are huge and some products overflow:
     # inf in an exponent or a denominator is the right limit
     with np.errstate(over="ignore"):
@@ -233,6 +235,14 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         abserr += quad.rel_tol_inner + 2.0 * quad.tail_cut
     meta.update(abserr=abserr, evaluations=cover.evaluations)
     return OutageEstimate(1.0 - cover.value, Method.ANALYTIC_GENERAL, meta=meta)
+
+
+def _bs_exponent(threshold: float, params: NetworkParams) -> float:
+    """J = T^(2/alpha1) * tail_integral(T^(-1/alpha1), alpha1), 0 at T = 0."""
+    if threshold == 0.0:
+        return 0.0
+    a1 = params.alpha1
+    return threshold ** (2.0 / a1) * tail_integral(threshold ** (-1.0 / a1), a1)
 
 
 def _uplink_scale(x, threshold: float, params: NetworkParams):

@@ -12,12 +12,13 @@ have mean 1) and serves every scenario.  Each block is reduced once to
 per-trial SINR parts at unit density and unit powers, which :func:`sinr_at`
 rescales to any parameters with the same path-loss exponents.
 
-Trials are drawn in blocks of BLOCK.  Block b comes from two Philox streams
-keyed by (seed, b), one for the BSs and one for the users, and trial i is row
-i % BLOCK of block i // BLOCK.  The streams are read CHUNK columns at a time
-whatever the window, so a trial is a pure function of (seed, i): estimates
-are bitwise identical for any worker count, and a trial's points at one
-window are a prefix of its points at any wider window.
+Trials are drawn in blocks of BLOCK.  Block b comes from two SFC64 streams
+seeded by SeedSequence(seed, spawn_key=(b, 0)) for the BSs and (b, 1) for
+the users, and trial i is row i % BLOCK of block i // BLOCK.  A stream is
+read chunk-major, CHUNK columns per row at a time, whatever the window and
+however many chunks one call draws, so a trial is a pure function of
+(seed, i): estimates are bitwise identical for any worker count, and a
+trial's points at one window are a prefix of its points at any wider window.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 BLOCK = 16    # trials per realization
-CHUNK = 128   # points drawn per row at a time; BLOCK x CHUNK doubles are 16 kB
+CHUNK = 128   # points per row in a chunk; one call draws several chunks of 16 kB
 
 
 class SimMode(Enum):
@@ -70,10 +71,10 @@ class SimConfig:
     The simulation window is the disk of radius window_factor / sqrt(lam*pi),
     i.e. u <= window_factor^2 in the mapped variable u = lam*pi*r^2.  The
     interference it drops has mean W^(2-alpha)/(alpha/2-1) per unit power at
-    window_factor W: at alpha = 4, 40 000 trials at window 12 stay within 2
+    window_factor W: at alpha = 4, 40 000 trials at window 12 stay within 1.5
     stderr of the analytic outage, but at alpha = 2.5 even window 30 puts
-    three-node outage 14 stderr low.  Fixed in u, the window leaves the
-    trials the same at every density.
+    three-node outage 13 stderr low (seed 5, R = 0.1).  Fixed in u, the
+    window leaves the trials the same at every density.
     """
 
     trials: int = 100_000
@@ -98,10 +99,10 @@ class NetworkRealization:
 
     Positions are u = lam*pi*r^2, increasing along each row, so column 0 of
     bs_u is the serving BS and column 0 of bs_fadings its fading h.  Each
-    scenario's users are one start's cumulation of the same gaps, so the
-    k-th user of any start has fading user_fadings[:, k].  Rows run past the
-    window, because the streams are drawn in whole chunks; the SINR ignores
-    the points beyond it.
+    scenario's users are the same cumulated gaps shifted by its start, so
+    the k-th user of any start has fading user_fadings[:, k].  Rows run past
+    the window, because the streams are drawn in whole chunks; the SINR
+    ignores the points beyond it.
     """
 
     bs_u: np.ndarray             # (rows, n) BS positions
@@ -120,14 +121,20 @@ def sample_realization(scenarios: tuple[Scenario, ...], sim: SimConfig,
 
     The user stream is drawn unless only half-duplex is asked for.  It begins
     with one v_rho and one unit loop gain per row, so its points do not
-    depend on the scenarios.  Its gaps are cumulated once per start the
-    scenarios need: from 0 for three-node and physical two-node, which share
-    one array, and from v_rho = lam*pi*rho^2 ~ Exp(1) for matched two-node,
-    a PPP restricted outside the exclusion disk.
+    depend on the scenarios.  Its gaps are cumulated once from 0, which
+    gives the users of three-node and physical two-node (one shared array),
+    and matched two-node adds v_rho = lam*pi*rho^2 ~ Exp(1) to them: a PPP
+    restricted outside the exclusion disk.
     """
-    key = (int(block_index) << 64) | int(sim.seed)
     window = sim.window_factor ** 2
-    (bs_u,), bs_fadings = _points(_stream(key, 0), [np.zeros(BLOCK)], window)
+    # both streams' draws and rows in one allocation per block: glibc maps
+    # the first, and freeing it raises its trim threshold to twice the size,
+    # so the heap keeps the block's memory for the next block.  Draws and
+    # copies allocated one by one were trimmed and faulted back in, at
+    # 25 000-98 000 minor faults a second in the benchmark's worker.
+    buf = np.empty((2, 4, BLOCK, math.ceil(window / CHUNK) * CHUNK))
+    (bs_u,), bs_fadings = _points(_stream(sim.seed, block_index, 0), [None],
+                                  window, buf[0])
     li_gain = np.zeros(BLOCK)
     # each scenario's users: None for none, else whether they start at v_rho
     held = {s: None if s is Scenario.HALF_DUPLEX else
@@ -137,10 +144,11 @@ def sample_realization(scenarios: tuple[Scenario, ...], sim: SimConfig,
     users = {None: np.empty((BLOCK, 0))}
     user_fadings = users[None]
     if starts:
-        rng = _stream(key, 1)
+        rng = _stream(sim.seed, block_index, 1)
         v_rho, li_gain = rng.standard_exponential((2, BLOCK))
         user_u, user_fadings = _points(
-            rng, [v_rho if h else np.zeros(BLOCK) for h in starts], window)
+            rng, [v_rho[:, None] if h else None for h in starts], window,
+            buf[1])
         users.update(zip(starts, user_u))
     return NetworkRealization(bs_u, bs_fadings,
                               {s: users[h] for s, h in held.items()},
@@ -217,36 +225,56 @@ def estimate_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
     return OutageEstimate(p, Method.MONTE_CARLO, stderr, meta)
 
 
-def _stream(key: int, which: int) -> np.random.Generator:
-    """Philox stream `which` of a block: the counter's top word tells the BS
-    (0) and user (1) streams apart."""
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, which]))
+def _stream(seed: int, block_index: int, which: int) -> np.random.Generator:
+    """SFC64 stream `which` of a block, 0 for the BSs and 1 for the users,
+    seeded by SeedSequence(seed, spawn_key=(block_index, which)).  The
+    sequence hashes the seed's 32-bit words, padded to four, then the key's,
+    so a seed's high word, the block and the stream all change the state."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        int(seed), spawn_key=(int(block_index), which))))
 
 
-def _points(rng: np.random.Generator, starts: list[np.ndarray],
-            window: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Unit-rate PPP on (start, inf) per row for each start, in increasing
-    order, all from the same gaps, with unit-mean exponential fadings: CHUNK
-    columns at a time until every row is past the window.  Each start keeps
-    the chunks its own draw would, so the other starts do not change it."""
-    u_parts, fading_parts = [[] for _ in starts], []
-    last = dict(enumerate(starts))   # the starts with rows inside the window
-    while last:
-        gaps, fadings = rng.standard_exponential((2, BLOCK, CHUNK))
-        fading_parts.append(fadings)
-        first = gaps[:, 0].copy()
-        for j, prev in list(last.items()):
-            gaps[:, 0] = first + prev
-            u = np.cumsum(gaps, axis=1)
-            u_parts[j].append(u)
-            last[j] = u[:, -1]
-            if last[j].min() > window:
-                del last[j]
-    return ([np.concatenate(p, axis=1) for p in u_parts],
-            np.concatenate(fading_parts, axis=1))
+def _points(rng: np.random.Generator, starts: list[np.ndarray | None],
+            window: float, buf: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Unit-rate PPP on (start, inf) per row for each start, a (BLOCK, 1)
+    column or None for 0, in increasing order, with unit-mean exponential
+    fadings.  The gaps are cumulated once from 0 and shifted by each start.
+
+    buf, (4, BLOCK, k*CHUNK), takes the draw of k = ceil(window/CHUNK)
+    chunks in one call (k*CHUNK is at least the mean number of points per
+    row inside the window), then the fadings and the cumulated gaps in
+    rows.  One more chunk is drawn while some start has a row still inside
+    the window.  Each start keeps the chunks up to the first whose last
+    point is past the window in every row, as drawing chunk by chunk would,
+    so it does not depend on the other starts or on the chunks a call
+    drew."""
+
+    def shift(u: np.ndarray, start: np.ndarray | None) -> np.ndarray:
+        return u if start is None else u + start
+
+    k = buf.shape[2] // CHUNK
+    drawn = rng.standard_exponential(out=buf[:2].reshape(k, 2, BLOCK, CHUNK))
+    fadings, u = buf[2], buf[3]
+    fadings.reshape(BLOCK, k, CHUNK)[...] = drawn[:, 1].transpose(1, 0, 2)
+    u.reshape(BLOCK, k, CHUNK)[...] = drawn[:, 0].transpose(1, 0, 2)
+    np.cumsum(u, axis=1, out=u)
+    while any((shift(u[:, -1:], s) <= window).any() for s in starts):
+        gaps, more = rng.standard_exponential((2, BLOCK, CHUNK))
+        gaps[:, 0] += u[:, -1]
+        u = np.concatenate((u, np.cumsum(gaps, axis=1)), axis=1)
+        fadings = np.concatenate((fadings, more), axis=1)
+    ends = u[:, CHUNK - 1::CHUNK]   # the last point of each chunk
+    kept = []
+    for s in starts:
+        chunks = 1 + np.argmax((shift(ends, s) > window).all(axis=0))
+        kept.append(shift(u[:, :CHUNK * chunks], s))
+    return kept, fadings[:, :max(p.shape[1] for p in kept)]
 
 
 def _window_sum(u: np.ndarray, fadings: np.ndarray, window: float,
                 half_alpha: float) -> np.ndarray:
-    """Per-row sum of fading * u^(-half_alpha) over the points with u <= window."""
-    return np.where(u <= window, fadings * u ** -half_alpha, 0.0).sum(axis=1)
+    """Per-row sum of fading * u^(-half_alpha) over the points with u <= window;
+    the power is taken only there."""
+    terms = np.power(u, -half_alpha, out=np.zeros(u.shape), where=u <= window)
+    terms *= fadings
+    return terms.sum(axis=1)

@@ -384,16 +384,15 @@ class TestExactOracle:
                     closed += 1
         assert closed == 6
 
-    @pytest.mark.xfail(strict=True, reason="the outer integral misses a "
-                       "coverage that sits below its first round's nodes")
     @pytest.mark.parametrize("scenario", [Scenario.TWO_NODE_FD,
                                           Scenario.HALF_DUPLEX],
                              ids=lambda s: s.value)
     def test_tiny_coverage_is_missed(self, scenario):
         # near alpha = 2 and at high rates the coverage, some 3e-7, lies at
-        # x ~ 1/sqrt(1 + 2J) ~ 1e-3, below the first eighth's smallest
-        # nodes; the route misses most of it and states an abserr 10 to 100
-        # times smaller than its error
+        # x ~ 1/sqrt(1 + 2J) ~ 1e-3, below the first eighth's smallest nodes
+        # of [0, sqrt(ln(1/tail_cut))]; an outer interval that ignored J
+        # missed most of it and stated an abserr 10 to 100 times smaller
+        # than its error
         alpha = 2.001 if scenario is Scenario.TWO_NODE_FD else 2.2
         p = NetworkParams(alpha1=alpha, alpha2=alpha)
         exact = exact_two_node(p, 10.0) if scenario is Scenario.TWO_NODE_FD \

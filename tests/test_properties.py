@@ -227,12 +227,7 @@ class TestDomainEdges:
         lo = analytic.two_node_outage(params, r_lo, QUAD).value
         if params.sigma_n2 == params.sigma_l2 == 0.0 and \
                 params.alpha1 == params.alpha2:
-            # a coverage under ten outer tolerances can sit below the first
-            # round's nodes and be missed (TestExactOracle::
-            # test_tiny_coverage_is_missed)
-            exact = exact_two_node(params, r_lo)
-            if exact < 1.0 - 10 * QUAD.rel_tol_outer:
-                assert lo == pytest.approx(exact, abs=1e-9)
+            assert lo == pytest.approx(exact_two_node(params, r_lo), abs=1e-9)
         hi = analytic.two_node_outage(more_li, r_lo, QUAD).value
         assert 0.0 <= hi <= 1.0
         assert lo <= hi + tol

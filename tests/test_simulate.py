@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,25 +64,27 @@ def trial(scenario, sim, i):
 
 
 def legacy_parts(params, scenario, sim, block_index):
-    """A block's SINR parts as one scenario's own draw made them before the
-    draw was shared: the bitwise oracle of the shared path."""
+    """A block's SINR parts as one scenario's own draw makes them, one chunk
+    of 128 columns per call from its own SFC64 streams: the bitwise oracle
+    of the shared draw of several chunks per call."""
 
     def points(rng, start):
-        u_parts, fading_parts, last = [], [], start
+        u_parts, fading_parts, last = [], [], np.zeros(BLOCK)
         while True:
-            gaps, fadings = rng.standard_exponential((2, len(start), 128))
+            gaps, fadings = rng.standard_exponential((2, BLOCK, 128))
             gaps[:, 0] += last
             u = np.cumsum(gaps, axis=1)
             u_parts.append(u)
             fading_parts.append(fadings)
             last = u[:, -1]
-            if last.min() > window:
-                return (np.concatenate(u_parts, axis=1),
+            if (last + start).min() > window:
+                # cumulated from 0, then shifted by the start
+                return (np.concatenate(u_parts, axis=1) + start[:, None],
                         np.concatenate(fading_parts, axis=1))
 
     def stream(which):
-        return np.random.Generator(np.random.Philox(
-            key=(block_index << 64) | sim.seed, counter=[0, 0, 0, which]))
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            sim.seed, spawn_key=(block_index, which))))
 
     def window_sum(u, fadings, half_alpha):
         return np.where(u <= window, fadings * u ** -half_alpha, 0.0).sum(axis=1)
@@ -214,13 +217,20 @@ class TestSampleRealization:
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_one_draw_serves_every_scenario(self, mode):
         # each start keeps the chunks its own draw keeps: sampled alone or
-        # together, a scenario sees the same arrays.  In block 2 of seed 77
-        # at window 10.3, the matched users pass the window one chunk before
-        # the plain ones.
+        # together, a scenario sees the same arrays, also in a block where
+        # the matched users pass the window one chunk before the plain ones
         sim = SimConfig(trials=100, seed=77, window_factor=10.3, mode=mode)
-        together = sample_realization(tuple(Scenario), sim, 2)
+        matched = replace(sim, mode=SimMode.MATCHED)
+
+        def matched_first(b):
+            users = sample_realization(tuple(Scenario), matched, b).user_u
+            return (users[Scenario.TWO_NODE_FD].shape[1]
+                    < users[Scenario.THREE_NODE_FD].shape[1])
+
+        block = next(b for b in range(1000) if matched_first(b))
+        together = sample_realization(tuple(Scenario), sim, block)
         for scenario in Scenario:
-            alone = sample_realization((scenario,), sim, 2)
+            alone = sample_realization((scenario,), sim, block)
             assert np.array_equal(alone.bs_u, together.bs_u)
             assert np.array_equal(alone.user_u[scenario],
                                   together.user_u[scenario])
@@ -409,9 +419,10 @@ class TestSharedDraw:
     @pytest.mark.parametrize("window_factor", [8.0, 10.3, 30.0])
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_matches_per_scenario_oracle(self, mode, window_factor, workers):
-        # 100 trials is not a multiple of BLOCK: the last block is cut; at
-        # window 10.3 one block's starts keep different chunk counts
-        sim = SimConfig(trials=100, seed=77, window_factor=window_factor,
+        # 404 trials is not a multiple of BLOCK: the last block is cut; at
+        # window 10.3 the matched users of block 24 keep one chunk fewer than
+        # the plain ones
+        sim = SimConfig(trials=404, seed=77, window_factor=window_factor,
                         mode=mode)
         params = NetworkParams(alpha1=3.5, alpha2=4.5)
         parts = simulate_sinr(params, tuple(Scenario), sim, workers=workers)
@@ -427,9 +438,9 @@ class TestSharedDraw:
         streams = []
         stream = simulate._stream
 
-        def counting(key, which):
+        def counting(seed, block_index, which):
             streams.append(which)
-            return stream(key, which)
+            return stream(seed, block_index, which)
 
         monkeypatch.setattr(simulate, "_stream", counting)
         simulate_sinr(DEFAULTS, (Scenario.HALF_DUPLEX,), SimConfig(trials=40))
@@ -437,6 +448,38 @@ class TestSharedDraw:
         streams.clear()
         simulate_sinr(DEFAULTS, tuple(Scenario), SimConfig(trials=40))
         assert streams == [0, 1] * 3
+
+
+class TestStreamKeys:
+    """Every (seed, block, stream) has its own stream."""
+
+    @staticmethod
+    def first_block(seed, block=0):
+        sim = SimConfig(trials=BLOCK, seed=seed)
+        real = sample_realization(tuple(Scenario), sim, block)
+        return real.bs_u[:, :8], real.user_u[Scenario.THREE_NODE_FD][:, :8]
+
+    def differ(self, a, b):
+        return all(not np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_seeds_apart_only_above_bit_32(self):
+        for high in (1 << 32, 1 << 40, 1 << 63):
+            assert self.differ(self.first_block(5), self.first_block(5 + high))
+
+    def test_swapped_seed_and_block(self):
+        assert self.differ(self.first_block(3, 8), self.first_block(8, 3))
+
+    def test_bs_and_user_streams(self):
+        bs, users = (simulate._stream(9, 4, which).standard_exponential(64)
+                     for which in (0, 1))
+        assert not np.array_equal(bs, users)
+
+    def test_largest_seed(self):
+        top = SimConfig(trials=40, seed=2 ** 64 - 1)
+        parts = simulate_sinr(DEFAULTS, tuple(Scenario), top)
+        assert all(np.isfinite(p).all() for p in parts.values())
+        for other in (2 ** 64 - 2, 2 ** 32 - 1):
+            assert self.differ(self.first_block(top.seed), self.first_block(other))
 
 
 class TestPhysicalVersusMatched:
