@@ -8,9 +8,11 @@ standard-exponential gaps.  The serving BS is the first point; interference
 counts the points with u <= window_factor^2.
 
 A realization depends on no NetworkParams field (fadings and the loop gain
-have mean 1) and serves every scenario.  Each block is reduced once to
-per-trial SINR parts at unit density and unit powers, which :func:`sinr_at`
-rescales to any parameters with the same path-loss exponents.
+have mean 1) and serves every scenario: it holds one user process cumulated
+from 0 and the exclusion v_rho, and matched two-node users are those points
+shifted by v_rho.  Each block is reduced once to per-trial SINR parts at unit
+density and unit powers, which :func:`sinr_at` rescales to any parameters
+with the same path-loss exponents.
 
 Trials are drawn in blocks of BLOCK.  Block b comes from two SFC64 streams
 seeded by SeedSequence(seed, spawn_key=(b, 0)) for the BSs and (b, 1) for
@@ -98,19 +100,22 @@ class NetworkRealization:
     """A block of network snapshots in radial form, one trial per row.
 
     Positions are u = lam*pi*r^2, increasing along each row, so column 0 of
-    bs_u is the serving BS and column 0 of bs_fadings its fading h.  Each
-    scenario's users are the same cumulated gaps shifted by its start, so
-    the k-th user of any start has fading user_fadings[:, k].  Rows run past
-    the window, because the streams are drawn in whole chunks; the SINR
-    ignores the points beyond it.
+    bs_u is the serving BS and column 0 of bs_fadings its fading h.  The
+    users of three-node and physical two-node are user_u; matched two-node
+    users are user_u + v_rho[:, None], a PPP outside the exclusion disk, with
+    the same fadings.  Half-duplex sees no users.  Rows run past the window,
+    because the streams are drawn in whole chunks; the SINR ignores the
+    points beyond it.
     """
 
     bs_u: np.ndarray             # (rows, n) BS positions
     bs_fadings: np.ndarray       # (rows, n) unit-mean fading of each BS link
-    user_u: dict[Scenario, np.ndarray]  # (rows, m) users of each scenario; m = 0 for half-duplex
-    user_fadings: np.ndarray     # (rows, largest m) unit-mean fading of each user link
+    user_u: np.ndarray           # (rows, m) users cumulated from 0; m = 0 if only half-duplex
+    user_fadings: np.ndarray     # (rows, m) unit-mean fading of each user link
+    v_rho: np.ndarray | None     # (rows,) matched exclusion lam*pi*rho^2; None in physical mode
     li_gain: np.ndarray          # (rows,) unit-mean residual loop gain, read by two-node only
     window: float                # interference counts the points with u <= window
+    scenarios: tuple[Scenario, ...]  # the scenarios the block serves
     resampled: int = 0           # zero-BS redraws: 0 by construction, a first BS always exists
 
 
@@ -120,11 +125,9 @@ def sample_realization(scenarios: tuple[Scenario, ...], sim: SimConfig,
     all of `scenarios`.
 
     The user stream is drawn unless only half-duplex is asked for.  It begins
-    with one v_rho and one unit loop gain per row, so its points do not
-    depend on the scenarios.  Its gaps are cumulated once from 0, which
-    gives the users of three-node and physical two-node (one shared array),
-    and matched two-node adds v_rho = lam*pi*rho^2 ~ Exp(1) to them: a PPP
-    restricted outside the exclusion disk.
+    with one v_rho = lam*pi*rho^2 ~ Exp(1) and one unit loop gain per row,
+    then the users cumulated from 0, so its points do not depend on the
+    scenarios.  v_rho is kept in matched mode only.
     """
     window = sim.window_factor ** 2
     # both streams' draws and rows in one allocation per block: glibc maps
@@ -133,47 +136,44 @@ def sample_realization(scenarios: tuple[Scenario, ...], sim: SimConfig,
     # copies allocated one by one were trimmed and faulted back in, at
     # 25 000-98 000 minor faults a second in the benchmark's worker.
     buf = np.empty((2, 4, BLOCK, math.ceil(window / CHUNK) * CHUNK))
-    (bs_u,), bs_fadings = _points(_stream(sim.seed, block_index, 0), [None],
-                                  window, buf[0])
-    li_gain = np.zeros(BLOCK)
-    # each scenario's users: None for none, else whether they start at v_rho
-    held = {s: None if s is Scenario.HALF_DUPLEX else
-            s is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED
-            for s in scenarios}
-    starts = sorted({h for h in held.values() if h is not None})
-    users = {None: np.empty((BLOCK, 0))}
-    user_fadings = users[None]
-    if starts:
+    bs_u, bs_fadings = _points(_stream(sim.seed, block_index, 0), window, buf[0])
+    user_u = user_fadings = np.empty((BLOCK, 0))
+    v_rho, li_gain = None, np.zeros(BLOCK)
+    if set(scenarios) - {Scenario.HALF_DUPLEX}:
         rng = _stream(sim.seed, block_index, 1)
         v_rho, li_gain = rng.standard_exponential((2, BLOCK))
-        user_u, user_fadings = _points(
-            rng, [v_rho[:, None] if h else None for h in starts], window,
-            buf[1])
-        users.update(zip(starts, user_u))
-    return NetworkRealization(bs_u, bs_fadings,
-                              {s: users[h] for s, h in held.items()},
-                              user_fadings, li_gain, window)
+        user_u, user_fadings = _points(rng, window, buf[1])
+        if sim.mode is SimMode.PHYSICAL:
+            v_rho = None
+    return NetworkRealization(bs_u, bs_fadings, user_u, user_fadings, v_rho,
+                              li_gain, window, tuple(scenarios))
 
 
 def sinr_of_realization(real: NetworkRealization,
                         params: NetworkParams) -> dict[Scenario, np.ndarray]:
     """Per-trial SINR parts of a block at unit density and powers for each of
     its scenarios, shape (4, rows): h0*u0^(-alpha1/2), sum(h*u^(-alpha1/2)),
-    sum(k*u^(-alpha2/2)) once per user start, and the loop gain, 0 off
+    sum(k*u^(-alpha2/2)) over the scenario's users, and the loop gain, 0 off
     two-node.  Only params.alpha1 and params.alpha2 are read."""
-    a1 = params.alpha1 / 2.0
+    a1, a2 = params.alpha1 / 2.0, params.alpha2 / 2.0
     signal = real.bs_fadings[:, 0] * real.bs_u[:, 0] ** -a1
     i_bs = _window_sum(real.bs_u[:, 1:], real.bs_fadings[:, 1:], real.window, a1)
     no_loop = np.zeros(len(signal))
-    i_up = {}   # by the id of a start's array
+    plain = None
     parts = {}
-    for scenario, user_u in real.user_u.items():
-        if id(user_u) not in i_up:
-            i_up[id(user_u)] = _window_sum(
-                user_u, real.user_fadings[:, :user_u.shape[1]], real.window,
-                params.alpha2 / 2.0)
-        loop = real.li_gain if scenario is Scenario.TWO_NODE_FD else no_loop
-        parts[scenario] = np.stack((signal, i_bs, i_up[id(user_u)], loop))
+    for scenario in real.scenarios:
+        two_node = scenario is Scenario.TWO_NODE_FD
+        if scenario is Scenario.HALF_DUPLEX:
+            i_up = no_loop
+        elif two_node and real.v_rho is not None:
+            i_up = _window_sum(real.user_u + real.v_rho[:, None],
+                               real.user_fadings, real.window, a2)
+        else:
+            if plain is None:
+                plain = _window_sum(real.user_u, real.user_fadings, real.window, a2)
+            i_up = plain
+        parts[scenario] = np.stack(
+            (signal, i_bs, i_up, real.li_gain if two_node else no_loop))
     return parts
 
 
@@ -234,41 +234,29 @@ def _stream(seed: int, block_index: int, which: int) -> np.random.Generator:
         int(seed), spawn_key=(int(block_index), which))))
 
 
-def _points(rng: np.random.Generator, starts: list[np.ndarray | None],
-            window: float, buf: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Unit-rate PPP on (start, inf) per row for each start, a (BLOCK, 1)
-    column or None for 0, in increasing order, with unit-mean exponential
-    fadings.  The gaps are cumulated once from 0 and shifted by each start.
+def _points(rng: np.random.Generator, window: float,
+            buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-rate PPP on (0, inf) per row in increasing order, and the
+    unit-mean exponential fadings of its points, both of the drawn width.
 
     buf, (4, BLOCK, k*CHUNK), takes the draw of k = ceil(window/CHUNK)
     chunks in one call (k*CHUNK is at least the mean number of points per
     row inside the window), then the fadings and the cumulated gaps in
-    rows.  One more chunk is drawn while some start has a row still inside
-    the window.  Each start keeps the chunks up to the first whose last
-    point is past the window in every row, as drawing chunk by chunk would,
-    so it does not depend on the other starts or on the chunks a call
-    drew."""
-
-    def shift(u: np.ndarray, start: np.ndarray | None) -> np.ndarray:
-        return u if start is None else u + start
-
+    rows.  One more chunk is drawn while some row is still inside the
+    window, so every row ends past it: the width is that of a chunk-by-chunk
+    draw of at least k chunks."""
     k = buf.shape[2] // CHUNK
     drawn = rng.standard_exponential(out=buf[:2].reshape(k, 2, BLOCK, CHUNK))
     fadings, u = buf[2], buf[3]
     fadings.reshape(BLOCK, k, CHUNK)[...] = drawn[:, 1].transpose(1, 0, 2)
     u.reshape(BLOCK, k, CHUNK)[...] = drawn[:, 0].transpose(1, 0, 2)
     np.cumsum(u, axis=1, out=u)
-    while any((shift(u[:, -1:], s) <= window).any() for s in starts):
+    while (u[:, -1] <= window).any():
         gaps, more = rng.standard_exponential((2, BLOCK, CHUNK))
         gaps[:, 0] += u[:, -1]
         u = np.concatenate((u, np.cumsum(gaps, axis=1)), axis=1)
         fadings = np.concatenate((fadings, more), axis=1)
-    ends = u[:, CHUNK - 1::CHUNK]   # the last point of each chunk
-    kept = []
-    for s in starts:
-        chunks = 1 + np.argmax((shift(ends, s) > window).all(axis=0))
-        kept.append(shift(u[:, :CHUNK * chunks], s))
-    return kept, fadings[:, :max(p.shape[1] for p in kept)]
+    return u, fadings
 
 
 def _window_sum(u: np.ndarray, fadings: np.ndarray, window: float,

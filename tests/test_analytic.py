@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import platform
@@ -83,6 +84,22 @@ def tail_integral_by_quad(c, alpha):
         f = lambda u: u / (1.0 + u ** alpha)
         return q(f, c, 1.0) + q(f, 1.0, math.inf)
     return c * c * q(lambda t: t / (1.0 + (c * t) ** alpha), 1.0, math.inf)
+
+
+@functools.cache
+def tail_integral_by_mpmath(c, alpha):
+    """integral_c^inf u/(1+u^alpha) du in mpmath at the caller's precision,
+    as c^(2-alpha)/(alpha-2) - integral_c^inf u^(1-alpha)/(1+u^alpha) du,
+    whose remainder stays small as alpha -> 2; at c = 0, split at 1."""
+    import mpmath
+
+    c, alpha = mpmath.mpf(c), mpmath.mpf(alpha)
+    if c == 0:
+        return (mpmath.quad(lambda u: u / (1 + u ** alpha), [0, 1])
+                + tail_integral_by_mpmath(1.0, float(alpha)))
+    rest = mpmath.quad(lambda u: u ** (1 - alpha) / (1 + u ** alpha),
+                       [c, 1, mpmath.inf] if c < 1 else [c, mpmath.inf])
+    return c ** (2 - alpha) / (alpha - 2) - rest
 
 
 class TestTailIntegral:
@@ -295,19 +312,19 @@ class TestNoiseBehavior:
             analytic.outage(scenario, p.replace(mu=1.0), 0.5, QUAD).value
 
 
-def exact_interference_limited(scenario, params, rate):
+def exact_interference_limited(scenario, params, rate, tail=tail_integral_by_quad):
     """Exact three-node or half-duplex outage at zero noise and
     alpha1 = alpha2 = alpha, for any power ratio and density:
     1 - 1/(1 + 2J + 2*(p_u*T/p_b)^(2/alpha)*E(0, alpha)) with
     J = T^(2/alpha)*E(T^(-1/alpha), alpha); half-duplex drops the last term.
-    E is the interference tail integral, here by tight adaptive quadrature."""
+    E is the interference tail integral, by default by tight adaptive
+    quadrature."""
     a = params.alpha1
     t = threshold_from_rate(rate, scenario)
-    denominator = 1.0 + 2.0 * t ** (2.0 / a) * tail_integral_by_quad(
-        t ** (-1.0 / a), a)
+    denominator = 1.0 + 2.0 * t ** (2.0 / a) * tail(t ** (-1.0 / a), a)
     if scenario is Scenario.THREE_NODE_FD:
         denominator += 2.0 * (params.p_u * t / params.p_b) ** (2.0 / a) * \
-            tail_integral_by_quad(0.0, a)
+            tail(0.0, a)
     return 1.0 - 1.0 / denominator
 
 
@@ -368,6 +385,28 @@ class TestExactOracle:
             assert error < 1e-9
             assert error <= est.meta["abserr"] < 1e-7
             assert est.meta["evaluations"] >= 21
+
+    @pytest.mark.parametrize("scenario", [Scenario.THREE_NODE_FD,
+                                          Scenario.HALF_DUPLEX],
+                             ids=lambda s: s.value)
+    def test_general_route_matches_near_alpha_2(self, scenario):
+        # the quadrature oracle fails below alpha ~ 2.2, where E(c, alpha)
+        # grows as c^(2-alpha)/(alpha-2); the mpmath one does not
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for c in (0.0, 0.5, 2.0):
+                assert float(tail_integral_by_mpmath(c, 2.5)) == pytest.approx(
+                    tail_integral_by_quad(c, 2.5), rel=1e-12)
+        for alpha in (2.0 + 1e-5, 2.001, 2.05):
+            for ratio in (1e-6, 1e-2, 1.0, 1e2, 1e4):
+                p = NetworkParams(alpha1=alpha, alpha2=alpha, p_u=ratio)
+                for rate in (1e-9, 0.1, 1.0, 3.0, 10.0):
+                    with mpmath.workdps(30):
+                        exact = float(exact_interference_limited(
+                            scenario, p, rate, tail_integral_by_mpmath))
+                    est = analytic.outage(scenario, p, rate, QUAD)
+                    assert abs(est.value - exact) <= est.meta["abserr"] + 1e-15, \
+                        (alpha, ratio, rate)
 
     def test_two_node_matches_beyond_quartic(self):
         # at alpha = 4 and p_u = p_b the closed form meets the oracle too, by

@@ -3,13 +3,15 @@
 benchmarks/tracing.py wraps fdcell functions by qualified name and skips a
 name that no longer resolves, so a renamed layer would only read zero in the
 benchmark.  This checks each name against the package directly, that the
-tracer's wrapper can read what a traced sampling call returns, and that a
-small analytic sweep calls every analytic and closed-form function that the
-benchmark's self-test requires of its rate-sweep-analytic workload.
+tracer's wrapper can read what a traced sampling call returns, and that
+small analytic and Monte Carlo sweeps call every function that the
+benchmark's self-test requires of the rate-sweep-analytic and rate-sweep-mc
+workloads.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +79,37 @@ def test_rate_sweep_calls_each_required_transform(monkeypatch):
                    methods=("analytic", "closed-form"))
     sweep.run_sweep(spec)
     assert [n for n in names if not tracer.calls[n]] == [] and not tracer.errors
+
+
+def test_mc_rate_sweep_calls_each_required_simulate_layer(monkeypatch):
+    # every binding an fdcell module holds is wrapped, as tracing.install
+    # does, so that a call through an imported name counts too
+    from dataclasses import replace
+
+    from fdcell import simulate, sweep
+
+    tracing = load_tracing()
+    pattern = load_benchmark_module("run").CALL_PATTERN["rate-sweep-mc"]
+    required = [metric.removesuffix(".calls") for metric in pattern["nonzero"]
+                if metric.startswith("simulate.")]
+    banned = [metric.removesuffix(".calls") for metric in pattern["zero"]
+              if metric.split(".")[0] in ("quadrature", "analytic", "closedform")]
+    assert required and "quadrature.integrate" in banned
+    tracer = tracing.Tracer()
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and n.startswith("fdcell.")]
+    for name, hot in tracing.TRACED:
+        if name not in required + banned:
+            continue
+        module_name, attr = name.split(".")
+        original = getattr(importlib.import_module("fdcell." + module_name), attr)
+        wrapper = tracer.wrap(name, original, hot)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    spec = replace(sweep.build_preset("fig3")[0], grid=(1.0,), methods=("mc",),
+                   sim=simulate.SimConfig(trials=2 * simulate.BLOCK, seed=1))
+    sweep.run_sweep(spec)
+    assert [n for n in required if not tracer.calls[n]] == [] and not tracer.errors
+    assert [n for n in banned if tracer.calls[n]] == []

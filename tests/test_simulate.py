@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,21 +26,21 @@ def make_realization(bs, users=(), h=1.0, g=None, k=None, li=0.0,
                      lam=DEFAULTS.lam, window=math.inf):
     """One-trial realization from distances for all three scenarios: bs[0]
     is the serving BS with fading h, g the fadings of the other BSs, k those
-    of the users that two-node and three-node both see, li the unit-mean
-    loop gain."""
+    of the users that two-node and three-node both see (no v_rho, as in
+    physical mode), li the unit-mean loop gain."""
     bs = np.asarray(bs, dtype=float)
     users = np.asarray(users, dtype=float)
     g = np.ones(len(bs) - 1) if g is None else np.asarray(g, dtype=float)
     k = np.ones(len(users)) if k is None else np.asarray(k, dtype=float)
-    user_u = (lam * math.pi * users * users)[None, :]
     return NetworkRealization(
         bs_u=(lam * math.pi * bs * bs)[None, :],
         bs_fadings=np.concatenate(([h], g))[None, :],
-        user_u={Scenario.TWO_NODE_FD: user_u, Scenario.THREE_NODE_FD: user_u,
-                Scenario.HALF_DUPLEX: np.empty((1, 0))},
+        user_u=(lam * math.pi * users * users)[None, :],
         user_fadings=k[None, :],
+        v_rho=None,
         li_gain=np.array([li]),
         window=window,
+        scenarios=tuple(Scenario),
     )
 
 
@@ -55,32 +54,34 @@ def trial(scenario, sim, i):
     (bs_u, bs_fadings, user_u, user_fadings, li_gain)."""
     real = sample_realization((scenario,), sim, i // BLOCK)
     row = i % BLOCK
-    user_u = real.user_u[scenario][row]
+    user_u = real.user_u[row]
+    if scenario is Scenario.TWO_NODE_FD and real.v_rho is not None:
+        user_u = user_u + real.v_rho[row]
     bs_in = real.bs_u[row] <= real.window
     user_in = user_u <= real.window
     return (real.bs_u[row][bs_in], real.bs_fadings[row][bs_in],
-            user_u[user_in], real.user_fadings[row][:len(user_u)][user_in],
+            user_u[user_in], real.user_fadings[row][user_in],
             real.li_gain[row])
 
 
 def legacy_parts(params, scenario, sim, block_index):
     """A block's SINR parts as one scenario's own draw makes them, one chunk
     of 128 columns per call from its own SFC64 streams: the bitwise oracle
-    of the shared draw of several chunks per call."""
+    of the shared draw of several chunks per call.  Each stream draws at
+    least ceil(W^2/128) chunks, and then more until every row cumulated from
+    0 is past the window; matched users are those points + v_rho, at the
+    same width."""
 
-    def points(rng, start):
+    def points(rng):
         u_parts, fading_parts, last = [], [], np.zeros(BLOCK)
-        while True:
+        while len(u_parts) < math.ceil(window / 128) or last.min() <= window:
             gaps, fadings = rng.standard_exponential((2, BLOCK, 128))
             gaps[:, 0] += last
             u = np.cumsum(gaps, axis=1)
             u_parts.append(u)
             fading_parts.append(fadings)
             last = u[:, -1]
-            if (last + start).min() > window:
-                # cumulated from 0, then shifted by the start
-                return (np.concatenate(u_parts, axis=1) + start[:, None],
-                        np.concatenate(fading_parts, axis=1))
+        return np.concatenate(u_parts, axis=1), np.concatenate(fading_parts, axis=1)
 
     def stream(which):
         return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
@@ -90,15 +91,16 @@ def legacy_parts(params, scenario, sim, block_index):
         return np.where(u <= window, fadings * u ** -half_alpha, 0.0).sum(axis=1)
 
     window = sim.window_factor ** 2
-    bs_u, bs_fadings = points(stream(0), np.zeros(BLOCK))
+    bs_u, bs_fadings = points(stream(0))
     li_gain = np.zeros(BLOCK)
     if scenario is Scenario.HALF_DUPLEX:
         user_u = user_fadings = np.empty((BLOCK, 0))
     else:
         rng = stream(1)
         v_rho, loop = rng.standard_exponential((2, BLOCK))
-        matched = scenario is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED
-        user_u, user_fadings = points(rng, v_rho if matched else np.zeros(BLOCK))
+        user_u, user_fadings = points(rng)
+        if scenario is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED:
+            user_u = user_u + v_rho[:, None]
         if scenario is Scenario.TWO_NODE_FD:
             li_gain = loop
     a1 = params.alpha1 / 2.0
@@ -142,19 +144,20 @@ class TestSampleRealization:
 
     def test_half_duplex_has_no_users(self):
         real = sample_realization((Scenario.HALF_DUPLEX,), self.SIM, 0)
-        assert real.user_u[Scenario.HALF_DUPLEX].shape == (BLOCK, 0)
+        assert real.user_u.shape == (BLOCK, 0)
         assert real.user_fadings.shape == (BLOCK, 0)
+        assert real.v_rho is None
         assert np.all(real.li_gain == 0.0)
         # drawn with the others, half-duplex still sees no users
         real = sample_realization(tuple(Scenario), self.SIM, 0)
-        assert real.user_u[Scenario.HALF_DUPLEX].shape == (BLOCK, 0)
+        assert real.user_u.shape[1] > 0
         parts = sinr_of_realization(real, DEFAULTS)[Scenario.HALF_DUPLEX]
         assert np.all(parts[2:] == 0.0)
 
     def test_serving_distance_is_minimum(self):
         # rows increase, so the first point of a row is its nearest BS
         real = sample_realization((Scenario.THREE_NODE_FD,), self.SIM, 0)
-        user_u = real.user_u[Scenario.THREE_NODE_FD]
+        user_u = real.user_u
         assert np.all(np.diff(real.bs_u, axis=1) > 0)
         assert np.all(np.diff(user_u, axis=1) > 0)
         assert np.array_equal(real.bs_u[:, 0], real.bs_u.min(axis=1))
@@ -206,42 +209,40 @@ class TestSampleRealization:
                 trials=10, seed=5, window_factor=24.0), 3)
             for field in ("bs_u", "bs_fadings", "user_u", "user_fadings"):
                 a, b = getattr(narrow, field), getattr(wide, field)
-                if field == "user_u":
-                    a, b = a[scenario], b[scenario]
                 assert a.shape[1] < b.shape[1]
                 assert np.array_equal(a, b[:, :a.shape[1]])
             assert np.array_equal(narrow.li_gain, wide.li_gain)
+            assert np.array_equal(narrow.v_rho, wide.v_rho)
             assert np.all(narrow.bs_u[:, -1] > narrow.window)
-            assert np.all(narrow.user_u[scenario][:, -1] > narrow.window)
+            assert np.all(narrow.user_u[:, -1] > narrow.window)
 
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_one_draw_serves_every_scenario(self, mode):
-        # each start keeps the chunks its own draw keeps: sampled alone or
-        # together, a scenario sees the same arrays, also in a block where
-        # the matched users pass the window one chunk before the plain ones
+        # sampled alone or together, a scenario sees the same arrays, v_rho
+        # and loop gain, and so the same parts
         sim = SimConfig(trials=100, seed=77, window_factor=10.3, mode=mode)
-        matched = replace(sim, mode=SimMode.MATCHED)
-
-        def matched_first(b):
-            users = sample_realization(tuple(Scenario), matched, b).user_u
-            return (users[Scenario.TWO_NODE_FD].shape[1]
-                    < users[Scenario.THREE_NODE_FD].shape[1])
-
-        block = next(b for b in range(1000) if matched_first(b))
-        together = sample_realization(tuple(Scenario), sim, block)
+        together = sample_realization(tuple(Scenario), sim, 3)
+        assert together.scenarios == tuple(Scenario)
+        assert (together.v_rho is None) == (mode is SimMode.PHYSICAL)
+        parts = sinr_of_realization(together, DEFAULTS)
         for scenario in Scenario:
-            alone = sample_realization((scenario,), sim, block)
+            alone = sample_realization((scenario,), sim, 3)
+            assert alone.scenarios == (scenario,)
             assert np.array_equal(alone.bs_u, together.bs_u)
-            assert np.array_equal(alone.user_u[scenario],
-                                  together.user_u[scenario])
-            m = alone.user_u[scenario].shape[1]
-            assert np.array_equal(alone.user_fadings[:, :m],
-                                  together.user_fadings[:, :m])
-        plain = together.user_u[Scenario.THREE_NODE_FD]
-        two_node = together.user_u[Scenario.TWO_NODE_FD]
-        assert (two_node is plain) == (mode is SimMode.PHYSICAL)
-        if mode is SimMode.MATCHED:
-            assert two_node.shape[1] < plain.shape[1]
+            assert np.array_equal(alone.bs_fadings, together.bs_fadings)
+            if scenario is not Scenario.HALF_DUPLEX:
+                for field in ("user_u", "user_fadings", "v_rho", "li_gain"):
+                    assert np.array_equal(getattr(alone, field),
+                                          getattr(together, field))
+            assert np.array_equal(sinr_of_realization(alone, DEFAULTS)[scenario],
+                                  parts[scenario])
+        plain = parts[Scenario.THREE_NODE_FD][2]
+        two_node = parts[Scenario.TWO_NODE_FD][2]
+        if mode is SimMode.PHYSICAL:
+            assert np.array_equal(two_node, plain)
+        else:
+            # matched users are the same points, farther out
+            assert np.all(two_node <= plain) and np.any(two_node < plain)
 
 
 class TestSinrOfRealization:
@@ -389,6 +390,24 @@ class TestEstimateOutage:
         ref = analytic.outage(scenario, params, 0.5, QUAD).value
         assert abs(est.value - ref) < 3.0 * est.stderr
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the window drops the far-field interference")
+    @pytest.mark.parametrize("scenario", [Scenario.THREE_NODE_FD,
+                                          Scenario.HALF_DUPLEX],
+                             ids=lambda s: s.value)
+    def test_matches_analytic_off_quartic(self, scenario):
+        # the interference beyond window W has mean W^(2-alpha)/(alpha/2-1)
+        # per unit power, 1.15 at alpha = 2.5 and W = 12: dropping it puts
+        # outage 7 to 17 stderr low at 10 000 trials
+        p = NetworkParams(alpha1=2.5, alpha2=2.5)
+        sim = SimConfig(trials=10_000, seed=5, window_factor=12.0)
+        parts = simulate_sinr(p, (scenario,), sim)[scenario]
+        for rate in (0.1, 1.0):
+            est = estimate_outage(p, scenario, rate, sim, parts=parts)
+            ref = analytic.outage(scenario, p, rate, QUAD).value
+            z = (est.value - ref) / est.stderr
+            assert abs(z) < 3.0, (rate, z)
+
     def test_infinite_threshold_is_certain_outage(self):
         sim = SimConfig(trials=300, seed=2)
         for scenario in Scenario:
@@ -419,9 +438,7 @@ class TestSharedDraw:
     @pytest.mark.parametrize("window_factor", [8.0, 10.3, 30.0])
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_matches_per_scenario_oracle(self, mode, window_factor, workers):
-        # 404 trials is not a multiple of BLOCK: the last block is cut; at
-        # window 10.3 the matched users of block 24 keep one chunk fewer than
-        # the plain ones
+        # 404 trials is not a multiple of BLOCK: the last block is cut
         sim = SimConfig(trials=404, seed=77, window_factor=window_factor,
                         mode=mode)
         params = NetworkParams(alpha1=3.5, alpha2=4.5)
@@ -457,7 +474,7 @@ class TestStreamKeys:
     def first_block(seed, block=0):
         sim = SimConfig(trials=BLOCK, seed=seed)
         real = sample_realization(tuple(Scenario), sim, block)
-        return real.bs_u[:, :8], real.user_u[Scenario.THREE_NODE_FD][:, :8]
+        return real.bs_u[:, :8], real.user_u[:, :8]
 
     def differ(self, a, b):
         return all(not np.array_equal(x, y) for x, y in zip(a, b))
