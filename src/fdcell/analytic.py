@@ -154,9 +154,7 @@ def two_node_outage(params: NetworkParams, rate_r: float,
     """Downlink outage of the two-node architecture: both ends are
     full-duplex, so the user suffers residual loop interference but no
     same-cell uplink interferer."""
-    return _radial_outage(
-        params, Scenario.TWO_NODE_FD, rate_r, quad,
-        lambda x, t, meta: uplink_laplace_excluded(x, t, params, quad, meta=meta))
+    return _radial_outage(params, Scenario.TWO_NODE_FD, rate_r, quad)
 
 
 def three_node_outage(params: NetworkParams, rate_r: float,
@@ -164,15 +162,14 @@ def three_node_outage(params: NetworkParams, rate_r: float,
     """Downlink outage of the three-node architecture: only the BS is
     full-duplex; the downlink user sees the whole uplink user process but no
     loop interference."""
-    return _radial_outage(params, Scenario.THREE_NODE_FD, rate_r, quad,
-                          lambda x, t, meta: uplink_laplace_full(x, t, params))
+    return _radial_outage(params, Scenario.THREE_NODE_FD, rate_r, quad)
 
 
 def half_duplex_outage(params: NetworkParams, rate_r: float,
                        quad: QuadratureConfig | None = None) -> OutageEstimate:
     """Half-duplex baseline in the RF-chain-conserved comparison: no uplink
     interference, no loop interference, and the doubled-rate threshold."""
-    return _radial_outage(params, Scenario.HALF_DUPLEX, rate_r, quad, None)
+    return _radial_outage(params, Scenario.HALF_DUPLEX, rate_r, quad)
 
 
 def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
@@ -186,25 +183,25 @@ def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
 
 
 def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
-                   quad: QuadratureConfig | None, uplink) -> OutageEstimate:
+                   quad: QuadratureConfig | None) -> OutageEstimate:
     """1 - integral of 2x*exp(-x^2) * P(covered | x) over the serving
-    distance x; uplink(x, T, meta) is the uplink factor on an array of x,
-    None for half-duplex.  meta records the integral's nodes, the nodes of
-    all inner integrals and an error bound: its estimate, plus the truncated
-    tail, plus for two-node the tolerance and both truncated tails of the
-    inner integrals, which the pdf weight carries over as is."""
-    meta = {"scenario": scenario.value, "rate": rate_r, "params": params.as_dict(),
-            "abserr": 0.0, "evaluations": 0, "inner_evaluations": 0}
+    distance x, with the scenario's uplink factor.  The error bound is the
+    integral's estimate, plus the truncated tail, plus for two-node the
+    tolerance and both truncated tails of the inner integrals, which the pdf
+    weight carries over as is."""
+    meta = {"abserr": 0.0, "evaluations": 0, "inner_evaluations": 0}
     t = threshold_from_rate(rate_r, scenario)
     if t == 0.0 or t == math.inf:
         # the coverage integrand is exactly the serving-distance pdf, or 0
         return OutageEstimate(0.0 if t == 0.0 else 1.0, Method.ANALYTIC_GENERAL,
                               meta=meta)
+    quad = quad or QuadratureConfig()
     _, noise, loop = params.sinr_scales()
     noise_coef = t * noise
+    two_node = scenario is Scenario.TWO_NODE_FD
     # averaging over the unit-mean loop gain L turns exp(-li_coef*x^a1*L)
     # into 1/(1 + li_coef*x^a1); only the two-node user has a loop
-    li_coef = t * loop if scenario is Scenario.TWO_NODE_FD else 0.0
+    li_coef = t * loop if two_node else 0.0
     a1 = params.alpha1
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -213,12 +210,14 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         if li_coef:
             w /= 1.0 + li_coef * xa
         w *= bs_interference_laplace(x, t, params)
-        if uplink is not None:
+        if two_node:
             live = w > 0.0
-            w[live] *= uplink(x[live], t, meta)
+            w[live] *= uplink_laplace_excluded(x[live], t, params, quad,
+                                               meta=meta)
+        elif scenario is Scenario.THREE_NODE_FD:
+            w *= uplink_laplace_full(x, t, params)
         return w
 
-    quad = quad or QuadratureConfig()
     # every factor but the weight and the BS transform is at most 1, so the
     # integrand is at most 2x*exp(-x^2*(1 + 2J)), whose mass beyond x_max is
     # at most tail_cut; a coverage squeezed towards 0 by a large J stays in
@@ -231,7 +230,7 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         cover = integrate(integrand, 0.0, x_max, quad.rel_tol_outer, quad,
                           abs_tol=quad.rel_tol_outer)
     abserr = cover.abserr + quad.tail_cut
-    if scenario is Scenario.TWO_NODE_FD:
+    if two_node:
         abserr += quad.rel_tol_inner + 2.0 * quad.tail_cut
     meta.update(abserr=abserr, evaluations=cover.evaluations)
     return OutageEstimate(1.0 - cover.value, Method.ANALYTIC_GENERAL, meta=meta)

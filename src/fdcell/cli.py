@@ -121,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=[s.value for s in Scenario])
     p.add_argument("--rate", type=float, help="target rate, bits per channel use")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads over blocks of trials; the result is "
-                   "identical for any count (2 threads on 2 cores: ~1.4x faster)")
+                   help="threads over blocks of trials, same result for any count "
+                   "(2 threads, 2 cores: 0.55-1.0x as fast at window 12, 0.9-2.1x at 30)")
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("sweep", parents=[params, mc, out],

@@ -98,14 +98,13 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
     density, the rate and the residual loop gain survive the specialization.
     The outer integral runs over x = sqrt(pi*lam*u), as the general route's
     does: no power of the density scales it, and a high-rate coverage
-    density is not pressed against the origin as in pi*lam*u.  meta records
-    its nodes, the nodes of all inner integrals and an error bound: its
-    estimate, plus its truncated tail, plus the tolerance and both truncated
-    tails of the inner integrals.
+    density is not pressed against the origin as in pi*lam*u.  The error
+    bound is its estimate, plus its truncated tail, plus the tolerance and
+    both truncated tails of the inner integrals.
     """
     quad = quad or QuadratureConfig()
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
-    meta = _meta(Scenario.TWO_NODE_FD, rate_r, lam=lam, sigma_l2=sigma_l2)
+    meta = {"abserr": 0.0, "evaluations": 0, "inner_evaluations": 0}
     if t == 0.0 or t == math.inf:
         return OutageEstimate(0.0 if t == 0.0 else 1.0,
                               Method.ANALYTIC_CLOSED_FORM, meta=meta)
@@ -144,8 +143,8 @@ def three_node_outage(rate_r: float) -> OutageEstimate:
     t = threshold_from_rate(rate_r, Scenario.THREE_NODE_FD)
     st = math.sqrt(t)
     value = 1.0 - 1.0 / (1.0 + st * (math.atan(st) + math.pi / 2.0))
-    return OutageEstimate(value, Method.ANALYTIC_CLOSED_FORM,
-                          meta=_meta(Scenario.THREE_NODE_FD, rate_r))
+    return OutageEstimate(value, Method.ANALYTIC_CLOSED_FORM, meta={
+        "abserr": 0.0, "evaluations": 0, "inner_evaluations": 0})
 
 
 def half_duplex_outage(rate_r: float) -> OutageEstimate:
@@ -157,8 +156,8 @@ def half_duplex_outage(rate_r: float) -> OutageEstimate:
     t = threshold_from_rate(rate_r, Scenario.HALF_DUPLEX)
     st = math.sqrt(t)
     value = 1.0 - 1.0 / (1.0 + st * math.atan(st))
-    return OutageEstimate(value, Method.ANALYTIC_CLOSED_FORM,
-                          meta=_meta(Scenario.HALF_DUPLEX, rate_r))
+    return OutageEstimate(value, Method.ANALYTIC_CLOSED_FORM, meta={
+        "abserr": 0.0, "evaluations": 0, "inner_evaluations": 0})
 
 
 def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
@@ -179,9 +178,3 @@ def _check_u(u):
         raise ValueError(f"u must be >= 0, got {u.min()}")
     return u[()]
 
-
-def _meta(scenario: Scenario, rate_r: float, **extra) -> dict:
-    params = {"alpha1": 4.0, "alpha2": 4.0, "power_ratio": 1.0, "sigma_n2": 0.0}
-    params.update(extra)
-    return {"scenario": scenario.value, "rate": rate_r, "params": params,
-            "abserr": 0.0, "evaluations": 0, "inner_evaluations": 0}

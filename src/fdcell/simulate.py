@@ -220,9 +220,8 @@ def estimate_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         parts = simulate_sinr(params, (scenario,), sim, workers)[scenario]
     p = np.count_nonzero(sinr_at(parts, params) < threshold) / sim.trials
     stderr = math.sqrt(p * (1.0 - p) / sim.trials)
-    meta = {"scenario": scenario.value, "rate": rate_r, "params": params.as_dict(),
-            "trials": sim.trials, "seed": sim.seed, "mode": sim.mode.value}
-    return OutageEstimate(p, Method.MONTE_CARLO, stderr, meta)
+    return OutageEstimate(p, Method.MONTE_CARLO, stderr, {
+        "trials": sim.trials, "seed": sim.seed, "mode": sim.mode.value})
 
 
 def _stream(seed: int, block_index: int, which: int) -> np.random.Generator:

@@ -97,6 +97,10 @@ class SweepSpec:
         # written so that NaN fails every check
         if not all(li >= 0 for li in self.li_levels):
             raise ConfigError("li_levels must be >= 0")
+        for name in ("scenarios", "methods", "li_levels"):
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"{name} must not repeat an entry")
         if not self.rate >= 0:
             raise ConfigError("rate must be >= 0")
         if self.variable in ("bs_power", "density"):
@@ -146,17 +150,18 @@ def make_grid(lo: float, hi: float, steps: int, spacing: str = "linear") -> tupl
     """Strictly increasing grid of `steps` points from lo to hi inclusive."""
     if steps < 1:
         raise ConfigError("grid needs at least one point")
+    if spacing not in ("linear", "log"):
+        raise ConfigError(f"unknown grid spacing {spacing!r}; use linear or log")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid bounds must be finite, got {lo:g} and {hi:g}")
+    if spacing == "log" and lo <= 0:
+        raise ConfigError("log grids need a positive lower bound")
     if steps == 1:
         return (float(lo),)
     if not hi > lo:
         raise ConfigError("grid upper bound must exceed lower bound")
-    if spacing == "linear":
-        return tuple(np.linspace(lo, hi, steps))
-    if spacing == "log":
-        if lo <= 0:
-            raise ConfigError("log grids need a positive lower bound")
-        return tuple(np.geomspace(lo, hi, steps))
-    raise ConfigError(f"unknown grid spacing {spacing!r}; use linear or log")
+    space = np.linspace if spacing == "linear" else np.geomspace
+    return tuple(space(lo, hi, steps))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -268,22 +273,25 @@ class AgreementReport:
 
 def compare_report(rows: list[SweepRow]) -> AgreementReport:
     """Pair analytic and Monte Carlo rows at identical grid coordinates and
-    score each pair by |analytic - mc| / stderr, flagging scores above 3."""
-    analytic_rows: dict[tuple, SweepRow] = {}
-    mc_rows: dict[tuple, SweepRow] = {}
+    score each pair by |analytic - mc| / stderr, flagging scores above 3.
+    A repeated analytic or mc row is a ConfigError: it could hide a flagged pair."""
+    general, mc = Method.ANALYTIC_GENERAL.value, Method.MONTE_CARLO.value
+    by_key: dict[tuple, SweepRow] = {}
     for r in rows:
-        key = (r.scenario, r.variable, r.value, r.sigma_l2)
-        if r.method == Method.ANALYTIC_GENERAL.value:
-            analytic_rows[key] = r
-        elif r.method == Method.MONTE_CARLO.value:
-            mc_rows[key] = r
+        key = (r.scenario, r.variable, r.value, r.sigma_l2, r.method)
+        if key in by_key and r.method in (general, mc):
+            raise ConfigError(f"repeated {r.method} row at scenario={r.scenario} "
+                              f"{r.variable}={r.value:.10g} sigma_l2={r.sigma_l2:.10g}")
+        by_key[key] = r
     report = AgreementReport()
-    for key in sorted(set(analytic_rows) & set(mc_rows)):
-        a, m = analytic_rows[key], mc_rows[key]
+    for *coords, method in sorted(by_key):
+        if method != mc or (*coords, general) not in by_key:
+            continue
+        a, m = by_key[(*coords, general)], by_key[(*coords, mc)]
         diff = abs(a.outage - m.outage)
         stderr = m.mc_stderr or 0.0
         z = diff / stderr if stderr > 0 else (math.inf if diff else 0.0)
-        report.pairs.append(PairAgreement(*key, a.outage, m.outage, stderr, z))
+        report.pairs.append(PairAgreement(*coords, a.outage, m.outage, stderr, z))
     if not report.pairs:
         report.notice = "no matchable analytic/mc pairs in the given rows"
     return report

@@ -464,6 +464,20 @@ class TestExactOracle:
                 "inner_evaluations"] == 0
         assert analytic.two_node_outage(p, 0.0, QUAD).meta["inner_evaluations"] == 0
 
+    @pytest.mark.parametrize("rate", [0.0, 1.0, 2000.0])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_meta_says_only_how_the_value_was_obtained(self, scenario, rate):
+        # the quadrature's cost and error, the same keys on both routes; a
+        # zero or infinite threshold, and the elementary closed forms, state
+        # zeros
+        keys = {"abserr", "evaluations", "inner_evaluations"}
+        p = NetworkParams(sigma_l2=1e-3)
+        for est in (analytic.outage(scenario, p, rate, QUAD),
+                    closedform.outage(scenario, p, rate, QUAD)):
+            assert set(est.meta) == keys
+            if rate != 1.0:
+                assert est.meta == dict.fromkeys(keys, 0)
+
     def test_noise_limited_half_duplex_query(self):
         # benchmark reference block 0: coverage sits at small distances,
         # where a quadrature in u = x^2 misses it (0.99999999)

@@ -193,7 +193,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("variable, grid, li", [
         ("rate", "0,1", "0,inf"), ("density", "1e-3,inf", "0"),
-        ("bs_power", "1,inf", "0")])
+        ("bs_power", "1,inf", "0"), ("rate", "0:inf:3", "0")])
     def test_infinite_value_fails_before_simulating(self, capsys, monkeypatch,
                                                    variable, grid, li):
         def spy(*args, **kwargs):
@@ -212,6 +212,18 @@ class TestSweepCommand:
                              "--grid", grid)
         assert code == EXIT_CONFIG and not out
         assert "lo:hi:steps" in err
+
+    @pytest.mark.parametrize("flags, field", [
+        (("--scenarios", "three-node,three-node", "--methods",
+          "analytic,analytic"), "scenarios"),
+        (("--methods", "analytic,analytic"), "methods"),
+        (("--scenarios", "two-node", "--li-levels", "0,0"), "li_levels"),
+    ])
+    def test_repeated_entry_exits_2(self, capsys, flags, field):
+        code, out, err = run(capsys, "sweep", "--variable", "rate",
+                             "--grid", "0.5,1", *flags)
+        assert code == EXIT_CONFIG and not out
+        assert f"{field} must not repeat" in err
 
     def test_missing_grid(self, capsys):
         code, _, err = run(capsys, "sweep", "--variable", "rate")
@@ -305,6 +317,16 @@ class TestCompareCommand:
         code, out, err = run(capsys, "compare", "--in", path)
         assert code == EXIT_COMPARE
         assert "FLAG" in out and "agreement check failed" in err
+
+    def test_repeated_row_exits_2(self, capsys, tmp_path):
+        # the mc row at z = 60 is not hidden by the agreeing one after it
+        path = self.write(tmp_path,
+                          "three-node,analytic,rate,1,0,0.70,,1\n"
+                          "three-node,mc,rate,1,0,0.10,0.01,1\n"
+                          "three-node,mc,rate,1,0,0.70,0.01,1\n")
+        code, out, err = run(capsys, "compare", "--in", path)
+        assert code == EXIT_CONFIG and not out
+        assert "repeated mc row at scenario=three-node rate=1 sigma_l2=0" in err
 
     def test_no_pairs(self, capsys, tmp_path):
         path = self.write(tmp_path, "two-node,analytic,rate,1,0,0.70,,1\n")

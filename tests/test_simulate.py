@@ -426,8 +426,8 @@ class TestEstimateOutage:
     def test_metadata(self):
         sim = SimConfig(trials=100, seed=9)
         est = estimate_outage(DEFAULTS, Scenario.TWO_NODE_FD, 0.5, sim)
-        assert est.meta["scenario"] == "two-node"
         assert est.meta["trials"] == 100 and est.meta["mode"] == "matched"
+        assert est.meta == {"trials": 100, "seed": 9, "mode": "matched"}
 
 
 class TestSharedDraw:

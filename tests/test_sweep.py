@@ -99,6 +99,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="li_levels"):
             small_rate_spec(li_levels=(0.0, math.nan))
 
+    @pytest.mark.parametrize("field, entries", [
+        ("scenarios", (Scenario.THREE_NODE_FD, Scenario.THREE_NODE_FD)),
+        ("methods", ("analytic", "mc", "analytic")),
+        ("li_levels", (0.0, 1e-3, 0.0)),
+    ])
+    def test_repeated_entry(self, field, entries):
+        # a repeat would emit its rows twice
+        with pytest.raises(ConfigError, match=f"{field} must not repeat"):
+            small_rate_spec(**{field: entries})
+
 
 class TestMakeGrid:
     def test_linear(self):
@@ -124,6 +134,18 @@ class TestMakeGrid:
             make_grid(0.0, 1.0, 5, "log")
         with pytest.raises(ConfigError):
             make_grid(0.0, 1.0, 5, "cubic")
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("lo, hi, spacing, message", [
+        (0.0, 1.0, "bogus", "unknown grid spacing"),
+        (0.0, math.inf, "linear", "must be finite"),
+        (-math.inf, 1.0, "linear", "must be finite"),
+        (math.nan, 1.0, "log", "must be finite"),
+    ])
+    def test_checks_hold_for_every_step_count(self, steps, lo, hi, spacing,
+                                              message):
+        with pytest.raises(ConfigError, match=message):
+            make_grid(lo, hi, steps, spacing)
 
 
 class TestRunSweep:
@@ -254,6 +276,15 @@ class TestCompareReport:
     def test_empty_notice(self):
         rep = compare_report([self.row("analytic", 0.70)])
         assert rep.n_pairs == 0 and rep.notice
+
+    @pytest.mark.parametrize("method", ["analytic", "mc"])
+    def test_repeated_row_is_an_error(self, method):
+        # whichever copy were kept, the other could hide a flagged pair
+        rows = [self.row("analytic", 0.70), self.row("mc", 0.70, 0.01),
+                self.row(method, 0.10, 0.01)]
+        with pytest.raises(ConfigError, match=f"repeated {method} row at "
+                           "scenario=two-node rate=1 sigma_l2=0"):
+            compare_report(rows)
 
 
 class TestSerialization:
