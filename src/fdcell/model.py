@@ -85,8 +85,9 @@ class NetworkParams:
     def sinr_scales(self) -> tuple[float, float, float]:
         """The user unit gain, the noise and the loop scale, each over the BS
         unit gain g_b = p_b*(lam*pi)^(alpha1/2), such that
-        SINR = S / (noise + loop*L + I_b + gain_u*I_u) for the unit-density,
-        unit-power parts S, I_b, I_u, L of simulate.sinr_of_realization.
+        SINR = h0*S / (noise + loop*L + I_b + gain_u*I_u) for the unit-density,
+        unit-power parts S, I_b, I_u of simulate.sinr_of_realization, the
+        serving fading h0 and the loop gain L.
 
         As ratios they stay finite where g_b itself underflows (lam below
         about 1e-155): gain_u = (p_u/p_b)*(lam*pi)^((alpha2 - alpha1)/2) is
@@ -126,8 +127,9 @@ _BOUNDARY_SLACK = 1e-9
 class OutageEstimate:
     """An outage probability with its provenance.
 
-    stderr is the binomial standard error for Monte Carlo estimates and 0 for
-    the analytic methods.  meta says how the value was obtained.  The general
+    stderr is the Monte Carlo standard error, the sample standard deviation
+    of the per-trial outage probabilities over sqrt(trials), and 0 for the
+    analytic methods.  meta says how the value was obtained.  The general
     and closed-form routes give abserr, a bound on the value's error,
     evaluations, the outer integral's nodes, and inner_evaluations, the nodes
     of all two-node inner integrals (0 elsewhere; all three are 0 for the

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fdcell import analytic, closedform
 from fdcell.model import NetworkParams, Scenario, threshold_from_rate
 from fdcell.quadrature import QuadratureConfig
+from fdcell.simulate import SimConfig, estimate_outage, simulate_sinr
 from test_analytic import exact_two_node
 
 QUAD = QuadratureConfig()
@@ -205,9 +206,10 @@ def edge_params(draw):
 
 
 class TestDomainEdges:
-    """The general route over the edges of its domain: a value in [0, 1],
-    nondecreasing in the rate and in the loop gain, and the closed form's
-    and the exact two-node oracle's values wherever they apply."""
+    """The general route and Monte Carlo over the edges of the domain: a
+    value in [0, 1], nondecreasing in the rate and in the loop gain, and the
+    closed form's and the exact two-node oracle's values wherever they
+    apply."""
 
     @given(params=edge_params(), r_lo=log_uniform(-9, 1), r_step=log_uniform(-3, 1),
            li_step=log_uniform(-6, 0))
@@ -231,3 +233,25 @@ class TestDomainEdges:
         hi = analytic.two_node_outage(more_li, r_lo, QUAD).value
         assert 0.0 <= hi <= 1.0
         assert lo <= hi + tol
+
+    @given(params=edge_params(), r_lo=log_uniform(-9, 1), r_step=log_uniform(-3, 1),
+           li_step=log_uniform(-6, 0))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_monte_carlo(self, params, r_lo, r_step, li_step):
+        # on shared parts each trial's outage is monotone in T and in the
+        # loop scale, and so is their mean, to the last bit; a RuntimeWarning
+        # fails the test (filterwarnings in pyproject.toml)
+        r_hi = min(10.0, r_lo * (1.0 + r_step))
+        sim = SimConfig(trials=64, window_factor=8.0)
+        two_node = Scenario.TWO_NODE_FD
+        parts = simulate_sinr(params, tuple(Scenario), sim)
+        for scenario in Scenario:
+            lo, hi = (estimate_outage(params, scenario, rate, sim,
+                                      parts=parts[scenario]).value
+                      for rate in (r_lo, r_hi))
+            assert 0.0 <= lo <= hi <= 1.0
+        lo, hi = (estimate_outage(p, two_node, r_lo, sim,
+                                  parts=parts[two_node]).value
+                  for p in (params, params.replace(
+                      sigma_l2=params.sigma_l2 + li_step)))
+        assert lo <= hi
