@@ -48,7 +48,7 @@ __all__ = [
     "estimate_outage",
 ]
 
-BLOCK = 16    # trials per realization
+BLOCK = 64    # trials per realization
 CHUNK = 128   # points per row in a chunk; one call draws all of a stream's chunks
 
 
@@ -104,6 +104,8 @@ class NetworkRealization:
     not read.  The users of three-node and physical two-node are user_u;
     matched two-node users are user_u + v_rho[:, None], a PPP outside the
     exclusion disk, with the same fadings.  Half-duplex sees no users.
+    The four arrays are views of one (6, BLOCK, n) buffer per block: the BS
+    rows are its slabs 2-3 and the user rows 4-5, while 0-1 staged the draws.
     """
 
     bs_u: np.ndarray             # (rows, n) BS positions
@@ -129,15 +131,16 @@ def sample_realization(scenarios: tuple[Scenario, ...], sim: SimConfig,
     # the first, and freeing it raises its trim threshold to twice the size,
     # so the heap keeps the block's memory for the next block.  Draws and
     # copies allocated one by one were trimmed and faulted back in, at
-    # 25 000-98 000 minor faults a second in the benchmark's worker.
-    buf = np.empty((2, 4, BLOCK, math.ceil(sim.window_factor ** 2 / CHUNK) * CHUNK))
-    bs_u, bs_fadings = _points(_stream(sim.seed, block_index, 0), buf[0])
+    # 25 000-98 000 minor faults a second in the benchmark's worker.  Slabs
+    # 0-1 stage each stream's draw in turn, 2-3 hold the BS rows, 4-5 the users'.
+    buf = np.empty((6, BLOCK, math.ceil(sim.window_factor ** 2 / CHUNK) * CHUNK))
+    bs_u, bs_fadings = _points(_stream(sim.seed, block_index, 0), buf[:2], buf[2:4])
     user_u = user_fadings = np.empty((BLOCK, 0))
     v_rho = None
     if set(scenarios) - {Scenario.HALF_DUPLEX}:
         rng = _stream(sim.seed, block_index, 1)
         v_rho = rng.standard_exponential(BLOCK)
-        user_u, user_fadings = _points(rng, buf[1])
+        user_u, user_fadings = _points(rng, buf[:2], buf[4:])
         if sim.mode is SimMode.PHYSICAL:
             v_rho = None
     return NetworkRealization(bs_u, bs_fadings, user_u, user_fadings, v_rho,
@@ -219,9 +222,11 @@ def estimate_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         covered = np.exp(-t_over_s * (noise + i_bs + gain_u * i_up))
         if loop and scenario is Scenario.TWO_NODE_FD:
             covered /= 1.0 + t_over_s * loop
-    outage = 1.0 - covered
-    return OutageEstimate(float(outage.mean()), Method.MONTE_CARLO,
-                          float(outage.std() / math.sqrt(outage.size)), meta)
+    # outage = 1 - covered has the std of covered
+    mean = covered.mean()
+    covered -= mean
+    return OutageEstimate(float(1.0 - mean), Method.MONTE_CARLO,
+                          math.sqrt(covered @ covered) / covered.size, meta)
 
 
 def _stream(seed: int, block_index: int, which: int) -> np.random.Generator:
@@ -233,15 +238,17 @@ def _stream(seed: int, block_index: int, which: int) -> np.random.Generator:
         int(seed), spawn_key=(int(block_index), which))))
 
 
-def _points(rng: np.random.Generator, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _points(rng: np.random.Generator, stage: np.ndarray,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The nearest k*CHUNK points of a unit-rate PPP on (0, inf) per row in
     increasing order, and the unit-mean exponential fadings of its points.
 
-    buf, (4, BLOCK, k*CHUNK), takes the draw of k chunks in one call, then
-    the fadings and the cumulated gaps in rows."""
-    k = buf.shape[2] // CHUNK
-    drawn = rng.standard_exponential(out=buf[:2].reshape(k, 2, BLOCK, CHUNK))
-    fadings, u = buf[2], buf[3]
+    stage, (2, BLOCK, k*CHUNK) and free to overwrite, takes the draw of k
+    chunks in one call, chunk-major; rows, of the same shape, receives the
+    fadings and the cumulated gaps, one trial per row."""
+    k = stage.shape[2] // CHUNK
+    drawn = rng.standard_exponential(out=stage.reshape(k, 2, BLOCK, CHUNK))
+    fadings, u = rows
     fadings.reshape(BLOCK, k, CHUNK)[...] = drawn[:, 1].transpose(1, 0, 2)
     u.reshape(BLOCK, k, CHUNK)[...] = drawn[:, 0].transpose(1, 0, 2)
     np.cumsum(u, axis=1, out=u)
@@ -252,6 +259,8 @@ def _interference(u: np.ndarray, fadings: np.ndarray, half_alpha: float) -> np.n
     """Per-row sum of fading * u^(-half_alpha) over the drawn points, plus
     u_K^(1-half_alpha)/(half_alpha-1), the mean of that sum over the
     unit-rate PPP beyond the row's last point u_K."""
-    terms = u ** -half_alpha
+    # a power of 2.0 is a square in numpy, so alpha = 4 needs no pow
+    terms = np.reciprocal(u)
+    terms **= half_alpha
     terms *= fadings
     return terms.sum(axis=1) + u[:, -1] ** (1.0 - half_alpha) / (half_alpha - 1.0)

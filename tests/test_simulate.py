@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdcell import analytic, closedform, simulate
-from fdcell.model import NetworkParams, Scenario
+from fdcell.model import NetworkParams, Scenario, threshold_from_rate
 from fdcell.quadrature import QuadratureConfig
 from fdcell.simulate import (
     BLOCK,
@@ -79,7 +79,7 @@ def legacy_parts(params, scenario, sim, block_index):
     of the shared draw of several chunks per call.  Each stream draws
     exactly ceil(W^2/128) chunks; matched users are those points + v_rho.
     A sum counts the points beyond a row's last one, u_K, by their mean
-    u_K^(1-a)/(a-1)."""
+    u_K^(1-a)/(a-1), and takes u^-a as (1/u)^a, as the simulator does."""
 
     def points(rng):
         u_parts, fading_parts, last = [], [], np.zeros(BLOCK)
@@ -97,7 +97,7 @@ def legacy_parts(params, scenario, sim, block_index):
             sim.seed, spawn_key=(block_index, which))))
 
     def interference(u, fadings, a):
-        return (fadings * u ** -a).sum(axis=1) + u[:, -1] ** (1.0 - a) / (a - 1.0)
+        return (fadings * (1.0 / u) ** a).sum(axis=1) + u[:, -1] ** (1.0 - a) / (a - 1.0)
 
     bs_u, bs_fadings = points(stream(0))
     if scenario is Scenario.HALF_DUPLEX:
@@ -211,6 +211,16 @@ class TestSampleRealization:
                 assert noisy > quiet
             else:
                 assert noisy == quiet
+
+    def test_block_rows_share_one_buffer(self):
+        # at window 30 (8 chunks of 128) a block's four arrays are views of
+        # one allocation no larger than six (BLOCK, 1024) slabs
+        real = sample_realization(tuple(Scenario), SimConfig(
+            trials=10, seed=5, window_factor=30.0), 0)
+        arrays = (real.bs_u, real.bs_fadings, real.user_u, real.user_fadings)
+        base = real.bs_u.base
+        assert base is not None and all(a.base is base for a in arrays)
+        assert base.nbytes <= 6 * BLOCK * 1024 * 8
 
     @pytest.mark.parametrize("window_factor, chunks", [
         (5.0, 1), (8.0, 1), (11.3, 1), (12.0, 2), (24.0, 5), (30.0, 8)])
@@ -350,6 +360,26 @@ class TestSinrOfRealization:
                 stderr = diff.std(axis=1) / math.sqrt(2000)
                 assert np.all(np.abs(diff.mean(axis=1)) <= 4.0 * stderr)
 
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    def test_interference_matches_plain_power(self, alpha):
+        # the sums take u^-a as (1/u)^a, a square at alpha = 4; on one block
+        # they agree with fading * u^-a summed, plus the far-field mean
+        a = alpha / 2.0
+        real = sample_realization(tuple(Scenario), SimConfig(trials=10, seed=4), 0)
+        parts = sinr_of_realization(real, NetworkParams(alpha1=alpha, alpha2=alpha))
+
+        def plain(u, fadings):
+            return (fadings * u ** -a).sum(axis=1) + u[:, -1] ** (1.0 - a) / (a - 1.0)
+
+        i_bs = plain(real.bs_u[:, 1:], real.bs_fadings[:, 1:])
+        i_up = {Scenario.TWO_NODE_FD: plain(real.user_u + real.v_rho[:, None],
+                                            real.user_fadings),
+                Scenario.THREE_NODE_FD: plain(real.user_u, real.user_fadings)}
+        for scenario in (Scenario.TWO_NODE_FD, Scenario.THREE_NODE_FD):
+            np.testing.assert_allclose(parts[scenario][1], i_bs, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(parts[scenario][2], i_up[scenario],
+                                       rtol=1e-13, atol=0)
+
 
 class TestEstimateOutage:
     def test_zero_rate_is_exactly_zero(self):
@@ -362,6 +392,19 @@ class TestEstimateOutage:
                 for shared in (None, parts[scenario]):
                     est = estimate_outage(params, scenario, 0.0, sim, parts=shared)
                     assert est.value == 0.0 and est.stderr == 0.0
+
+    def test_stderr_is_sample_std_over_root_n(self):
+        p = DEFAULTS.replace(sigma_l2=1e-3)
+        sim = SimConfig(trials=500, seed=6)
+        parts = simulate_sinr(p, (Scenario.TWO_NODE_FD,), sim)[Scenario.TWO_NODE_FD]
+        signal, i_bs, i_up = parts
+        gain_u, noise, loop = p.sinr_scales()
+        t = threshold_from_rate(1.0, Scenario.TWO_NODE_FD)
+        outage = 1.0 - np.exp(-t * (noise + i_bs + gain_u * i_up) / signal) \
+            / (1.0 + t * loop / signal)
+        est = estimate_outage(p, Scenario.TWO_NODE_FD, 1.0, sim, parts=parts)
+        assert est.value == pytest.approx(outage.mean(), rel=1e-13)
+        assert est.stderr == pytest.approx(outage.std() / math.sqrt(500), rel=1e-12)
 
     def test_parallel_schedules_are_bitwise_identical(self):
         sim = SimConfig(trials=4000, seed=3)
@@ -522,11 +565,13 @@ class TestSharedDraw:
             return stream(seed, block_index, which)
 
         monkeypatch.setattr(simulate, "_stream", counting)
-        simulate_sinr(DEFAULTS, (Scenario.HALF_DUPLEX,), SimConfig(trials=40))
-        assert streams == [0, 0, 0]
+        sim = SimConfig(trials=2 * BLOCK + 8)
+        blocks = -(-sim.trials // BLOCK)
+        simulate_sinr(DEFAULTS, (Scenario.HALF_DUPLEX,), sim)
+        assert streams == [0] * blocks
         streams.clear()
-        simulate_sinr(DEFAULTS, tuple(Scenario), SimConfig(trials=40))
-        assert streams == [0, 1] * 3
+        simulate_sinr(DEFAULTS, tuple(Scenario), sim)
+        assert streams == [0, 1] * blocks
 
 
 class TestStreamKeys:
@@ -580,19 +625,19 @@ class TestStreamPin:
             [0.0337542720656, 4.03961777869, 5.03833094331])
         assert real.bs_u[2, -1] == self.close(123.373773958)
         assert real.bs_fadings[0, :3] == self.close(
-            [0.52614752835, 0.5295593117, 0.0502391655061])
+            [1.94723757813, 1.25278178595, 0.603462470581])
         assert real.user_u[0, :3] == self.close(
-            [0.800606893969, 1.70211838919, 2.17231562952])
-        assert real.user_u[2, -1] == self.close(132.641764628)
+            [0.0571063309452, 1.73241346783, 2.01475693431])
+        assert real.user_u[2, -1] == self.close(143.264623647)
         assert real.v_rho[:3] == self.close(
             [0.339061596484, 1.32284553965, 1.08561540218])
 
     def test_parts(self):
         parts = simulate_sinr(DEFAULTS, tuple(Scenario), self.SIM)
         signal = [877.692741723, 1.17171915751, 1.0022012489]
-        i_bs = [0.195979094945, 1.26220366929, 0.242474525039]
-        i_up = {Scenario.TWO_NODE_FD: [2.5216421878, 0.195292446594, 0.845754436288],
-                Scenario.THREE_NODE_FD: [4.65055724377, 0.389968926125, 1.79969352369],
+        i_bs = [0.294674740573, 0.972381396036, 0.299865968983]
+        i_up = {Scenario.TWO_NODE_FD: [7.13103941907, 0.82728145703, 0.679295022832],
+                Scenario.THREE_NODE_FD: [322.530335194, 24.0290072329, 2.42539848756],
                 Scenario.HALF_DUPLEX: [0.0, 0.0, 0.0]}
         for scenario in Scenario:
             first = parts[scenario][:, :3]
