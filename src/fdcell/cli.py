@@ -13,12 +13,12 @@ import functools
 import logging
 import os
 import sys
-import time
 from dataclasses import fields, replace
 
 from .model import EstimateRangeError, NetworkParams, Scenario
 from .quadrature import QuadratureConfig, QuadratureError
-from .simulate import SimConfig, SimMode, estimate_outage
+from .closedform import REQUIREMENTS
+from .simulate import SimConfig, SimMode
 from .sweep import (
     PRESETS,
     VARIABLES,
@@ -32,8 +32,8 @@ from .sweep import (
     rows_to_csv,
     rows_to_jsonl,
     run_sweep,
+    sweep_rows,
 )
-from . import analytic, closedform
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -217,32 +217,22 @@ def _emit_rows(rows: list[SweepRow], args, defaults: dict,
 
 
 def _cmd_estimate(args, defaults: dict) -> int:
-    """One outage by the command's route, written as a single row as a sweep
-    would write it."""
-    params = _settings(NetworkParams, args, defaults)
-    simulate = args.command == "simulate"
-    config = _settings(SimConfig if simulate else QuadratureConfig, args,
-                       defaults)
-    rate = _rate(args, defaults)
-    scenario = Scenario(args.scenario)
-    t0 = time.perf_counter()
-    if simulate:
+    """One outage by the command's route: the single row of a one-point rate
+    sweep."""
+    if args.command == "simulate":
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        est = estimate_outage(params, scenario, rate, config,
-                              workers=args.workers)
-    elif args.method == "closed":
-        if not closedform.applicable(params):
-            raise ConfigError(f"closed form needs {closedform.REQUIREMENTS}")
-        est = closedform.outage(scenario, params, rate, config)
+        method, config = "mc", {"sim": _settings(SimConfig, args, defaults)}
     else:
-        est = analytic.outage(scenario, params, rate, config)
-    ms = (time.perf_counter() - t0) * 1e3
-    stderr = est.stderr if simulate else None
-    row = SweepRow(scenario.value, est.method.value, "rate", rate,
-                   params.sigma_l2 if scenario is Scenario.TWO_NODE_FD else 0.0,
-                   est.value, stderr, ms)
-    _emit_rows([row], args, defaults)
+        method = "closed-form" if args.method == "closed" else "analytic"
+        config = {"quad": _settings(QuadratureConfig, args, defaults)}
+    spec = SweepSpec("rate", (_rate(args, defaults),),
+                     scenarios=(Scenario(args.scenario),), methods=(method,),
+                     fixed=_settings(NetworkParams, args, defaults), **config)
+    rows = sweep_rows(spec, workers=getattr(args, "workers", 1))
+    if not rows:
+        raise ConfigError(f"closed form needs {REQUIREMENTS}")
+    _emit_rows(rows, args, defaults)
     return EXIT_OK
 
 
@@ -285,6 +275,8 @@ def _cmd_sweep(args, defaults: dict) -> int:
                          rate=_rate(args, defaults) if args.variable != "rate"
                          else 0.0,
                          sim=sim, quad=quad)
+        if args.variable == "rate" and args.rate is not None:
+            raise ConfigError("--variable rate sweeps the rate; drop --rate")
         specs = [spec]
     multi = len(specs) > 1
     for spec in specs:

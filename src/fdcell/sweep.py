@@ -6,8 +6,8 @@ the keys of a JSON line in the same order, are the fields of SweepRow:
 
     scenario,method,variable,value,sigma_l2,outage,mc_stderr,elapsed_ms
 
-Rows are ordered by (scenario, method, grid index, sigma_l2) regardless of
-how the work was scheduled, and all value columns are rendered with 10
+Rows come in the order (scenario, method, grid value, sigma_l2), whatever
+the order of the spec's entries, and all value columns are rendered with 10
 significant digits so files round-trip exactly.  elapsed_ms is wall time and
 is the one column excluded from rerun-identity guarantees.
 """
@@ -36,6 +36,7 @@ __all__ = [
     "CSV_HEADER",
     "make_grid",
     "run_sweep",
+    "sweep_rows",
     "PairAgreement",
     "AgreementReport",
     "compare_report",
@@ -103,6 +104,10 @@ class SweepSpec:
                 raise ConfigError(f"{name} must not repeat an entry")
         if not self.rate >= 0:
             raise ConfigError("rate must be >= 0")
+        if not math.isfinite(self.rate):
+            raise ConfigError(f"rate must be finite, got {self.rate}")
+        if not all(map(math.isfinite, self.grid)):
+            raise ConfigError(f"{self.variable} grid must be finite")
         if self.variable in ("bs_power", "density"):
             if not all(v > 0 for v in self.grid):
                 raise ConfigError(f"{self.variable} grid must be > 0")
@@ -134,6 +139,13 @@ class SweepRow:
     def __post_init__(self) -> None:
         if not 0.0 <= self.outage <= 1.0:
             raise ValueError(f"outage {self.outage} outside [0, 1]")
+        if not math.isfinite(self.value):
+            raise ValueError(f"value {self.value} is not finite")
+        # written so that NaN fails them too
+        if not 0.0 <= self.sigma_l2 < math.inf:
+            raise ValueError(f"sigma_l2 {self.sigma_l2} is not finite and >= 0")
+        if self.mc_stderr is not None and not 0.0 <= self.mc_stderr < math.inf:
+            raise ValueError(f"mc_stderr {self.mc_stderr} is not finite and >= 0")
 
 
 _COLUMNS = tuple(f.name for f in fields(SweepRow))
@@ -173,16 +185,24 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     parameter changes a realization.  The simulation's time is spread evenly
     over all of the sweep's Monte Carlo rows.
     """
-    points = {s: _grid_points(spec, s) for s in spec.scenarios}
     parts, mc_ms = {}, 0.0
     if Method.MONTE_CARLO.value in spec.methods:
         t0 = time.perf_counter()
         parts = simulate_sinr(spec.fixed, spec.scenarios, spec.sim)
         mc_ms = (time.perf_counter() - t0) * 1e3 / sum(
-            len(points[s]) for s in spec.scenarios)
+            len(_grid_points(spec, s)) for s in spec.scenarios)
+    return sweep_rows(spec, parts, mc_ms)
+
+
+def sweep_rows(spec: SweepSpec, parts: dict | None = None, mc_ms: float = 0.0,
+               workers: int = 1) -> list[SweepRow]:
+    """spec's rows in output order, each timed over its own estimate.  A
+    Monte Carlo row rescales its scenario's entry of `parts`, the shared
+    simulation, and adds mc_ms; without parts it simulates over `workers`."""
     rows: list[SweepRow] = []
-    for scenario, method in itertools.product(spec.scenarios, spec.methods):
-        for value, li in points[scenario]:
+    scenarios = [s for s in Scenario if s in spec.scenarios]
+    for scenario, method in itertools.product(scenarios, sorted(spec.methods)):
+        for value, li in _grid_points(spec, scenario):
             params, rate = _params_at(spec, value, li)
             t0 = time.perf_counter()
             if method == Method.ANALYTIC_GENERAL.value:
@@ -195,28 +215,24 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                     continue
                 est = closedform.outage(scenario, params, rate, spec.quad)
             else:
-                est = estimate_outage(params, scenario, rate, spec.sim,
-                                      parts=parts[scenario])
-            mc = est.method is Method.MONTE_CARLO
+                est = estimate_outage(params, scenario, rate, spec.sim, workers,
+                                      parts[scenario] if parts else None)
+            mc = method == Method.MONTE_CARLO.value
             ms = (time.perf_counter() - t0) * 1e3 + (mc_ms if mc else 0.0)
             rows.append(SweepRow(scenario.value, method, spec.variable, value,
                                  li, est.value, est.stderr if mc else None, ms))
-    order = {s.value: i for i, s in enumerate(Scenario)}
-    grid_index = {v: i for i, v in enumerate(spec.grid)}
-    rows.sort(key=lambda r: (order[r.scenario], r.method,
-                             grid_index[r.value], r.sigma_l2))
     return rows
 
 
 def _grid_points(spec: SweepSpec, scenario: Scenario) -> list[tuple[float, float]]:
-    """(grid value, sigma_l2) of each of a scenario's rows; sigma_l2 is 0 off
-    two-node, where loop interference does not arise."""
+    """(grid value, sigma_l2) of each of a scenario's rows, in output order;
+    sigma_l2 is 0 off two-node, where loop interference does not arise."""
     if scenario is not Scenario.TWO_NODE_FD:
         return [(value, 0.0) for value in spec.grid]
     if spec.variable == "residual_li":
         return [(value, value) for value in spec.grid]
-    return [(value, li) for li in spec.li_levels or (spec.fixed.sigma_l2,)
-            for value in spec.grid]
+    return [(value, li) for value in spec.grid
+            for li in sorted(spec.li_levels or (spec.fixed.sigma_l2,))]
 
 
 def _params_at(spec: SweepSpec, value: float, li: float):

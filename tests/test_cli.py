@@ -14,10 +14,10 @@ from fdcell.cli import (
     EXIT_OK,
     main,
 )
-from fdcell.model import Method, NetworkParams, OutageEstimate
-from fdcell.simulate import SimMode
+from fdcell.model import Method, NetworkParams, OutageEstimate, Scenario
+from fdcell.simulate import SimConfig, SimMode
 from fdcell.quadrature import Integral
-from fdcell.sweep import CSV_HEADER, rows_from_csv
+from fdcell.sweep import CSV_HEADER, SweepSpec, rows_from_csv, rows_to_csv
 
 
 def run(capsys, *argv):
@@ -102,12 +102,18 @@ class TestAnalyticCommand:
         assert code == EXIT_OK, err
         assert rows_from_csv(out)[0].outage == 1.0
 
-    @pytest.mark.parametrize("command", ["analytic", "simulate"])
-    def test_nan_rate_is_configuration_error(self, capsys, command):
+    @pytest.mark.parametrize("command, rate", [
+        ("analytic", "nan"), ("simulate", "nan"),
+        ("analytic", "inf"), ("simulate", "inf"),
+    ], ids=["analytic", "simulate", "analytic-inf", "simulate-inf"])
+    def test_nan_rate_is_configuration_error(self, capsys, command, rate):
+        # an infinite rate used to print "value": Infinity, which is not JSON
         code, out, err = run(capsys, command, "--scenario", "two-node",
-                             "--rate", "nan")
+                             "--rate", rate, "--jsonl")
         assert code == EXIT_CONFIG
         assert not out and "configuration error" in err
+        if rate == "inf":
+            assert "must be finite" in err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("simulate", "--sigma-l2", "nan"), ("analytic", "--sigma-l2", "nan"),
@@ -193,7 +199,8 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("variable, grid, li", [
         ("rate", "0,1", "0,inf"), ("density", "1e-3,inf", "0"),
-        ("bs_power", "1,inf", "0"), ("rate", "0:inf:3", "0")])
+        ("bs_power", "1,inf", "0"), ("rate", "0:inf:3", "0"),
+        ("rate", "1,inf", "0")])
     def test_infinite_value_fails_before_simulating(self, capsys, monkeypatch,
                                                    variable, grid, li):
         def spy(*args, **kwargs):
@@ -283,6 +290,20 @@ class TestSweepCommand:
         for flag in named:
             assert flag in err
 
+    def test_rate_sweep_rejects_rate_flag(self, capsys, tmp_path):
+        base = ("sweep", "--variable", "rate", "--grid", "0:1:3",
+                "--scenarios", "three-node")
+        code, out, err = run(capsys, *base, "--rate", "5")
+        assert code == EXIT_CONFIG and not out
+        assert "--rate" in err
+        # a rate from the config file stays a default, unused by the sweep
+        conf = tmp_path / "fd.conf"
+        conf.write_text("rate = 5\n")
+        code, by_conf, err = run(capsys, "--config", str(conf), *base)
+        assert code == EXIT_OK, err
+        _, plain, _ = run(capsys, *base)
+        assert values(by_conf) == values(plain)
+
     def test_preset_takes_model_keys_as_defaults(self, capsys, tmp_path):
         # a config file only supplies defaults, which a preset overrides
         conf = tmp_path / "fd.conf"
@@ -292,6 +313,30 @@ class TestSweepCommand:
         assert code == EXIT_OK, err
         _, plain, _ = run(capsys, *base)
         assert values(by_conf) == values(plain)
+
+
+# the method of a sweep row for each single-estimate command line
+ESTIMATES = [(("analytic",), "analytic"),
+             (("analytic", "--method", "closed"), "closed-form"),
+             (("simulate", "--trials", "2000", "--seed", "3"), "mc")]
+
+
+class TestEstimateIsOnePointSweep:
+    @pytest.mark.parametrize("scenario", [s.value for s in Scenario])
+    @pytest.mark.parametrize("command, method", ESTIMATES,
+                             ids=["general", "closed", "mc"])
+    def test_row_matches_run_sweep(self, capsys, command, method, scenario):
+        code, out, err = run(capsys, *command, "--scenario", scenario,
+                             "--rate", "0.7", "--sigma-l2", "1e-3")
+        assert code == EXIT_OK, err
+        spec = SweepSpec("rate", (0.7,), scenarios=(Scenario(scenario),),
+                         methods=(method,),
+                         fixed=NetworkParams(sigma_l2=1e-3),
+                         sim=SimConfig(trials=2000, seed=3))
+        (row,) = sweep.run_sweep(spec)
+        assert values(out) == values(rows_to_csv([row]))
+        # only two-node rows carry the loop gain
+        assert row.sigma_l2 == (1e-3 if scenario == "two-node" else 0.0)
 
 
 class TestCompareCommand:
@@ -327,6 +372,18 @@ class TestCompareCommand:
         code, out, err = run(capsys, "compare", "--in", path)
         assert code == EXIT_CONFIG and not out
         assert "repeated mc row at scenario=three-node rate=1 sigma_l2=0" in err
+
+    @pytest.mark.parametrize("mc_row", [
+        "three-node,mc,rate,1,0,0.10,inf,1",       # once scored z = 0.00
+        "three-node,mc,rate,1,0,0.10,-0.01,1",     # once scored z = inf
+        "three-node,mc,rate,nan,0,0.10,0.01,1",    # once dropped unpaired
+    ])
+    def test_bad_row_exits_2(self, capsys, tmp_path, mc_row):
+        path = self.write(tmp_path, "three-node,analytic,rate,1,0,0.70,,1\n"
+                          + mc_row + "\n")
+        code, out, err = run(capsys, "compare", "--in", path)
+        assert code == EXIT_CONFIG and not out
+        assert "configuration error" in err
 
     def test_no_pairs(self, capsys, tmp_path):
         path = self.write(tmp_path, "two-node,analytic,rate,1,0,0.70,,1\n")
@@ -476,12 +533,13 @@ class TestConfigKeys:
             seen.update(params=params, quad=quad, rate=rate)
             return OutageEstimate(0.5, Method.ANALYTIC_GENERAL)
 
-        def mc(params, scenario, rate, sim, workers=1):
+        def mc(params, scenario, rate, sim, workers=1, parts=None):
             seen.update(sim=sim)
             return OutageEstimate(0.5, Method.MONTE_CARLO, 0.01)
 
+        # both commands' rows come from the sweep's row loop
         monkeypatch.setattr(analytic, "outage", general)
-        monkeypatch.setattr(cli, "estimate_outage", mc)
+        monkeypatch.setattr(sweep, "estimate_outage", mc)
         for command in ("analytic", "simulate"):
             code, stdout, err = run(capsys, "--config", str(conf), command,
                                     "--scenario", "two-node")

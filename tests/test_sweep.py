@@ -87,6 +87,13 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="rate must be >= 0"):
             SweepSpec(variable="density", grid=(1e-3,), rate=rate)
 
+    @pytest.mark.parametrize("variable, grid, rate", [
+        ("density", (1e-3,), math.inf), ("rate", (0.5, math.inf), 0.1),
+        ("rate", (math.inf,), 0.1)])
+    def test_infinite_rate(self, variable, grid, rate):
+        with pytest.raises(ConfigError, match="must be finite"):
+            SweepSpec(variable=variable, grid=grid, rate=rate)
+
     @pytest.mark.parametrize("variable", ["rate", "density", "bs_power",
                                           "residual_li"])
     @pytest.mark.parametrize("grid", [(0.5, math.nan), (math.nan,),
@@ -158,6 +165,18 @@ class TestRunSweep:
         assert keys == sorted(keys, key=lambda k: (
             ["two-node", "three-node", "half-duplex"].index(k[0]),
             k[1], k[2], k[3]))
+
+    def test_order_of_spec_entries_is_irrelevant(self):
+        # rows come in output order whatever the order of the spec's entries
+        shuffled = small_rate_spec(
+            scenarios=(Scenario.HALF_DUPLEX, Scenario.TWO_NODE_FD,
+                       Scenario.THREE_NODE_FD),
+            methods=("mc", "analytic", "closed-form"), li_levels=(1e-3, 0.0))
+        rows, ordered = run_sweep(shuffled), run_sweep(small_rate_spec())
+        assert [(r.scenario, r.method, r.value, r.sigma_l2, r.outage,
+                 r.mc_stderr) for r in rows] == \
+               [(r.scenario, r.method, r.value, r.sigma_l2, r.outage,
+                 r.mc_stderr) for r in ordered]
 
     def test_deterministic_rerun(self):
         spec = small_rate_spec()
@@ -327,6 +346,14 @@ class TestSerialization:
     @pytest.mark.parametrize("row", [
         "two-node,analytic,rate,1,0,1.5,,0",        # outage above 1
         "two-node,analytic,rate,1,0,0.5,,",         # only mc_stderr may be empty
+        "two-node,analytic,rate,nan,0,0.5,,0",      # value not finite
+        "two-node,analytic,rate,inf,0,0.5,,0",
+        "two-node,analytic,rate,1,-0.001,0.5,,0",   # sigma_l2 below 0
+        "two-node,analytic,rate,1,nan,0.5,,0",
+        "two-node,analytic,rate,1,inf,0.5,,0",
+        "two-node,mc,rate,1,0,0.5,-0.01,0",         # mc_stderr below 0
+        "two-node,mc,rate,1,0,0.5,nan,0",
+        "two-node,mc,rate,1,0,0.5,inf,0",
     ])
     def test_csv_rejects_bad_values(self, row):
         with pytest.raises(ValueError):
