@@ -136,17 +136,29 @@ def uplink_laplace_excluded(x, threshold: float, params: NetworkParams,
 
     the :func:`fdcell.quadrature.exclusion_average` of a kernel of t alone,
     which sets the variable, the interval and the limits s = 0 -> 1 and
-    s = inf -> 0.  When meta is given, the inner nodes are added to
-    meta["inner_evaluations"].  Never below :func:`uplink_laplace_full` at
+    s = inf -> 0.  Since g does not depend on the loop gain or, at
+    alpha1 = alpha2 and equal powers, on the density, a sweep computes it
+    once per set of scales and reuses it (see
+    :func:`fdcell.quadrature.inner_integral_memo`).  When meta is given, the
+    inner nodes the value rests on are added to meta["inner_evaluations"],
+    computed or reused.  Never below :func:`uplink_laplace_full` at
     identical arguments, since excluding a disk removes interference.
     """
     quad = quad or QuadratureConfig()
-    a2 = params.alpha2
-    g = exclusion_average(lambda t: 2.0 * tail_integral(np.sqrt(t), a2),
+    g = exclusion_average(_exclusion_kernel(params.alpha2),
                           _uplink_scale(x, threshold, params), quad)
     if meta is not None:
         meta["inner_evaluations"] += g.evaluations
     return g.value
+
+
+@functools.lru_cache(maxsize=8)
+def _exclusion_kernel(alpha2: float):
+    """The kernel 2*tail_integral(sqrt(t), alpha2) of the two-node exclusion
+    average, one object per alpha2, which the inner-integral memo of
+    :func:`fdcell.quadrature.exclusion_average` keys on.  A sweep uses one
+    alpha2, so a few recent ones are kept."""
+    return lambda t: 2.0 * tail_integral(np.sqrt(t), alpha2)
 
 
 def two_node_outage(params: NetworkParams, rate_r: float,

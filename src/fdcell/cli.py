@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 
 from .model import EstimateRangeError, NetworkParams, Scenario
 from .quadrature import QuadratureConfig, QuadratureError
-from .closedform import REQUIREMENTS
+from .closedform import REQUIREMENTS, applicable
 from .simulate import SimConfig, SimMode
 from .sweep import (
     PRESETS,
@@ -229,10 +229,10 @@ def _cmd_estimate(args, defaults: dict) -> int:
     spec = SweepSpec("rate", (_rate(args, defaults),),
                      scenarios=(Scenario(args.scenario),), methods=(method,),
                      fixed=_settings(NetworkParams, args, defaults), **config)
-    rows = sweep_rows(spec, workers=getattr(args, "workers", 1))
-    if not rows:
+    if method == "closed-form" and not applicable(spec.fixed):
         raise ConfigError(f"closed form needs {REQUIREMENTS}")
-    _emit_rows(rows, args, defaults)
+    _emit_rows(sweep_rows(spec, workers=getattr(args, "workers", 1)), args,
+               defaults)
     return EXIT_OK
 
 

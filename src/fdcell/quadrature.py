@@ -15,18 +15,28 @@ batch of outer nodes in one call, as :func:`exclusion_average` does for
 both two-node routes, each with its own kernel.  Calls are capped at four
 whole subintervals, so the arrays of such a nested integral stay under the
 allocator's threshold for serving them from the heap.
+
+Inside :func:`inner_integral_memo`, which :func:`fdcell.sweep.sweep_rows`
+opens around its row loop, :func:`exclusion_average` computes each inner
+integral once: a call with the same kernel object, settings and uplink
+scales returns the stored :class:`Integral`, whose value does not depend on
+the loop gain, so a sweep point's loop levels share it.  Outside a scope
+nothing is stored.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = ["Integral", "QuadratureConfig", "QuadratureError",
-           "exclusion_average", "integrate"]
+           "exclusion_average", "inner_integral_memo", "integrate"]
 
 
 class QuadratureError(ArithmeticError):
@@ -185,6 +195,39 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         evaluations += 21 * len(new_lo)
 
 
+# the most entries an inner-integral memo keeps, dropping the least recently
+# used.  Rows come grid point by grid point, so a sweep reuses an entry soon:
+# in every sweep of fig2-fig5, at most 3 other entries were used between two
+# uses of one, so 4 would keep every reuse.  16 leaves room for sweeps whose
+# rounds split further, at about 2 kB per entry of 84 scales.
+_MEMO_SIZE = 16
+
+
+class _InnerMemo(OrderedDict):
+    """exclusion_average's results by (kernel, settings, shape, scales), the
+    most recently used last, and how many calls computed or reused one."""
+
+    computed = reused = 0
+
+
+_memo: contextvars.ContextVar[_InnerMemo | None] = contextvars.ContextVar(
+    "fdcell_inner_memo", default=None)
+
+
+@contextlib.contextmanager
+def inner_integral_memo():
+    """A scope in which exclusion_average computes each distinct inner
+    integral once and returns the stored Integral, its arrays read-only,
+    for an identical call; yields the memo, whose computed and reused
+    count the calls.  The memo is dropped on exit."""
+    memo = _InnerMemo()
+    token = _memo.set(memo)
+    try:
+        yield memo
+    finally:
+        _memo.reset(token)
+
+
 def exclusion_average(kappa: Callable[[np.ndarray], np.ndarray], s,
                       cfg: QuadratureConfig) -> Integral:
     """g(s) = integral_0^inf s*exp(-s*(t + kappa(t))) dt for each s >= 0 (a
@@ -198,9 +241,33 @@ def exclusion_average(kappa: Callable[[np.ndarray], np.ndarray], s,
     (s*t > ln(1/tail_cut)) of at most tail_cut each, which abserr adds.
     Each column, a probability, meets cfg.rel_tol_inner also as an
     absolute tolerance.  s = 0 gives 1 and s = inf gives 0 without
-    quadrature; evaluations is 0 when no column needs any.
+    quadrature; evaluations is 0 when no column needs any.  Inside
+    :func:`inner_integral_memo` an identical call returns the stored result.
     """
     s = np.asarray(s, dtype=float)
+    memo = _memo.get()
+    if memo is None:
+        return _exclusion_integral(kappa, s, cfg)
+    # the kernel object itself, so a kernel is never mistaken for another
+    key = (kappa, cfg, s.shape, s.tobytes())
+    found = memo.get(key)
+    if found is not None:
+        memo.move_to_end(key)
+        memo.reused += 1
+        return found
+    found = _exclusion_integral(kappa, s, cfg)
+    for part in found[:2]:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    memo[key] = found
+    memo.computed += 1
+    if len(memo) > _MEMO_SIZE:
+        memo.popitem(last=False)
+    return found
+
+
+def _exclusion_integral(kappa, s: np.ndarray, cfg: QuadratureConfig) -> Integral:
+    """exclusion_average computed, for an array of s."""
     live = (s > 0.0) & (s < math.inf)
     sl = s[live]
     log_s = np.log(sl)

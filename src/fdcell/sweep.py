@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analytic, closedform
 from .model import Method, NetworkParams, Scenario
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, inner_integral_memo
 from .simulate import SimConfig, estimate_outage, simulate_sinr
 
 __all__ = [
@@ -120,7 +120,7 @@ class SweepSpec:
                 _params_at(self, value, li)
             except ValueError as exc:
                 raise ConfigError(f"{self.variable} = {value:g}, sigma_l2 = "
-                                  f"{li:g}: {exc}") from exc
+                                  f"{li or 0.0:g}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -198,51 +198,70 @@ def sweep_rows(spec: SweepSpec, parts: dict | None = None, mc_ms: float = 0.0,
                workers: int = 1) -> list[SweepRow]:
     """spec's rows in output order, each timed over its own estimate.  A
     Monte Carlo row rescales its scenario's entry of `parts`, the shared
-    simulation, and adds mc_ms; without parts it simulates over `workers`."""
+    simulation, and adds mc_ms; without parts it simulates over `workers`.
+
+    The rows share one :func:`fdcell.quadrature.inner_integral_memo`: each
+    two-node inner integral runs once per sweep and serves every loop level
+    of its grid point, and for the general route at alpha1 = alpha2 and
+    equal powers every density too; a row that reuses one does not pay for
+    it again.  One DEBUG line states how many inner integrals were computed
+    and how many reused."""
     rows: list[SweepRow] = []
     scenarios = [s for s in Scenario if s in spec.scenarios]
-    for scenario, method in itertools.product(scenarios, sorted(spec.methods)):
-        for value, li in _grid_points(spec, scenario):
-            params, rate = _params_at(spec, value, li)
-            t0 = time.perf_counter()
-            if method == Method.ANALYTIC_GENERAL.value:
-                est = analytic.outage(scenario, params, rate, spec.quad)
-            elif method == Method.ANALYTIC_CLOSED_FORM.value:
-                if not closedform.applicable(params):
-                    log.info("closed form not applicable for %s at %s=%g "
-                             "(needs %s); skipped", scenario.value,
-                             spec.variable, value, closedform.REQUIREMENTS)
-                    continue
-                est = closedform.outage(scenario, params, rate, spec.quad)
-            else:
-                est = estimate_outage(params, scenario, rate, spec.sim, workers,
-                                      parts[scenario] if parts else None)
-            mc = method == Method.MONTE_CARLO.value
-            ms = (time.perf_counter() - t0) * 1e3 + (mc_ms if mc else 0.0)
-            rows.append(SweepRow(scenario.value, method, spec.variable, value,
-                                 li, est.value, est.stderr if mc else None, ms))
+    curves = itertools.product(scenarios, sorted(spec.methods))
+    with inner_integral_memo() as memo:
+        for scenario, method in curves:
+            for value, li in _grid_points(spec, scenario):
+                params, rate = _params_at(spec, value, li)
+                t0 = time.perf_counter()
+                if method == Method.ANALYTIC_GENERAL.value:
+                    est = analytic.outage(scenario, params, rate, spec.quad)
+                elif method == Method.ANALYTIC_CLOSED_FORM.value:
+                    if not closedform.applicable(params):
+                        log.info("closed form not applicable for %s at %s=%g "
+                                 "(needs %s); skipped", scenario.value,
+                                 spec.variable, value, closedform.REQUIREMENTS)
+                        continue
+                    est = closedform.outage(scenario, params, rate, spec.quad)
+                else:
+                    est = estimate_outage(params, scenario, rate, spec.sim,
+                                          workers,
+                                          parts[scenario] if parts else None)
+                mc = method == Method.MONTE_CARLO.value
+                ms = (time.perf_counter() - t0) * 1e3 + (mc_ms if mc else 0.0)
+                rows.append(SweepRow(scenario.value, method, spec.variable,
+                                     value, li or 0.0, est.value,
+                                     est.stderr if mc else None, ms))
+    log.debug("%d rows: %d inner integrals computed, %d reused", len(rows),
+              memo.computed, memo.reused)
     return rows
 
 
-def _grid_points(spec: SweepSpec, scenario: Scenario) -> list[tuple[float, float]]:
+def _grid_points(spec: SweepSpec,
+                 scenario: Scenario) -> list[tuple[float, float | None]]:
     """(grid value, sigma_l2) of each of a scenario's rows, in output order;
-    sigma_l2 is 0 off two-node, where loop interference does not arise."""
+    sigma_l2 is None off two-node, where loop interference does not arise,
+    and such a row reads 0."""
     if scenario is not Scenario.TWO_NODE_FD:
-        return [(value, 0.0) for value in spec.grid]
+        return [(value, None) for value in spec.grid]
     if spec.variable == "residual_li":
         return [(value, value) for value in spec.grid]
     return [(value, li) for value in spec.grid
             for li in sorted(spec.li_levels or (spec.fixed.sigma_l2,))]
 
 
-def _params_at(spec: SweepSpec, value: float, li: float):
-    """(params, rate) at one grid value and sigma_l2."""
-    p = spec.fixed.replace(sigma_l2=li)
+def _params_at(spec: SweepSpec, value: float, li: float | None):
+    """(params, rate) at one grid value and sigma_l2, None for a row that
+    has no loop interference: spec.fixed itself unless a field differs."""
+    fixed, changes = spec.fixed, {}
+    if li is not None and li != fixed.sigma_l2:
+        changes["sigma_l2"] = li
     if spec.variable == "bs_power":
-        p = p.replace(p_b=value, p_u=p.p_u * value / p.p_b)
+        changes.update(p_b=value, p_u=fixed.p_u * value / fixed.p_b)
     elif spec.variable == "density":
-        p = p.replace(lam=value)
-    return p, value if spec.variable == "rate" else spec.rate
+        changes["lam"] = value
+    params = fixed.replace(**changes) if changes else fixed
+    return params, value if spec.variable == "rate" else spec.rate
 
 
 # ---------------------------------------------------------------------------

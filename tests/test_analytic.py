@@ -16,6 +16,7 @@ from fdcell.quadrature import (
     QuadratureConfig,
     QuadratureError,
     exclusion_average,
+    inner_integral_memo,
     integrate,
 )
 
@@ -619,6 +620,77 @@ class TestExclusionAverage:
         assert list(dead.value) == [1.0, 0.0] and dead.evaluations == 0
         zero = exclusion_average(one, 0.0, QUAD)
         assert np.ndim(zero.value) == 0 and zero.value == 1.0
+
+
+class TestInnerIntegralMemo:
+    S = np.array([1e-3, 0.5, 2.0])
+
+    def test_no_state_outside_a_scope(self):
+        kernel = analytic._exclusion_kernel(4.0)
+        a = exclusion_average(kernel, self.S, QUAD)
+        b = exclusion_average(kernel, self.S, QUAD)
+        assert a is not b and a.value.flags.writeable
+        assert list(a.value) == list(b.value)
+
+    def test_identical_call_returns_the_stored_integral(self):
+        kernel = analytic._exclusion_kernel(4.0)
+        fresh = exclusion_average(kernel, self.S, QUAD)
+        with inner_integral_memo() as memo:
+            first = exclusion_average(kernel, self.S, QUAD)
+            # another array of the same scales and another equal config
+            again = exclusion_average(analytic._exclusion_kernel(4.0),
+                                      self.S.copy(), QuadratureConfig())
+            # one of the scales alone is another integral
+            scalar = exclusion_average(kernel, 2.0, QUAD)
+        assert again is first and (memo.computed, memo.reused) == (2, 1)
+        assert list(first.value) == list(fresh.value)
+        assert list(first.abserr) == list(fresh.abserr)
+        assert first.evaluations == fresh.evaluations
+        assert not first.value.flags.writeable
+        with pytest.raises(ValueError):
+            first.value[0] = 0.0
+        assert np.ndim(scalar.value) == 0
+
+    def test_kernels_never_share_an_entry(self):
+        # the general kernel at alpha2 = 4 and the closed form's arccot are
+        # different functions of t; neither may serve the other
+        general = analytic._exclusion_kernel(4.0)
+        with inner_integral_memo() as memo:
+            g = exclusion_average(general, self.S, QUAD)
+            c = exclusion_average(closedform.arccot, self.S, QUAD)
+            assert (memo.computed, memo.reused) == (2, 0)
+            assert exclusion_average(general, self.S, QUAD) is g
+            assert exclusion_average(closedform.arccot, self.S, QUAD) is c
+            assert exclusion_average(analytic._exclusion_kernel(3.0),
+                                     self.S, QUAD) is not g
+        assert (memo.computed, memo.reused) == (3, 2)
+        assert list(g.value) != list(c.value)
+
+    def test_memo_is_bounded(self):
+        kernel = analytic._exclusion_kernel(4.0)
+        with inner_integral_memo() as memo:
+            for k in range(quadrature._MEMO_SIZE + 1):
+                exclusion_average(kernel, 1.0 + k, QUAD)
+            assert len(memo) == quadrature._MEMO_SIZE
+            # the least recently used, the first, was dropped
+            exclusion_average(kernel, 1.0, QUAD)
+        assert memo.reused == 0
+
+    @pytest.mark.parametrize("route", ["general", "closed"])
+    def test_reused_estimate_equals_a_fresh_one(self, route):
+        p = NetworkParams(sigma_l2=1e-3)
+        estimate = (functools.partial(analytic.two_node_outage, p, 1.5, QUAD)
+                    if route == "general" else
+                    functools.partial(closedform.two_node_outage, 1.5, p.lam,
+                                      p.sigma_l2, QUAD))
+        fresh = estimate()
+        with inner_integral_memo() as memo:
+            estimate()
+            computed = memo.computed
+            reused = estimate()
+        assert memo.computed == computed and memo.reused == computed
+        assert reused.value == fresh.value and reused.meta == fresh.meta
+        assert reused.meta["inner_evaluations"] > 0
 
 
 class TestNestedArrays:

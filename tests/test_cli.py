@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -48,12 +49,15 @@ class TestAnalyticCommand:
         assert code == EXIT_OK
         assert rows_from_csv(out)[0].method == "closed-form"
 
-    def test_closed_precondition_violation(self, capsys):
-        code, _, err = run(capsys, "analytic", "--scenario", "two-node",
-                           "--rate", "1", "--method", "closed",
-                           "--sigma-n2", "1")
+    def test_closed_precondition_violation(self, capsys, caplog):
+        with caplog.at_level(logging.INFO):
+            code, _, err = run(capsys, "analytic", "--scenario", "two-node",
+                               "--rate", "1", "--method", "closed",
+                               "--sigma-n2", "1")
         assert code == EXIT_CONFIG
         assert "closed form" in err and closedform.REQUIREMENTS in err
+        # one line, and no row loop's notice that the row was skipped
+        assert len(err.splitlines()) == 1 and not caplog.records
 
     def test_out_of_range_estimate_is_numerical_failure(self, capsys,
                                                         monkeypatch):

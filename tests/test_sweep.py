@@ -1,10 +1,12 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from fdcell import closedform, simulate
+from fdcell import analytic, closedform, simulate
 from fdcell.model import NetworkParams, Scenario
 from fdcell.quadrature import QuadratureConfig
 from fdcell.simulate import BLOCK, SimConfig, estimate_outage
@@ -21,6 +23,7 @@ from fdcell.sweep import (
     rows_to_csv,
     rows_to_jsonl,
     run_sweep,
+    sweep_rows,
 )
 
 SMALL_SIM = SimConfig(trials=1500, seed=13)
@@ -265,6 +268,109 @@ class TestRunSweep:
                          methods=("analytic",), rate=0.1)
         rows = run_sweep(spec)
         assert rows[0].outage > rows[1].outage
+
+
+def analytic_spec(name: str, index: int = 0) -> SweepSpec:
+    """A preset's sweep with its analytic and closed-form columns only."""
+    return replace(build_preset(name)[index], methods=("analytic", "closed-form"))
+
+
+def fig3_request() -> SweepSpec:
+    """fig3 at rates 0.5, 1.5, 2.5 and 3.5, analytic and closed form."""
+    return replace(analytic_spec("fig3"), grid=(0.5, 1.5, 2.5, 3.5))
+
+
+def memo_counts(caplog, spec):
+    """(computed, reused) from sweep_rows' DEBUG line, which it logs once."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fdcell.sweep"):
+        rows = sweep_rows(spec)
+    (record,) = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    assert record.args[0] == len(rows)
+    return record.args[1:]
+
+
+class TestInnerIntegralMemo:
+    """A sweep computes each two-node inner integral once and shares it
+    across its rows; single route calls store nothing."""
+
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5"])
+    def test_preset_rows_equal_single_route_calls(self, name):
+        for spec in build_preset(name):
+            spec = replace(spec, methods=("analytic", "closed-form"))
+            rows = run_sweep(spec)
+            assert rows
+            for r in rows:
+                changes = {"sigma_l2": r.sigma_l2}
+                if spec.variable == "density":
+                    changes["lam"] = r.value
+                params = spec.fixed.replace(**changes)
+                rate = r.value if spec.variable == "rate" else spec.rate
+                route = analytic if r.method == "analytic" else closedform
+                direct = route.outage(Scenario(r.scenario), params, rate,
+                                      spec.quad)
+                assert r.outage == direct.value, r
+
+    def test_each_sweep_computes_its_own(self, monkeypatch):
+        # the memo lives for one sweep: a rerun evaluates every kernel node
+        # again, for both routes.  One two-node point keeps its few inner
+        # integrals in the memo's bound
+        nodes = []
+
+        def counting(route_kernel):
+            def kernel(t, *args):
+                nodes.append(np.size(t))
+                return route_kernel(t, *args)
+            return kernel
+
+        monkeypatch.setattr(closedform, "arccot", counting(closedform.arccot))
+        monkeypatch.setattr(analytic, "tail_integral",
+                            counting(analytic.tail_integral))
+        spec = replace(fig3_request(), grid=(1.5,),
+                       scenarios=(Scenario.TWO_NODE_FD,))
+        first = sweep_rows(spec)
+        counts = [len(nodes), sum(nodes)]
+        second = sweep_rows(spec)
+        assert counts[0] > 0
+        assert [len(nodes), sum(nodes)] == [2 * counts[0], 2 * counts[1]]
+        assert [r.outage for r in first] == [r.outage for r in second]
+
+    def test_half_of_the_fig3_request_is_reused(self, caplog, monkeypatch):
+        calls, exclusion_average = [], analytic.exclusion_average
+
+        def counting(kappa, s, cfg):
+            calls.append(kappa)
+            return exclusion_average(kappa, s, cfg)
+
+        for module in (analytic, closedform):
+            monkeypatch.setattr(module, "exclusion_average", counting)
+        computed, reused = memo_counts(caplog, fig3_request())
+        assert computed + reused == len(calls)
+        assert reused >= len(calls) / 2
+
+    def test_one_debug_line_per_sweep(self, caplog):
+        # a sweep without two-node inner integrals states its zeros
+        spec = SweepSpec("rate", (0.5, 1.0), scenarios=(Scenario.THREE_NODE_FD,))
+        assert memo_counts(caplog, spec) == (0, 0)
+        assert "inner integrals computed" in caplog.text
+
+    @pytest.mark.parametrize("scenario", [Scenario.TWO_NODE_FD,
+                                          Scenario.THREE_NODE_FD])
+    @pytest.mark.parametrize("method", ["analytic", "mc"])
+    def test_one_point_spec_builds_no_params(self, monkeypatch, scenario,
+                                              method):
+        # the CLI's single estimate: its rows use the spec's own model
+        fixed = NetworkParams(sigma_l2=1e-3, sigma_n2=1e-6)
+        built = []
+        check = NetworkParams.__post_init__
+        monkeypatch.setattr(NetworkParams, "__post_init__",
+                            lambda self: built.append(check(self)))
+        spec = SweepSpec("rate", (0.5,), scenarios=(scenario,), fixed=fixed,
+                         methods=(method,), sim=SimConfig(trials=64, seed=1))
+        (row,) = sweep_rows(spec)
+        assert built == []
+        assert row.sigma_l2 == (1e-3 if scenario is Scenario.TWO_NODE_FD
+                                else 0.0)
 
 
 class TestCompareReport:
