@@ -212,8 +212,12 @@ def _emit_rows(rows: list[SweepRow], args, defaults: dict,
         sys.stdout.write(text)
         return
     stem, ext = os.path.splitext(out)
-    with open(stem + suffix + ext, "w") as fh:
-        fh.write(text)
+    path = stem + suffix + ext
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_estimate(args, defaults: dict) -> int:
@@ -279,6 +283,11 @@ def _cmd_sweep(args, defaults: dict) -> int:
             raise ConfigError("--variable rate sweeps the rate; drop --rate")
         specs = [spec]
     multi = len(specs) > 1
+    if multi and not _setting("out", args, defaults):
+        # several CSV blocks on stdout, none with a rate column, that
+        # compare could not read
+        raise ConfigError(f"preset {args.preset} writes {len(specs)} sweeps, "
+                          "one file each: give --out")
     for spec in specs:
         # one file per fixed-rate curve when a preset has several
         _emit_rows(run_sweep(spec), args, defaults,

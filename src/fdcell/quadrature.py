@@ -20,16 +20,17 @@ Inside :func:`inner_integral_memo`, which :func:`fdcell.sweep.sweep_rows`
 opens around its row loop, :func:`exclusion_average` computes each inner
 integral once: a call with the same kernel object, settings and uplink
 scales returns the stored :class:`Integral`, whose value does not depend on
-the loop gain, so a sweep point's loop levels share it.  Outside a scope
-nothing is stored.
+the loop gain, so a sweep point's loop levels share it.  Each scope has its
+own functools.lru_cache, in a ContextVar that keeps it to its own thread or
+context.  Outside a scope nothing is stored.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -202,15 +203,7 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 # rounds split further, at about 2 kB per entry of 84 scales.
 _MEMO_SIZE = 16
 
-
-class _InnerMemo(OrderedDict):
-    """exclusion_average's results by (kernel, settings, shape, scales), the
-    most recently used last, and how many calls computed or reused one."""
-
-    computed = reused = 0
-
-
-_memo: contextvars.ContextVar[_InnerMemo | None] = contextvars.ContextVar(
+_memo: contextvars.ContextVar[Callable | None] = contextvars.ContextVar(
     "fdcell_inner_memo", default=None)
 
 
@@ -218,9 +211,10 @@ _memo: contextvars.ContextVar[_InnerMemo | None] = contextvars.ContextVar(
 def inner_integral_memo():
     """A scope in which exclusion_average computes each distinct inner
     integral once and returns the stored Integral, its arrays read-only,
-    for an identical call; yields the memo, whose computed and reused
-    count the calls.  The memo is dropped on exit."""
-    memo = _InnerMemo()
+    for an identical call; yields the memo, a fresh functools.lru_cache of
+    _MEMO_SIZE entries, whose cache_info() counts computed calls as misses
+    and reused ones as hits.  The memo is dropped on exit."""
+    memo = functools.lru_cache(maxsize=_MEMO_SIZE)(_stored_integral)
     token = _memo.set(memo)
     try:
         yield memo
@@ -249,21 +243,18 @@ def exclusion_average(kappa: Callable[[np.ndarray], np.ndarray], s,
     if memo is None:
         return _exclusion_integral(kappa, s, cfg)
     # the kernel object itself, so a kernel is never mistaken for another
-    key = (kappa, cfg, s.shape, s.tobytes())
-    found = memo.get(key)
-    if found is not None:
-        memo.move_to_end(key)
-        memo.reused += 1
-        return found
-    found = _exclusion_integral(kappa, s, cfg)
-    for part in found[:2]:
+    return memo(kappa, cfg, s.shape, s.tobytes())
+
+
+def _stored_integral(kappa, cfg: QuadratureConfig, shape: tuple,
+                     scales: bytes) -> Integral:
+    """exclusion_average computed for the scales s.tobytes(), its arrays
+    made read-only for the memo to hand out."""
+    g = _exclusion_integral(kappa, np.frombuffer(scales).reshape(shape), cfg)
+    for part in g[:2]:
         if isinstance(part, np.ndarray):
             part.flags.writeable = False
-    memo[key] = found
-    memo.computed += 1
-    if len(memo) > _MEMO_SIZE:
-        memo.popitem(last=False)
-    return found
+    return g
 
 
 def _exclusion_integral(kappa, s: np.ndarray, cfg: QuadratureConfig) -> Integral:

@@ -63,10 +63,11 @@ class SweepSpec:
     and methods.
 
     li_levels applies residual loop-interference levels to two-node runs
-    only; empty, it means the single level fixed.sigma_l2.  rate is the fixed
-    target rate when the swept variable is not the rate itself.  bs_power
-    sweeps scale p_b to the grid value and p_u with it, preserving the
-    configured p_u/p_b ratio.
+    only, and is rejected where no row reads it (sigma_l2 swept, or no
+    two-node scenario); empty, it means the single level fixed.sigma_l2.
+    rate is the fixed target rate when the swept variable is not the rate
+    itself.  bs_power sweeps scale p_b to the grid value and p_u with it,
+    preserving the configured p_u/p_b ratio.
     """
 
     variable: str
@@ -102,6 +103,10 @@ class SweepSpec:
             entries = getattr(self, name)
             if len(set(entries)) != len(entries):
                 raise ConfigError(f"{name} must not repeat an entry")
+        if self.li_levels and (self.variable == "residual_li" or
+                               Scenario.TWO_NODE_FD not in self.scenarios):
+            raise ConfigError("li_levels apply to two-node rows at a fixed "
+                              "sigma_l2; no row of this sweep reads them")
         if not self.rate >= 0:
             raise ConfigError("rate must be >= 0")
         if not math.isfinite(self.rate):
@@ -205,7 +210,7 @@ def sweep_rows(spec: SweepSpec, parts: dict | None = None, mc_ms: float = 0.0,
     of its grid point, and for the general route at alpha1 = alpha2 and
     equal powers every density too; a row that reuses one does not pay for
     it again.  One DEBUG line states how many inner integrals were computed
-    and how many reused."""
+    and how many reused, the misses and hits of the memo's cache_info()."""
     rows: list[SweepRow] = []
     scenarios = [s for s in Scenario if s in spec.scenarios]
     curves = itertools.product(scenarios, sorted(spec.methods))
@@ -232,8 +237,9 @@ def sweep_rows(spec: SweepSpec, parts: dict | None = None, mc_ms: float = 0.0,
                 rows.append(SweepRow(scenario.value, method, spec.variable,
                                      value, li or 0.0, est.value,
                                      est.stderr if mc else None, ms))
+    info = memo.cache_info()
     log.debug("%d rows: %d inner integrals computed, %d reused", len(rows),
-              memo.computed, memo.reused)
+              info.misses, info.hits)
     return rows
 
 

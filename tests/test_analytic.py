@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -622,6 +623,12 @@ class TestExclusionAverage:
         assert np.ndim(zero.value) == 0 and zero.value == 1.0
 
 
+def counts(memo) -> tuple[int, int]:
+    """(computed, reused) of an inner-integral memo: its misses and hits."""
+    info = memo.cache_info()
+    return info.misses, info.hits
+
+
 class TestInnerIntegralMemo:
     S = np.array([1e-3, 0.5, 2.0])
 
@@ -642,7 +649,7 @@ class TestInnerIntegralMemo:
                                       self.S.copy(), QuadratureConfig())
             # one of the scales alone is another integral
             scalar = exclusion_average(kernel, 2.0, QUAD)
-        assert again is first and (memo.computed, memo.reused) == (2, 1)
+        assert again is first and counts(memo) == (2, 1)
         assert list(first.value) == list(fresh.value)
         assert list(first.abserr) == list(fresh.abserr)
         assert first.evaluations == fresh.evaluations
@@ -658,12 +665,12 @@ class TestInnerIntegralMemo:
         with inner_integral_memo() as memo:
             g = exclusion_average(general, self.S, QUAD)
             c = exclusion_average(closedform.arccot, self.S, QUAD)
-            assert (memo.computed, memo.reused) == (2, 0)
+            assert counts(memo) == (2, 0)
             assert exclusion_average(general, self.S, QUAD) is g
             assert exclusion_average(closedform.arccot, self.S, QUAD) is c
             assert exclusion_average(analytic._exclusion_kernel(3.0),
                                      self.S, QUAD) is not g
-        assert (memo.computed, memo.reused) == (3, 2)
+        assert counts(memo) == (3, 2)
         assert list(g.value) != list(c.value)
 
     def test_memo_is_bounded(self):
@@ -671,10 +678,48 @@ class TestInnerIntegralMemo:
         with inner_integral_memo() as memo:
             for k in range(quadrature._MEMO_SIZE + 1):
                 exclusion_average(kernel, 1.0 + k, QUAD)
-            assert len(memo) == quadrature._MEMO_SIZE
+            assert memo.cache_info().currsize == quadrature._MEMO_SIZE
             # the least recently used, the first, was dropped
             exclusion_average(kernel, 1.0, QUAD)
-        assert memo.reused == 0
+        assert memo.cache_info().hits == 0
+
+    def test_each_thread_has_its_own_memo(self):
+        # both scopes stay open until both threads have computed, and the
+        # second thread computes after the first has stored its integral
+        kernel = analytic._exclusion_kernel(4.0)
+        stored, done = threading.Event(), threading.Barrier(2, timeout=10)
+        results = [None, None]
+
+        def scoped(i):
+            with inner_integral_memo() as memo:
+                if i:
+                    stored.wait(timeout=10)
+                g = exclusion_average(kernel, self.S, QUAD)
+                results[i] = g, counts(memo)
+                stored.set()
+                done.wait()
+
+        threads = [threading.Thread(target=scoped, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        (a, a_counts), (b, b_counts) = results
+        assert a is not b and list(a.value) == list(b.value)
+        assert a_counts == b_counts == (1, 0)
+
+    def test_a_thread_started_in_a_scope_computes_unscoped(self):
+        kernel = analytic._exclusion_kernel(4.0)
+        results = []
+        with inner_integral_memo() as memo:
+            worker = threading.Thread(target=lambda: results.append(
+                exclusion_average(kernel, self.S, QUAD)))
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert results[0].value.flags.writeable
+        assert counts(memo) == (0, 0)
 
     @pytest.mark.parametrize("route", ["general", "closed"])
     def test_reused_estimate_equals_a_fresh_one(self, route):
@@ -686,9 +731,9 @@ class TestInnerIntegralMemo:
         fresh = estimate()
         with inner_integral_memo() as memo:
             estimate()
-            computed = memo.computed
+            computed, _ = counts(memo)
             reused = estimate()
-        assert memo.computed == computed and memo.reused == computed
+        assert counts(memo) == (computed, computed)
         assert reused.value == fresh.value and reused.meta == fresh.meta
         assert reused.meta["inner_evaluations"] > 0
 

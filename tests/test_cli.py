@@ -59,6 +59,14 @@ class TestAnalyticCommand:
         # one line, and no row loop's notice that the row was skipped
         assert len(err.splitlines()) == 1 and not caplog.records
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "analytic", "--scenario", "three-node",
+                             "--rate", "1", "--out", str(out_file))
+        assert code == EXIT_CONFIG and not out
+        assert len(err.splitlines()) == 1 and "cannot write" in err
+        assert str(out_file) in err
+
     def test_out_of_range_estimate_is_numerical_failure(self, capsys,
                                                         monkeypatch):
         # an outage outside [0, 1] after validation exits 3, not 2
@@ -257,6 +265,36 @@ class TestSweepCommand:
         assert code == EXIT_OK
         produced = sorted(p.name for p in out_file.parent.iterdir())
         assert produced == [f"fig4_R{r}{ext}" for r in ("0.5", "1", "2")]
+
+    def test_multi_sweep_preset_needs_out(self, capsys, monkeypatch, tmp_path):
+        # three CSV blocks on stdout, with no rate column to tell them
+        # apart, are refused before any row is computed
+        def spy(spec):
+            raise AssertionError("run_sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", spy)
+        code, out, err = run(capsys, "sweep", "--preset", "fig4",
+                             "--methods", "analytic")
+        assert code == EXIT_CONFIG and not out
+        assert "--out" in err
+        # the out config key serves as well as the flag
+        monkeypatch.undo()
+        conf = tmp_path / "fd.conf"
+        conf.write_text(f"out = {tmp_path / 'fig4.csv'}\n")
+        code, out, err = run(capsys, "--config", str(conf), "sweep",
+                             "--preset", "fig4", "--methods", "closed-form")
+        assert code == EXIT_OK and not out, err
+        assert (tmp_path / "fig4_R2.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--variable", "residual_li", "--grid", "1e-4,1e-2",
+         "--scenarios", "two-node", "--rate", "1"),
+        ("--variable", "rate", "--grid", "0.5,1", "--scenarios", "three-node"),
+    ], ids=["swept-sigma-l2", "no-two-node"])
+    def test_li_levels_no_row_reads_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, "sweep", *flags, "--li-levels", "0,0.5")
+        assert code == EXIT_CONFIG and not out
+        assert "li_levels" in err
 
     def test_sigma_l2_flag_sets_custom_sweep_level(self, capsys):
         base = ("sweep", "--variable", "rate", "--grid", "1,2",

@@ -105,6 +105,17 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="grid"):
             SweepSpec(variable=variable, grid=grid)
 
+    @pytest.mark.parametrize("overrides", [
+        {"variable": "residual_li", "grid": (1e-4, 1e-2)},
+        {"scenarios": (Scenario.THREE_NODE_FD,)},
+        {"scenarios": (Scenario.THREE_NODE_FD, Scenario.HALF_DUPLEX)},
+    ])
+    def test_li_levels_no_row_reads(self, overrides):
+        # a swept sigma_l2, or no two-node scenario, would ignore them
+        with pytest.raises(ConfigError, match="li_levels"):
+            small_rate_spec(**overrides)
+        small_rate_spec(**overrides, li_levels=())
+
     def test_nan_li_level(self):
         with pytest.raises(ConfigError, match="li_levels"):
             small_rate_spec(li_levels=(0.0, math.nan))
@@ -204,8 +215,11 @@ class TestRunSweep:
         # every row of the one shared simulation equals a direct estimate
         grid, point = MC_SWEEPS[variable]
         fixed = NetworkParams(sigma_n2=1e-6)
+        # a swept sigma_l2 takes no li_levels
+        li = () if variable == "residual_li" else (0.0, 1e-3)
         rows = run_sweep(small_rate_spec(variable=variable, grid=grid,
-                                         methods=("mc",), fixed=fixed, rate=0.5))
+                                         methods=("mc",), fixed=fixed, rate=0.5,
+                                         li_levels=li))
         # two-node has one row per LI level unless sigma_l2 is swept itself
         per_point = 3 if variable == "residual_li" else 4
         assert len(rows) == len(grid) * per_point
@@ -467,7 +481,8 @@ class TestSerialization:
 
     def test_jsonl(self):
         rows = run_sweep(small_rate_spec(methods=("analytic",),
-                                         scenarios=(Scenario.HALF_DUPLEX,)))
+                                         scenarios=(Scenario.HALF_DUPLEX,),
+                                         li_levels=()))
         lines = rows_to_jsonl(rows).splitlines()
         assert len(lines) == len(rows)
         rec = json.loads(lines[0])
