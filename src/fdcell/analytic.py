@@ -34,7 +34,9 @@ the closed forms and the CLI's other commands run without it.
 from __future__ import annotations
 
 import functools
+import logging
 import math
+import time
 
 import numpy as np
 
@@ -50,6 +52,8 @@ __all__ = [
     "half_duplex_outage",
     "outage",
 ]
+
+log = logging.getLogger(__name__)
 
 
 def tail_integral(c, alpha: float):
@@ -89,8 +93,11 @@ def _tail_near(c, alpha: float):
 
 @functools.cache
 def _hyp2f1():
-    """scipy's Gauss hypergeometric ufunc, imported on the first call."""
+    """scipy's Gauss hypergeometric ufunc, imported on the first call, which
+    logs its time at DEBUG: fdcell.sweep.sweep_rows makes it before any row."""
+    t0 = time.perf_counter()
     from scipy.special import hyp2f1
+    log.debug("scipy.special loaded in %.0f ms", (time.perf_counter() - t0) * 1e3)
     return hyp2f1
 
 

@@ -8,8 +8,10 @@ distances u = r^2 and v = rho^2 with arccot kernels.  They are oracles for
 the general quadrature in :mod:`fdcell.analytic`, which is as fast on this
 case, and which shares the quadrature driver and
 :func:`fdcell.quadrature.exclusion_average` with them but none of their
-kernels.  The kernels take arrays of u, so the two-node inner integral over
-v runs once for all outer nodes of a round.
+kernels.  The kernels take arrays of the scaled distance x = sqrt(pi*lam*u),
+as the general route's transforms do, so the two-node inner integral over v
+runs once for all outer nodes of a round, and its scales, free of the
+density, are shared by a sweep's densities.
 """
 
 from __future__ import annotations
@@ -51,43 +53,39 @@ def arccot(x):
     return np.arctan2(1.0, x)
 
 
-def bs_kernel(u, rate_r: float, lam: float):
+def bs_kernel(x, rate_r: float):
     """Joint weight of the serving-distance law and the other-BS interference
-    suppression at squared serving distance u (a float or an array):
+    suppression at scaled serving distance x (a float or an array):
 
-        exp(-pi*lam*u * (1 + sqrt(T)*arctan(sqrt(T)))),  T = 2^R - 1.
+        exp(-x^2 * (1 + sqrt(T)*arctan(sqrt(T)))),  T = 2^R - 1.
     """
-    u = _check_u(u)
+    x = _check_x(x)
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
     st = math.sqrt(t)
-    return np.exp(-math.pi * lam * u * (1.0 + st * math.atan(st)))
+    return np.exp(-x * x * (1.0 + st * math.atan(st)))
 
 
-def uplink_kernel(u, rate_r: float, lam: float,
-                  quad: QuadratureConfig | None = None, *,
+def uplink_kernel(x, rate_r: float, quad: QuadratureConfig | None = None, *,
                   meta: dict | None = None):
-    """Uplink interference weight averaged over the squared exclusion radius v,
-    at squared serving distance u (a float or an array):
+    """Uplink interference weight averaged over the exclusion radius at
+    scaled serving distance x (a float or an array), in units of 1/(pi*lam):
+    with z = pi*lam*v,
 
-        integral over v >= 0 of exp(-pi*lam*(v + u*sqrt(T)*arccot(v/(u*sqrt(T))))).
+        integral over z >= 0 of exp(-(z + c*arccot(z/c))),  c = x^2*sqrt(T).
 
-    In t = v/(u*sqrt(T)) it is 1/(pi*lam) times
-
-        integral_0^inf c*exp(-c*(t + arccot(t))) dt,  c = pi*lam*u*sqrt(T),
-
-    the :func:`fdcell.quadrature.exclusion_average` of a kernel of t alone,
+    In t = z/c it is integral_0^inf c*exp(-c*(t + arccot(t))) dt, the
+    :func:`fdcell.quadrature.exclusion_average` of a kernel of t alone,
     which sets the variable, the interval and the limits: at c = 0 the
-    weight is exactly 1/(pi*lam), at c = inf it is 0.  When meta is given,
+    weight is exactly 1, at c = inf it is 0.  The density does not enter,
+    so a sweep's densities share each inner integral.  When meta is given,
     the inner nodes are added to meta["inner_evaluations"].
     """
-    u = _check_u(u)
-    quad = quad or QuadratureConfig()
-    pil = math.pi * lam
+    x = _check_x(x)
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
-    g = exclusion_average(arccot, pil * (u * math.sqrt(t)), quad)
+    g = exclusion_average(arccot, x * x * math.sqrt(t), quad or QuadratureConfig())
     if meta is not None:
         meta["inner_evaluations"] += g.evaluations
-    return g.value / pil
+    return g.value
 
 
 def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
@@ -95,12 +93,12 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
     """Two-node outage under the quartic special case.
 
     Takes sigma_l2 explicitly rather than a NetworkParams because only the
-    density, the rate and the residual loop gain survive the specialization.
-    The outer integral runs over x = sqrt(pi*lam*u), as the general route's
-    does: no power of the density scales it, and a high-rate coverage
-    density is not pressed against the origin as in pi*lam*u.  The error
-    bound is its estimate, plus its truncated tail, plus the tolerance and
-    both truncated tails of the inner integrals.
+    density, the rate and the residual loop gain survive the specialization,
+    and the density only in the loop term.  The outer integral runs over x,
+    as the general route's does: a high-rate coverage density is not
+    pressed against the origin as in pi*lam*u.  The error bound is its
+    estimate, plus its truncated tail, plus the tolerance and both truncated
+    tails of the inner integrals.
     """
     quad = quad or QuadratureConfig()
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
@@ -113,13 +111,12 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
 
     def integrand(x: np.ndarray) -> np.ndarray:
         # the coverage density in x, so the integral is the coverage
-        # probability in (0, 1]
-        u = x * x / pil
-        w = 2.0 * x * bs_kernel(u, rate_r, lam)
+        # probability in (0, 1]; only the loop term reads the density
+        w = 2.0 * x * bs_kernel(x, rate_r)
         live = w > 0.0
-        ul = u[live]
-        w[live] *= pil * uplink_kernel(ul, rate_r, lam, quad, meta=meta) / (
-            1.0 + li * ul * ul)
+        xl = x[live]
+        ul = xl * xl / pil
+        w[live] *= uplink_kernel(xl, rate_r, quad, meta=meta) / (1.0 + li * ul * ul)
         return w
 
     # at tiny densities li*u^2 overflows: inf is the right limit
@@ -171,10 +168,9 @@ def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
     return half_duplex_outage(rate_r)
 
 
-def _check_u(u):
-    """u as a float or an array, once every squared distance is >= 0."""
-    u = np.asarray(u, dtype=float)
-    if not (u >= 0).all():
-        raise ValueError(f"u must be >= 0, got {u.min()}")
-    return u[()]
-
+def _check_x(x):
+    """x as a float or an array, once every scaled distance is >= 0."""
+    x = np.asarray(x, dtype=float)
+    if not (x >= 0).all():
+        raise ValueError(f"x must be >= 0, got {x.min()}")
+    return x[()]

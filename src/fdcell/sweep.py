@@ -14,6 +14,8 @@ is the one column excluded from rerun-identity guarantees.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -68,6 +70,10 @@ class SweepSpec:
     rate is the fixed target rate when the swept variable is not the rate
     itself.  bs_power sweeps scale p_b to the grid value and p_u with it,
     preserving the configured p_u/p_b ratio.
+
+    plan, worked out once here, holds (scenario, rows) per scenario and
+    (grid value, sigma_l2, params, rate) per row, both in output order; it
+    builds each distinct model once, so a bad bound fails before any row.
     """
 
     variable: str
@@ -79,6 +85,7 @@ class SweepSpec:
     rate: float = 0.1
     sim: SimConfig = SimConfig()
     quad: QuadratureConfig = QuadratureConfig()
+    plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.variable not in VARIABLES:
@@ -118,14 +125,30 @@ class SweepSpec:
                 raise ConfigError(f"{self.variable} grid must be > 0")
         elif not all(v >= 0 for v in self.grid):
             raise ConfigError(f"{self.variable} grid must be >= 0")
-        # every row's model, so that its bounds fail here, before any row runs
-        for value, li in {point for s in self.scenarios
-                          for point in _grid_points(self, s)}:
-            try:
-                _params_at(self, value, li)
-            except ValueError as exc:
-                raise ConfigError(f"{self.variable} = {value:g}, sigma_l2 = "
-                                  f"{li or 0.0:g}: {exc}") from exc
+        plan, model = [], functools.cache(self._model)
+        for scenario in (s for s in Scenario if s in self.scenarios):
+            rows = []
+            for value in self.grid:
+                for li in ((None,) if scenario is not Scenario.TWO_NODE_FD
+                           else (value,) if self.variable == "residual_li"
+                           else sorted(self.li_levels or (self.fixed.sigma_l2,))):
+                    rows.append((value, li or 0.0, model(value, li),
+                                 value if self.variable == "rate" else self.rate))
+            plan.append((scenario, tuple(rows)))
+        object.__setattr__(self, "plan", tuple(plan))
+
+    def _model(self, value: float, li: float | None) -> NetworkParams:
+        """The model at one grid value and sigma_l2, None off two-node."""
+        changes = {} if li in (None, self.fixed.sigma_l2) else {"sigma_l2": li}
+        if self.variable == "bs_power":
+            changes.update(p_b=value, p_u=self.fixed.p_u * value / self.fixed.p_b)
+        elif self.variable == "density":
+            changes["lam"] = value
+        try:
+            return self.fixed.replace(**changes) if changes else self.fixed
+        except ValueError as exc:
+            raise ConfigError(f"{self.variable} = {value:g}, sigma_l2 = "
+                              f"{li or 0.0:g}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -194,34 +217,36 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     if Method.MONTE_CARLO.value in spec.methods:
         t0 = time.perf_counter()
         parts = simulate_sinr(spec.fixed, spec.scenarios, spec.sim)
-        mc_ms = (time.perf_counter() - t0) * 1e3 / sum(
-            len(_grid_points(spec, s)) for s in spec.scenarios)
+        mc_ms = (time.perf_counter() - t0) * 1e3 / sum(len(p) for _, p in spec.plan)
     return sweep_rows(spec, parts, mc_ms)
 
 
 def sweep_rows(spec: SweepSpec, parts: dict | None = None, mc_ms: float = 0.0,
                workers: int = 1) -> list[SweepRow]:
-    """spec's rows in output order, each timed over its own estimate.  A
+    """The rows of spec.plan in output order, each timed over its own
+    estimate, and for general analytic rows with scipy already loaded.  A
     Monte Carlo row rescales its scenario's entry of `parts`, the shared
     simulation, and adds mc_ms; without parts it simulates over `workers`.
 
-    The rows share one :func:`fdcell.quadrature.inner_integral_memo`: each
-    two-node inner integral runs once per sweep and serves every loop level
-    of its grid point, and for the general route at alpha1 = alpha2 and
-    equal powers every density too; a row that reuses one does not pay for
-    it again.  One DEBUG line states how many inner integrals were computed
-    and how many reused, the misses and hits of the memo's cache_info()."""
+    Two-node analytic and closed-form rows, the only ones with inner
+    integrals, share them in one :func:`fdcell.quadrature.inner_integral_memo`:
+    each runs once per sweep for every loop level of its grid point, and for
+    the closed form, or the general route at alpha1 = alpha2 and equal
+    powers, every density too.  One DEBUG line states how many were computed
+    and reused, the misses and hits of the memo's cache_info(), or 0 and 0."""
+    general, closed, mc = (m.value for m in Method)
+    if general in spec.methods:
+        analytic._hyp2f1()
+    inner = Scenario.TWO_NODE_FD in spec.scenarios and spec.methods != (mc,)
     rows: list[SweepRow] = []
-    scenarios = [s for s in Scenario if s in spec.scenarios]
-    curves = itertools.product(scenarios, sorted(spec.methods))
-    with inner_integral_memo() as memo:
-        for scenario, method in curves:
-            for value, li in _grid_points(spec, scenario):
-                params, rate = _params_at(spec, value, li)
+    with inner_integral_memo() if inner else contextlib.nullcontext() as memo:
+        for (scenario, points), method in itertools.product(
+                spec.plan, sorted(spec.methods)):
+            for value, li, params, rate in points:
                 t0 = time.perf_counter()
-                if method == Method.ANALYTIC_GENERAL.value:
+                if method == general:
                     est = analytic.outage(scenario, params, rate, spec.quad)
-                elif method == Method.ANALYTIC_CLOSED_FORM.value:
+                elif method == closed:
                     if not closedform.applicable(params):
                         log.info("closed form not applicable for %s at %s=%g "
                                  "(needs %s); skipped", scenario.value,
@@ -229,45 +254,16 @@ def sweep_rows(spec: SweepSpec, parts: dict | None = None, mc_ms: float = 0.0,
                         continue
                     est = closedform.outage(scenario, params, rate, spec.quad)
                 else:
-                    est = estimate_outage(params, scenario, rate, spec.sim,
-                                          workers,
+                    est = estimate_outage(params, scenario, rate, spec.sim, workers,
                                           parts[scenario] if parts else None)
-                mc = method == Method.MONTE_CARLO.value
-                ms = (time.perf_counter() - t0) * 1e3 + (mc_ms if mc else 0.0)
-                rows.append(SweepRow(scenario.value, method, spec.variable,
-                                     value, li or 0.0, est.value,
-                                     est.stderr if mc else None, ms))
-    info = memo.cache_info()
+                mc_row = method == mc
+                ms = (time.perf_counter() - t0) * 1e3 + (mc_ms if mc_row else 0.0)
+                rows.append(SweepRow(scenario.value, method, spec.variable, value, li,
+                                     est.value, est.stderr if mc_row else None, ms))
+    hits, misses = memo.cache_info()[:2] if memo else (0, 0)
     log.debug("%d rows: %d inner integrals computed, %d reused", len(rows),
-              info.misses, info.hits)
+              misses, hits)
     return rows
-
-
-def _grid_points(spec: SweepSpec,
-                 scenario: Scenario) -> list[tuple[float, float | None]]:
-    """(grid value, sigma_l2) of each of a scenario's rows, in output order;
-    sigma_l2 is None off two-node, where loop interference does not arise,
-    and such a row reads 0."""
-    if scenario is not Scenario.TWO_NODE_FD:
-        return [(value, None) for value in spec.grid]
-    if spec.variable == "residual_li":
-        return [(value, value) for value in spec.grid]
-    return [(value, li) for value in spec.grid
-            for li in sorted(spec.li_levels or (spec.fixed.sigma_l2,))]
-
-
-def _params_at(spec: SweepSpec, value: float, li: float | None):
-    """(params, rate) at one grid value and sigma_l2, None for a row that
-    has no loop interference: spec.fixed itself unless a field differs."""
-    fixed, changes = spec.fixed, {}
-    if li is not None and li != fixed.sigma_l2:
-        changes["sigma_l2"] = li
-    if spec.variable == "bs_power":
-        changes.update(p_b=value, p_u=fixed.p_u * value / fixed.p_b)
-    elif spec.variable == "density":
-        changes["lam"] = value
-    params = fixed.replace(**changes) if changes else fixed
-    return params, value if spec.variable == "rate" else spec.rate
 
 
 # ---------------------------------------------------------------------------

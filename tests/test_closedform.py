@@ -11,39 +11,50 @@ QUAD = QuadratureConfig()
 LAM = 1e-3
 
 
+def scaled(u):
+    """x = sqrt(pi*lam*u), the kernels' scaled serving distance, at LAM."""
+    return np.sqrt(math.pi * LAM * np.asarray(u, dtype=float))[()]
+
+
 class TestBsKernel:
     def test_unity_at_origin(self):
-        assert closedform.bs_kernel(0.0, 1.0, LAM) == 1.0
+        assert closedform.bs_kernel(0.0, 1.0) == 1.0
 
     def test_zero_rate_reduces_to_distance_law(self):
         for u in (1.0, 50.0, 500.0):
-            assert closedform.bs_kernel(u, 0.0, LAM) == \
+            assert closedform.bs_kernel(scaled(u), 0.0) == \
                 pytest.approx(math.exp(-math.pi * LAM * u), rel=1e-14)
 
     def test_spot_value(self):
         # direct arithmetic: exp(-0.1*pi*(1 + pi/4)) at u=100, T=1
         expected = math.exp(-0.1 * math.pi * (1.0 + math.pi / 4.0))
         assert expected == pytest.approx(0.5707, abs=1e-4)
-        assert closedform.bs_kernel(100.0, 1.0, LAM) == pytest.approx(expected,
-                                                                      rel=1e-14)
+        assert closedform.bs_kernel(scaled(100.0), 1.0) == \
+            pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("u", [-1.0, np.array([0.0, 5.0, -1e-12])])
 def test_negative_squared_distance_rejected(u):
-    with pytest.raises(ValueError, match="u must be >= 0"):
-        closedform.bs_kernel(u, 1.0, LAM)
-    with pytest.raises(ValueError, match="u must be >= 0"):
-        closedform.uplink_kernel(u, 1.0, LAM, QUAD)
+    # a negative squared distance is a negative scaled distance
+    x = np.copysign(scaled(abs(u)), u)
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        closedform.bs_kernel(x, 1.0)
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        closedform.uplink_kernel(x, 1.0, QUAD)
 
 
 class TestUplinkKernel:
+    """The kernel is the uplink weight in units of 1/(pi*lam), so each
+    oracle in u is scaled by pi*lam."""
+
     def test_zero_u_is_pure_exponential_integral(self):
-        assert closedform.uplink_kernel(0.0, 1.0, LAM, QUAD) == \
-            pytest.approx(1.0 / (math.pi * LAM), rel=1e-14)
+        # 1/(pi*lam) in u
+        assert closedform.uplink_kernel(0.0, 1.0, QUAD) == \
+            pytest.approx(1.0, rel=1e-14)
 
     def test_zero_rate_same_limit(self):
-        assert closedform.uplink_kernel(123.0, 0.0, LAM, QUAD) == \
-            pytest.approx(1.0 / (math.pi * LAM), rel=1e-14)
+        assert closedform.uplink_kernel(scaled(123.0), 0.0, QUAD) == \
+            pytest.approx(1.0, rel=1e-14)
 
     def test_against_brute_force_trapezoid(self):
         # independent oracle: 1e6-panel trapezoid over v in [0, 20/(pi*lam)]
@@ -54,8 +65,8 @@ class TestUplinkKernel:
         v = np.linspace(0.0, 20.0 / pil, 1_000_001)
         f = np.exp(-pil * (v + ust * (math.pi / 2 - np.arctan(v / ust))))
         oracle = np.trapezoid(f, v)
-        value = closedform.uplink_kernel(u, rate, LAM, QUAD)
-        assert value == pytest.approx(oracle, rel=1e-6)
+        value = closedform.uplink_kernel(scaled(u), rate, QUAD)
+        assert value == pytest.approx(pil * oracle, rel=1e-6)
 
     @staticmethod
     def z_form_by_quad(c):
@@ -68,32 +79,29 @@ class TestUplinkKernel:
                                  limit=400, points=points)[0]
 
     def test_against_z_form(self):
-        # c = pi*lam*u*sqrt(T) with T = 1; one call per c, and one call on
-        # all of them, whose shared interval must still hold each column's
-        # head and tail
+        # c = pi*lam*u*sqrt(T) = x^2 with T = 1; one call per c, and one
+        # call on all of them, whose shared interval must still hold each
+        # column's head and tail
         c = np.array([1e-10, 1e-4, 1.0, 1e2, 1e4])
-        pil = math.pi * LAM
-        u = c / pil
+        x = np.sqrt(c)
         oracle = [self.z_form_by_quad(ci) for ci in c]
-        single = [pil * closedform.uplink_kernel(ui, 1.0, LAM, QUAD) for ui in u]
-        batch = pil * closedform.uplink_kernel(u, 1.0, LAM, QUAD)
+        single = [closedform.uplink_kernel(xi, 1.0, QUAD) for xi in x]
+        batch = closedform.uplink_kernel(x, 1.0, QUAD)
         assert single == pytest.approx(oracle, abs=1e-9, rel=0)
         assert batch == pytest.approx(oracle, abs=1e-9, rel=0)
 
     def test_zero_and_infinite_scale_columns(self):
         # c = 0 is the bare exclusion-radius law, c = inf certain loss; the
         # finite column is unaffected by them
-        pil = math.pi * LAM
-        u = np.array([0.0, 100.0, math.inf])
+        x = scaled([0.0, 100.0, math.inf])
         meta, dead_meta = {"inner_evaluations": 0}, {"inner_evaluations": 0}
-        value = closedform.uplink_kernel(u, 1.0, LAM, QUAD, meta=meta)
-        assert value[0] == 1.0 / pil and value[2] == 0.0
-        assert value[1] == closedform.uplink_kernel(100.0, 1.0, LAM, QUAD)
+        value = closedform.uplink_kernel(x, 1.0, QUAD, meta=meta)
+        assert value[0] == 1.0 and value[2] == 0.0
+        assert value[1] == closedform.uplink_kernel(x[1], 1.0, QUAD)
         assert meta["inner_evaluations"] > 0 and meta["inner_evaluations"] % 21 == 0
         # the dead columns alone run no inner integral
-        dead = closedform.uplink_kernel(u[[0, 2]], 1.0, LAM, QUAD,
-                                        meta=dead_meta)
-        assert (dead == [1.0 / pil, 0.0]).all() and dead_meta["inner_evaluations"] == 0
+        dead = closedform.uplink_kernel(x[[0, 2]], 1.0, QUAD, meta=dead_meta)
+        assert (dead == [1.0, 0.0]).all() and dead_meta["inner_evaluations"] == 0
 
 
 class TestTwoNodeOutage:

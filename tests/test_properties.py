@@ -163,6 +163,15 @@ class TestExactDensityInvariance:
                       for lam in (1e-4, 1e-3, 1e-2)}
             assert len(values) == 1
 
+    @pytest.mark.parametrize("rate", [0.1, 1.0, 3.0])
+    def test_closed_form_bit_identical_across_density(self, rate):
+        # its kernels take the scaled distance x, so without loop gain the
+        # density enters nowhere, down to densities whose u = x^2/(pi*lam)
+        # is near the largest double
+        values = {closedform.two_node_outage(rate, lam, 0.0, QUAD).value
+                  for lam in (1e-300, 1e-160, 1e-4, 1e-3, 1e-2, 1e10)}
+        assert len(values) == 1
+
 
 class TestNoiseLimits:
     def test_converges_to_interference_limited_value(self):

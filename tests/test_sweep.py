@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdcell import analytic, closedform, simulate
+from fdcell import analytic, closedform, simulate, sweep
 from fdcell.model import NetworkParams, Scenario
 from fdcell.quadrature import QuadratureConfig
 from fdcell.simulate import BLOCK, SimConfig, estimate_outage
@@ -115,6 +115,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="li_levels"):
             small_rate_spec(**overrides)
         small_rate_spec(**overrides, li_levels=())
+
+    def test_model_bound_names_the_point(self):
+        # p_u = 1e10 * 1e300 overflows: the row's model fails its bounds
+        # when the spec is made, not when the row runs
+        with pytest.raises(ConfigError, match=r"bs_power = 1e\+300, sigma_l2 = "
+                           r"0: p_u must be finite"):
+            SweepSpec("bs_power", (1.0, 1e300), scenarios=(Scenario.THREE_NODE_FD,),
+                      fixed=NetworkParams(p_u=1e10))
 
     def test_nan_li_level(self):
         with pytest.raises(ConfigError, match="li_levels"):
@@ -385,6 +393,57 @@ class TestInnerIntegralMemo:
         assert built == []
         assert row.sigma_l2 == (1e-3 if scenario is Scenario.TWO_NODE_FD
                                 else 0.0)
+
+    def test_each_model_built_once(self, monkeypatch):
+        # fig5 with all three methods: at most one model per (density,
+        # sigma_l2) point, built with the spec, and none per method or row
+        built = []
+        check = NetworkParams.__post_init__
+        monkeypatch.setattr(NetworkParams, "__post_init__",
+                            lambda self: built.append(check(self)))
+        (spec,) = build_preset("fig5", SimConfig(trials=64, seed=1))
+        planned = len(built)
+        rows = sweep_rows(spec)
+        assert len(rows) == 3 * 45
+        assert 0 < planned <= len(spec.grid) * (len(spec.li_levels) + 1)
+        assert len(built) == planned
+
+    def test_plan_is_not_an_argument(self):
+        spec = SweepSpec("rate", (0.5, 1.0), scenarios=(Scenario.HALF_DUPLEX,))
+        assert spec.plan == ((Scenario.HALF_DUPLEX,
+                              ((0.5, 0.0, spec.fixed, 0.5),
+                               (1.0, 0.0, spec.fixed, 1.0))),)
+        assert spec == replace(spec) and "plan" not in repr(spec)
+        with pytest.raises(TypeError):
+            SweepSpec("rate", (0.5,), plan=())
+
+    @pytest.mark.parametrize("scenarios, methods, scopes", [
+        ((Scenario.THREE_NODE_FD, Scenario.HALF_DUPLEX),
+         ("analytic", "closed-form"), 0),
+        (tuple(Scenario), ("mc",), 0),
+        ((Scenario.TWO_NODE_FD,), ("closed-form",), 1),
+        ((Scenario.TWO_NODE_FD,), ("analytic", "mc"), 1),
+    ], ids=["no-two-node", "mc-only", "two-node-closed-form", "two-node-analytic"])
+    def test_memo_scope_only_for_inner_integrals(self, monkeypatch, caplog,
+                                                 scenarios, methods, scopes):
+        # only two-node analytic and closed-form rows run inner integrals
+        opened, memo = [], sweep.inner_integral_memo
+        monkeypatch.setattr(sweep, "inner_integral_memo",
+                            lambda: opened.append(1) or memo())
+        spec = SweepSpec("rate", (0.5, 1.0), scenarios=scenarios,
+                         methods=methods, sim=SimConfig(trials=64, seed=1))
+        computed, reused = memo_counts(caplog, spec)
+        assert len(opened) == scopes
+        assert (computed > 0) == bool(scopes)
+        if not scopes:
+            assert reused == 0
+
+    def test_closed_form_shares_inner_integrals_across_densities(self, caplog):
+        # its inner scales x^2*sqrt(T) do not depend on the density, so all
+        # of fig5 computes what its first density alone does
+        spec = replace(build_preset("fig5")[0], methods=("closed-form",))
+        first = replace(spec, grid=spec.grid[:1])
+        assert memo_counts(caplog, spec)[0] == memo_counts(caplog, first)[0] == 4
 
 
 class TestCompareReport:
