@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 import time
 
 import numpy as np
@@ -141,7 +142,7 @@ def uplink_laplace_excluded(x, threshold: float, params: NetworkParams,
 
         g(s) = integral_0^inf s*exp(-s*(t + 2*tail_integral(sqrt(t), alpha2))) dt,
 
-    the :func:`fdcell.quadrature.exclusion_average` of a kernel of t alone,
+    the :func:`fdcell.quadrature.exclusion_average` of a kernel of t and alpha2,
     which sets the variable, the interval and the limits s = 0 -> 1 and
     s = inf -> 0.  Since g does not depend on the loop gain or, at
     alpha1 = alpha2 and equal powers, on the density, a sweep computes it
@@ -151,21 +152,17 @@ def uplink_laplace_excluded(x, threshold: float, params: NetworkParams,
     computed or reused.  Never below :func:`uplink_laplace_full` at
     identical arguments, since excluding a disk removes interference.
     """
-    quad = quad or QuadratureConfig()
-    g = exclusion_average(_exclusion_kernel(params.alpha2),
-                          _uplink_scale(x, threshold, params), quad)
+    g = exclusion_average(_exclusion_kernel, _uplink_scale(x, threshold, params),
+                          quad or QuadratureConfig(), params.alpha2)
     if meta is not None:
         meta["inner_evaluations"] += g.evaluations
     return g.value
 
 
-@functools.lru_cache(maxsize=8)
-def _exclusion_kernel(alpha2: float):
+def _exclusion_kernel(t, alpha2: float):
     """The kernel 2*tail_integral(sqrt(t), alpha2) of the two-node exclusion
-    average, one object per alpha2, which the inner-integral memo of
-    :func:`fdcell.quadrature.exclusion_average` keys on.  A sweep uses one
-    alpha2, so a few recent ones are kept."""
-    return lambda t: 2.0 * tail_integral(np.sqrt(t), alpha2)
+    average."""
+    return 2.0 * tail_integral(np.sqrt(t), alpha2)
 
 
 def two_node_outage(params: NetworkParams, rate_r: float,
@@ -216,16 +213,18 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
                               meta=meta)
     quad = quad or QuadratureConfig()
     _, noise, loop = params.sinr_scales()
-    noise_coef = t * noise
+    # capped as the scales are: at large alpha1, x^a1 underflows to 0 or
+    # overflows, and no term may become 0*inf
+    noise_coef = min(t * noise, sys.float_info.max)
     two_node = scenario is Scenario.TWO_NODE_FD
     # averaging over the unit-mean loop gain L turns exp(-li_coef*x^a1*L)
     # into 1/(1 + li_coef*x^a1); only the two-node user has a loop
-    li_coef = t * loop if two_node else 0.0
+    li_coef = min(t * loop, sys.float_info.max) if two_node else 0.0
     a1 = params.alpha1
 
     def integrand(x: np.ndarray) -> np.ndarray:
         xa = x ** a1
-        w = 2.0 * x * np.exp(-x * x - noise_coef * xa)
+        w = 2.0 * x * np.exp(-x * x - noise_coef * xa if noise_coef else -x * x)
         if li_coef:
             w /= 1.0 + li_coef * xa
         w *= bs_interference_laplace(x, t, params)
@@ -267,8 +266,9 @@ def _uplink_scale(x, threshold: float, params: NetworkParams):
     """s = (T*g_u/g_b * x^alpha1)^(2/alpha2), the mapped distance u at which
     an uplink user's mean power equals the serving BS's over T."""
     x = _check_radial_args(x, threshold)
-    gain_u = params.sinr_scales()[0]
-    return (threshold * gain_u * x ** params.alpha1) ** (2.0 / params.alpha2)
+    # capped as gain_u is, so that an x^alpha1 of 0 gives s = 0, not 0*inf
+    coef = min(threshold * params.sinr_scales()[0], sys.float_info.max)
+    return (coef * x ** params.alpha1) ** (2.0 / params.alpha2)
 
 
 def _check_radial_args(x, threshold: float):

@@ -52,6 +52,9 @@ _KEYS.update(rate=("rate", float), out=("out", str))
 # what a preset fixes itself, so their flags are rejected with --preset
 _PRESET_FIXED = tuple(f.name for f in fields(NetworkParams)) + (
     "rate", "variable", "grid", "li_levels", "scenarios")
+# the setting each swept variable's grid replaces, so its flag is rejected;
+# a bs_power sweep keeps --pb, which sets the p_u/p_b ratio
+_SWEPT = {"rate": "rate", "density": "lam", "residual_li": "sigma_l2"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -279,8 +282,10 @@ def _cmd_sweep(args, defaults: dict) -> int:
                          rate=_rate(args, defaults) if args.variable != "rate"
                          else 0.0,
                          sim=sim, quad=quad)
-        if args.variable == "rate" and args.rate is not None:
-            raise ConfigError("--variable rate sweeps the rate; drop --rate")
+        swept = _SWEPT.get(args.variable)
+        if swept and getattr(args, swept) is not None:
+            raise ConfigError(f"--variable {args.variable} sweeps that setting; "
+                              "drop --" + _ALIASES.get(swept, swept).replace("_", "-"))
         specs = [spec]
     multi = len(specs) > 1
     if multi and not _setting("out", args, defaults):

@@ -19,7 +19,7 @@ allocator's threshold for serving them from the heap.
 Inside :func:`inner_integral_memo`, which :func:`fdcell.sweep.sweep_rows`
 opens for a sweep with two-node analytic or closed-form rows,
 :func:`exclusion_average` computes each inner integral once: a call with
-the same kernel object, settings and uplink scales returns the stored
+the same kernel, kernel arguments, settings and scales returns the stored
 :class:`Integral`, whose value does not depend on the loop gain, so a sweep
 point's loop levels share it.  Each scope has its own functools.lru_cache,
 in a ContextVar that keeps it to its own thread or context.  Outside a
@@ -210,9 +210,9 @@ _memo: contextvars.ContextVar[Callable | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def inner_integral_memo():
-    """A scope in which exclusion_average computes each distinct inner
-    integral once and returns the stored Integral, its arrays read-only,
-    for an identical call; yields the memo, a fresh functools.lru_cache of
+    """A scope in which exclusion_average computes each inner integral once
+    per (kappa, args, cfg, s), compared by value, and hands out the stored
+    Integral, its arrays read-only; yields the memo, a fresh lru_cache of
     _MEMO_SIZE entries, whose cache_info() counts computed calls as misses
     and reused ones as hits.  The memo is dropped on exit."""
     memo = functools.lru_cache(maxsize=_MEMO_SIZE)(_stored_integral)
@@ -223,12 +223,12 @@ def inner_integral_memo():
         _memo.reset(token)
 
 
-def exclusion_average(kappa: Callable[[np.ndarray], np.ndarray], s,
-                      cfg: QuadratureConfig) -> Integral:
+def exclusion_average(kappa: Callable[..., np.ndarray], s,
+                      cfg: QuadratureConfig, *args) -> Integral:
     """g(s) = integral_0^inf s*exp(-s*(t + kappa(t))) dt for each s >= 0 (a
     float or an array): the two-node uplink factor averaged over the
     exclusion radius, E[exp(-s*kappa(V/s))] for the simulator's
-    v_rho = V ~ Exp(1), where kappa >= 0 maps an array of t to the kernel.
+    v_rho = V ~ Exp(1), for a kernel kappa(t, *args) >= 0 of an array t.
 
     Integrates in w = ln t on one interval for all columns,
     [ln(tail_cut/s_max), ln(ln(1/tail_cut)/s_min)], so a round evaluates
@@ -242,23 +242,23 @@ def exclusion_average(kappa: Callable[[np.ndarray], np.ndarray], s,
     s = np.asarray(s, dtype=float)
     memo = _memo.get()
     if memo is None:
-        return _exclusion_integral(kappa, s, cfg)
-    # the kernel object itself, so a kernel is never mistaken for another
-    return memo(kappa, cfg, s.shape, s.tobytes())
+        return _exclusion_integral(kappa, args, s, cfg)
+    return memo(kappa, args, cfg, s.shape, s.tobytes())
 
 
-def _stored_integral(kappa, cfg: QuadratureConfig, shape: tuple,
+def _stored_integral(kappa, args: tuple, cfg: QuadratureConfig, shape: tuple,
                      scales: bytes) -> Integral:
     """exclusion_average computed for the scales s.tobytes(), its arrays
     made read-only for the memo to hand out."""
-    g = _exclusion_integral(kappa, np.frombuffer(scales).reshape(shape), cfg)
+    g = _exclusion_integral(kappa, args, np.frombuffer(scales).reshape(shape), cfg)
     for part in g[:2]:
         if isinstance(part, np.ndarray):
             part.flags.writeable = False
     return g
 
 
-def _exclusion_integral(kappa, s: np.ndarray, cfg: QuadratureConfig) -> Integral:
+def _exclusion_integral(kappa, args: tuple, s: np.ndarray,
+                        cfg: QuadratureConfig) -> Integral:
     """exclusion_average computed, for an array of s."""
     live = (s > 0.0) & (s < math.inf)
     sl = s[live]
@@ -267,7 +267,7 @@ def _exclusion_integral(kappa, s: np.ndarray, cfg: QuadratureConfig) -> Integral
     def integrand(w: np.ndarray) -> np.ndarray:
         # s*t * exp(-s*(t + kappa(t))) as one exp: s*t alone may overflow
         t = np.exp(w)
-        k = t + kappa(t)
+        k = t + kappa(t, *args)
         return np.exp(log_s + w[:, None] - k[:, None] * sl)
 
     value = np.where(s == math.inf, 0.0, 1.0)

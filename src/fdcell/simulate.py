@@ -76,7 +76,8 @@ class SimConfig:
     the disk of radius W/sqrt(lam*pi).  The points beyond count by their
     mean, so W trades only variance for time: every W up to 11.3 draws 128
     points, and windows 8, 12 and 30 differ by at most 0.02 stderr (seed 5,
-    40 000 trials, alpha from 2.2 to 4).
+    40 000 trials, alpha from 2.2 to 4).  W is at most 128, where a block's
+    buffer of 6*BLOCK*W^2 doubles takes 50 MB.
     """
 
     trials: int = 100_000
@@ -87,9 +88,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        # an infinite window has no finite draw, and NaN fails both comparisons
-        if not 5 <= self.window_factor < math.inf:
-            raise ValueError("window_factor must be finite and >= 5, got "
+        # NaN fails both comparisons
+        if not 5 <= self.window_factor <= 128:
+            raise ValueError("window_factor must be in [5, 128], got "
                              f"{self.window_factor}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")

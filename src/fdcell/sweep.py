@@ -68,12 +68,14 @@ class SweepSpec:
     only, and is rejected where no row reads it (sigma_l2 swept, or no
     two-node scenario); empty, it means the single level fixed.sigma_l2.
     rate is the fixed target rate when the swept variable is not the rate
-    itself.  bs_power sweeps scale p_b to the grid value and p_u with it,
-    preserving the configured p_u/p_b ratio.
+    itself.  bs_power sweeps set p_b to the grid value and p_u to it times
+    p_u/p_b, so equal powers stay equal: at normal grid values, no swept
+    variable changes whether closedform.applicable holds.
 
     plan, worked out once here, holds (scenario, rows) per scenario and
-    (grid value, sigma_l2, params, rate) per row, both in output order; it
-    builds each distinct model once, so a bad bound fails before any row.
+    (grid value, sigma_l2, params, rate) per row, both in output order, with
+    sigma_l2 0 and params at fixed.sigma_l2 off two-node; it builds each
+    distinct model once, so a bad bound fails before any row.
     """
 
     variable: str
@@ -127,28 +129,29 @@ class SweepSpec:
             raise ConfigError(f"{self.variable} grid must be >= 0")
         plan, model = [], functools.cache(self._model)
         for scenario in (s for s in Scenario if s in self.scenarios):
-            rows = []
+            rows, two_node = [], scenario is Scenario.TWO_NODE_FD
             for value in self.grid:
-                for li in ((None,) if scenario is not Scenario.TWO_NODE_FD
+                for li in ((self.fixed.sigma_l2,) if not two_node
                            else (value,) if self.variable == "residual_li"
                            else sorted(self.li_levels or (self.fixed.sigma_l2,))):
-                    rows.append((value, li or 0.0, model(value, li),
+                    rows.append((value, li if two_node else 0.0, model(value, li),
                                  value if self.variable == "rate" else self.rate))
             plan.append((scenario, tuple(rows)))
         object.__setattr__(self, "plan", tuple(plan))
 
-    def _model(self, value: float, li: float | None) -> NetworkParams:
-        """The model at one grid value and sigma_l2, None off two-node."""
-        changes = {} if li in (None, self.fixed.sigma_l2) else {"sigma_l2": li}
+    def _model(self, value: float, sigma_l2: float) -> NetworkParams:
+        """The model at one grid value and its own sigma_l2, fixed itself
+        when nothing differs."""
+        changes = {} if sigma_l2 == self.fixed.sigma_l2 else {"sigma_l2": sigma_l2}
         if self.variable == "bs_power":
-            changes.update(p_b=value, p_u=self.fixed.p_u * value / self.fixed.p_b)
+            changes.update(p_b=value, p_u=value * (self.fixed.p_u / self.fixed.p_b))
         elif self.variable == "density":
             changes["lam"] = value
         try:
             return self.fixed.replace(**changes) if changes else self.fixed
         except ValueError as exc:
             raise ConfigError(f"{self.variable} = {value:g}, sigma_l2 = "
-                              f"{li or 0.0:g}: {exc}") from exc
+                              f"{sigma_l2:g}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,8 @@ def sweep_rows(spec: SweepSpec, parts: dict | None = None, mc_ms: float = 0.0,
     estimate, and for general analytic rows with scipy already loaded.  A
     Monte Carlo row rescales its scenario's entry of `parts`, the shared
     simulation, and adds mc_ms; without parts it simulates over `workers`.
+    Closed-form rows are dropped, with one INFO line, when the closed form
+    does not apply to spec.fixed, and so (see SweepSpec) to any row.
 
     Two-node analytic and closed-form rows, the only ones with inner
     integrals, share them in one :func:`fdcell.quadrature.inner_integral_memo`:
@@ -235,28 +240,26 @@ def sweep_rows(spec: SweepSpec, parts: dict | None = None, mc_ms: float = 0.0,
     powers, every density too.  One DEBUG line states how many were computed
     and reused, the misses and hits of the memo's cache_info(), or 0 and 0."""
     general, closed, mc = (m.value for m in Method)
-    if general in spec.methods:
+    methods = sorted(spec.methods)
+    if closed in methods and not closedform.applicable(spec.fixed):
+        log.info("closed form not applicable (needs %s); closed-form rows "
+                 "skipped", closedform.REQUIREMENTS)
+        methods.remove(closed)
+    if general in methods:
         analytic._hyp2f1()
-    inner = Scenario.TWO_NODE_FD in spec.scenarios and spec.methods != (mc,)
+    inner = Scenario.TWO_NODE_FD in spec.scenarios and set(methods) - {mc}
     rows: list[SweepRow] = []
     with inner_integral_memo() if inner else contextlib.nullcontext() as memo:
-        for (scenario, points), method in itertools.product(
-                spec.plan, sorted(spec.methods)):
+        for (scenario, points), method in itertools.product(spec.plan, methods):
+            mc_row = method == mc
             for value, li, params, rate in points:
                 t0 = time.perf_counter()
-                if method == general:
-                    est = analytic.outage(scenario, params, rate, spec.quad)
-                elif method == closed:
-                    if not closedform.applicable(params):
-                        log.info("closed form not applicable for %s at %s=%g "
-                                 "(needs %s); skipped", scenario.value,
-                                 spec.variable, value, closedform.REQUIREMENTS)
-                        continue
-                    est = closedform.outage(scenario, params, rate, spec.quad)
-                else:
+                if mc_row:
                     est = estimate_outage(params, scenario, rate, spec.sim, workers,
                                           parts[scenario] if parts else None)
-                mc_row = method == mc
+                else:
+                    est = (analytic if method == general else closedform).outage(
+                        scenario, params, rate, spec.quad)
                 ms = (time.perf_counter() - t0) * 1e3 + (mc_ms if mc_row else 0.0)
                 rows.append(SweepRow(scenario.value, method, spec.variable, value, li,
                                      est.value, est.stderr if mc_row else None, ms))

@@ -507,6 +507,18 @@ class TestEdgeOfDomain:
                                QUAD).value == \
             analytic.outage(scenario, NetworkParams(), 1.0, QUAD).value
 
+    @pytest.mark.parametrize("extra", [{}, {"sigma_n2": 1.0, "sigma_l2": 1e-3}],
+                             ids=["interference-limited", "noise-and-loop"])
+    @pytest.mark.parametrize("rate", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha1", [500.0, 1e3, 1e6])
+    @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+    def test_large_alpha1(self, scenario, alpha1, rate, extra):
+        # x^alpha1 overflows beyond x = 1 and underflows below it, against
+        # scales capped at the largest double: no term may become 0*inf,
+        # which RuntimeWarning, an error here, would show
+        p = NetworkParams(alpha1=alpha1, **extra)
+        assert 0.0 <= analytic.outage(scenario, p, rate, QUAD).value <= 1.0
+
 
 @pytest.fixture
 def nodes(monkeypatch):
@@ -633,22 +645,22 @@ class TestInnerIntegralMemo:
     S = np.array([1e-3, 0.5, 2.0])
 
     def test_no_state_outside_a_scope(self):
-        kernel = analytic._exclusion_kernel(4.0)
-        a = exclusion_average(kernel, self.S, QUAD)
-        b = exclusion_average(kernel, self.S, QUAD)
+        kernel = analytic._exclusion_kernel
+        a = exclusion_average(kernel, self.S, QUAD, 4.0)
+        b = exclusion_average(kernel, self.S, QUAD, 4.0)
         assert a is not b and a.value.flags.writeable
         assert list(a.value) == list(b.value)
 
     def test_identical_call_returns_the_stored_integral(self):
-        kernel = analytic._exclusion_kernel(4.0)
-        fresh = exclusion_average(kernel, self.S, QUAD)
+        kernel = analytic._exclusion_kernel
+        fresh = exclusion_average(kernel, self.S, QUAD, 4.0)
         with inner_integral_memo() as memo:
-            first = exclusion_average(kernel, self.S, QUAD)
+            first = exclusion_average(kernel, self.S, QUAD, 4.0)
             # another array of the same scales and another equal config
-            again = exclusion_average(analytic._exclusion_kernel(4.0),
-                                      self.S.copy(), QuadratureConfig())
+            again = exclusion_average(kernel, self.S.copy(), QuadratureConfig(),
+                                      4.0)
             # one of the scales alone is another integral
-            scalar = exclusion_average(kernel, 2.0, QUAD)
+            scalar = exclusion_average(kernel, 2.0, QUAD, 4.0)
         assert again is first and counts(memo) == (2, 1)
         assert list(first.value) == list(fresh.value)
         assert list(first.abserr) == list(fresh.abserr)
@@ -661,32 +673,31 @@ class TestInnerIntegralMemo:
     def test_kernels_never_share_an_entry(self):
         # the general kernel at alpha2 = 4 and the closed form's arccot are
         # different functions of t; neither may serve the other
-        general = analytic._exclusion_kernel(4.0)
+        general = analytic._exclusion_kernel
         with inner_integral_memo() as memo:
-            g = exclusion_average(general, self.S, QUAD)
+            g = exclusion_average(general, self.S, QUAD, 4.0)
             c = exclusion_average(closedform.arccot, self.S, QUAD)
             assert counts(memo) == (2, 0)
-            assert exclusion_average(general, self.S, QUAD) is g
+            assert exclusion_average(general, self.S, QUAD, 4.0) is g
             assert exclusion_average(closedform.arccot, self.S, QUAD) is c
-            assert exclusion_average(analytic._exclusion_kernel(3.0),
-                                     self.S, QUAD) is not g
+            assert exclusion_average(general, self.S, QUAD, 3.0) is not g
         assert counts(memo) == (3, 2)
         assert list(g.value) != list(c.value)
 
     def test_memo_is_bounded(self):
-        kernel = analytic._exclusion_kernel(4.0)
+        kernel = analytic._exclusion_kernel
         with inner_integral_memo() as memo:
             for k in range(quadrature._MEMO_SIZE + 1):
-                exclusion_average(kernel, 1.0 + k, QUAD)
+                exclusion_average(kernel, 1.0 + k, QUAD, 4.0)
             assert memo.cache_info().currsize == quadrature._MEMO_SIZE
             # the least recently used, the first, was dropped
-            exclusion_average(kernel, 1.0, QUAD)
+            exclusion_average(kernel, 1.0, QUAD, 4.0)
         assert memo.cache_info().hits == 0
 
     def test_each_thread_has_its_own_memo(self):
         # both scopes stay open until both threads have computed, and the
         # second thread computes after the first has stored its integral
-        kernel = analytic._exclusion_kernel(4.0)
+        kernel = analytic._exclusion_kernel
         stored, done = threading.Event(), threading.Barrier(2, timeout=10)
         results = [None, None]
 
@@ -694,7 +705,7 @@ class TestInnerIntegralMemo:
             with inner_integral_memo() as memo:
                 if i:
                     stored.wait(timeout=10)
-                g = exclusion_average(kernel, self.S, QUAD)
+                g = exclusion_average(kernel, self.S, QUAD, 4.0)
                 results[i] = g, counts(memo)
                 stored.set()
                 done.wait()
@@ -710,11 +721,11 @@ class TestInnerIntegralMemo:
         assert a_counts == b_counts == (1, 0)
 
     def test_a_thread_started_in_a_scope_computes_unscoped(self):
-        kernel = analytic._exclusion_kernel(4.0)
+        kernel = analytic._exclusion_kernel
         results = []
         with inner_integral_memo() as memo:
             worker = threading.Thread(target=lambda: results.append(
-                exclusion_average(kernel, self.S, QUAD)))
+                exclusion_average(kernel, self.S, QUAD, 4.0)))
             worker.start()
             worker.join(timeout=10)
         assert not worker.is_alive()
@@ -751,11 +762,11 @@ class TestNestedArrays:
         # len(s) * t.size of every inner integrand call, in doubles
         sizes = []
 
-        def recording(kappa, s, cfg):
-            def counted(t):
+        def recording(kappa, s, cfg, *args):
+            def counted(t, *args):
                 sizes.append(np.size(s) * t.size)
-                return kappa(t)
-            return exclusion_average(counted, s, cfg)
+                return kappa(t, *args)
+            return exclusion_average(counted, s, cfg, *args)
 
         for module in (analytic, closedform):
             monkeypatch.setattr(module, "exclusion_average", recording)

@@ -332,19 +332,40 @@ class TestSweepCommand:
         for flag in named:
             assert flag in err
 
-    def test_rate_sweep_rejects_rate_flag(self, capsys, tmp_path):
-        base = ("sweep", "--variable", "rate", "--grid", "0:1:3",
+    @pytest.mark.parametrize("variable, flag, key", [
+        ("rate", "--rate", "rate"),
+        ("density", "--lambda", "lambda"),
+        ("residual_li", "--sigma-l2", "sigma_l2"),
+    ], ids=["rate", "density", "residual_li"])
+    def test_sweep_rejects_its_swept_flag(self, capsys, tmp_path, variable,
+                                          flag, key):
+        base = ("sweep", "--variable", variable, "--grid", "0.5:1:3",
                 "--scenarios", "three-node")
-        code, out, err = run(capsys, *base, "--rate", "5")
+        if variable != "rate":
+            base += ("--rate", "1")
+        code, out, err = run(capsys, *base, flag, "5")
         assert code == EXIT_CONFIG and not out
-        assert "--rate" in err
-        # a rate from the config file stays a default, unused by the sweep
+        assert flag in err
+        # the same setting from the config file stays a default, unused by
+        # the sweep
         conf = tmp_path / "fd.conf"
-        conf.write_text("rate = 5\n")
+        conf.write_text(f"{key} = 5\n")
         code, by_conf, err = run(capsys, "--config", str(conf), *base)
         assert code == EXIT_OK, err
         _, plain, _ = run(capsys, *base)
         assert values(by_conf) == values(plain)
+
+    def test_power_sweep_keeps_pb(self, capsys):
+        # --pb sets the p_u/p_b ratio of a bs_power sweep, which is kept
+        # exactly: equal powers keep every closed-form row
+        code, out, err = run(capsys, "sweep", "--variable", "bs_power",
+                             "--grid", "1e-2:1e4:13:log", "--pb", "3", "--pu",
+                             "3", "--methods", "analytic,closed-form",
+                             "--rate", "0.1")
+        assert code == EXIT_OK, err
+        rows = rows_from_csv(out)
+        assert sum(r.method == "closed-form" for r in rows) == 39
+        assert len(rows) == 78
 
     def test_preset_takes_model_keys_as_defaults(self, capsys, tmp_path):
         # a config file only supplies defaults, which a preset overrides
@@ -379,6 +400,59 @@ class TestEstimateIsOnePointSweep:
         assert values(out) == values(rows_to_csv([row]))
         # only two-node rows carry the loop gain
         assert row.sigma_l2 == (1e-3 if scenario == "two-node" else 0.0)
+
+
+# inputs at the edges of the valid domain: a flag, or a config file line
+DOMAIN_EDGES = {
+    "alpha1-near-2": "--alpha1=2.0000001",
+    "alpha2-near-2": "--alpha2=2.0000001",
+    "alpha1-500": "--alpha1=500",
+    "alpha1-1e6": "--alpha1=1e6",
+    "pu-1e300": "--pu=1e300",
+    "pu-1e-300": "--pu=1e-300",
+    "pb-1e300": "--pb=1e300",
+    "pb-1e-300": "--pb=1e-300",
+    "rate-1e-300": "--rate=1e-300",
+    "rate-2000": "--rate=2000",
+    "lambda-1e-320": "--lambda=1e-320",
+    "window-1e200": "window_factor = 1e200",
+}
+# every route and scenario at each edge, but Monte Carlo at large alpha1
+DOMAIN_CASES = [(command, scenario.value, edge)
+                for command in ("analytic", "simulate") for scenario in Scenario
+                for edge in DOMAIN_EDGES
+                if command == "analytic" or edge not in ("alpha1-500", "alpha1-1e6")]
+
+
+class TestDomainEdges:
+    """Each input of DOMAIN_EDGES alone, on top of rate 1 and the default
+    model, by every route and scenario gives an outage in [0, 1] or exits 2
+    or 3 with one line: it never exits 1, and warns of nothing.
+
+    DOMAIN_CASES leaves out Monte Carlo at alpha1 = 500 and 1e6: at 500 it
+    warns of overflow in u0 ** -a1 and gives NaN (exit 3) but at half-duplex,
+    and at 1e6 it gives NaN and exits 3 at every scenario, a fault recorded
+    as a FOUND in CHANGES.md."""
+
+    @pytest.mark.parametrize("command, scenario, edge", DOMAIN_CASES)
+    def test_value_or_exit_2_or_3(self, capsys, tmp_path, command, scenario,
+                                  edge):
+        argv = [command, "--scenario", scenario, "--rate", "1"]
+        if command == "simulate":
+            argv += ["--trials", "64"]
+        if DOMAIN_EDGES[edge].startswith("--"):
+            argv.append(DOMAIN_EDGES[edge])
+        else:
+            conf = tmp_path / "fd.conf"
+            conf.write_text(DOMAIN_EDGES[edge] + "\n")
+            argv = ["--config", str(conf)] + argv
+        code, out, err = run(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err
+        if code == EXIT_OK:
+            (row,) = rows_from_csv(out)
+            assert 0.0 <= row.outage <= 1.0
+        else:
+            assert not out and len(err.splitlines()) == 1
 
 
 class TestCompareCommand:

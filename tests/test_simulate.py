@@ -124,10 +124,20 @@ class TestSimConfig:
         {"trials": 0}, {"window_factor": 4.0}, {"seed": -1}, {"seed": 2 ** 64},
         # a window that never closes would sample without end
         {"window_factor": math.nan}, {"window_factor": math.inf},
+        # a finite window whose block buffer would not fit in memory
+        {"window_factor": 128.5},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             SimConfig(**bad)
+
+    def test_window_bound(self):
+        # only built, never sampled: the widest window's block buffer of
+        # 6*BLOCK*128^2 doubles is 50 MB
+        assert SimConfig(window_factor=128.0).window_factor == 128.0
+        with pytest.raises(ValueError, match=r"window_factor must be in "
+                           r"\[5, 128\], got 1e\+200"):
+            SimConfig(window_factor=1e200)
 
 
 class TestSampleRealization:

@@ -218,6 +218,36 @@ class TestRunSweep:
         assert any("closed form not applicable" in m
                    and closedform.REQUIREMENTS in m for m in caplog.messages)
 
+    def test_closed_form_decided_once(self, caplog):
+        # fig2 has noise: one notice for the sweep, not one per row
+        spec = replace(build_preset("fig2")[0], methods=("analytic", "closed-form"))
+        with caplog.at_level(logging.INFO, logger="fdcell.sweep"):
+            rows = run_sweep(spec)
+        assert len(rows) == 52 and {r.method for r in rows} == {"analytic"}
+        assert sum("closed form not applicable" in m
+                   for m in caplog.messages) == 1
+
+    @pytest.mark.parametrize("variable", sweep.VARIABLES)
+    @pytest.mark.parametrize("p_b, p_u, sigma_n2", [
+        (1.0, 1.0, 0.0), (3.0, 3.0, 0.0), (0.1, 0.1, 0.0), (7e-5, 7e-5, 0.0),
+        # p_u/p_b one ulp above and one below 1
+        (1.0, math.nextafter(1.0, 2.0), 0.0), (1.0, math.nextafter(1.0, 0.0), 0.0),
+        (3.0, math.nextafter(3.0, 4.0), 0.0), (3.0, math.nextafter(3.0, 0.0), 0.0),
+        (3.0, 3.0, 1.0),
+    ])
+    def test_closed_form_applies_to_every_row_or_none(self, variable, p_b,
+                                                       p_u, sigma_n2):
+        # what sweep_rows decides once, of spec.fixed, holds for every row
+        fixed = NetworkParams(p_b=p_b, p_u=p_u, sigma_n2=sigma_n2)
+        rng = np.random.default_rng(7)
+        grid = tuple(sorted({*make_grid(1e-2, 1e4, 13, "log"),
+                             *10.0 ** rng.uniform(-3.0, 4.0, 30)}))
+        spec = SweepSpec(variable, grid, fixed=fixed, methods=("closed-form",),
+                         li_levels=() if variable == "residual_li" else (0.0, 1e-3))
+        models = [params for _, rows in spec.plan for _, _, params, _ in rows]
+        assert {closedform.applicable(p) for p in models} == \
+            {closedform.applicable(fixed)}
+
     @pytest.mark.parametrize("variable", list(MC_SWEEPS))
     def test_mc_rate_rows_share_samples(self, variable):
         # every row of the one shared simulation equals a direct estimate
@@ -360,9 +390,9 @@ class TestInnerIntegralMemo:
     def test_half_of_the_fig3_request_is_reused(self, caplog, monkeypatch):
         calls, exclusion_average = [], analytic.exclusion_average
 
-        def counting(kappa, s, cfg):
+        def counting(kappa, s, cfg, *args):
             calls.append(kappa)
-            return exclusion_average(kappa, s, cfg)
+            return exclusion_average(kappa, s, cfg, *args)
 
         for module in (analytic, closedform):
             monkeypatch.setattr(module, "exclusion_average", counting)
@@ -405,7 +435,9 @@ class TestInnerIntegralMemo:
         planned = len(built)
         rows = sweep_rows(spec)
         assert len(rows) == 3 * 45
-        assert 0 < planned <= len(spec.grid) * (len(spec.li_levels) + 1)
+        # one per (density, sigma_l2): the other scenarios' rows share the
+        # two-node model at fixed.sigma_l2 = 0
+        assert planned == len(spec.grid) * len(spec.li_levels) == 27
         assert len(built) == planned
 
     def test_plan_is_not_an_argument(self):
