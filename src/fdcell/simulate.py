@@ -19,16 +19,18 @@ the same path-loss exponents.
 Trials are drawn in blocks of BLOCK.  Block b comes from two SFC64 streams
 seeded by SeedSequence(seed, spawn_key=(b, 0)) for the BSs and (b, 1) for
 the users, and trial i is row i % BLOCK of block i // BLOCK.  A stream is
-read chunk-major, CHUNK columns per row at a time, whatever the window, so
-a trial is a pure function of (seed, i): estimates are bitwise identical for
-any worker count, and a trial's points at one window are a prefix of its
-points at any wider window.
+read point-major: each point's gaps, then its fadings, for all BLOCK rows,
+whatever the window.  So a trial is a pure function of (seed, i): estimates
+are bitwise identical for any worker count, and a trial's points at one
+window are a prefix of its points at any wider window.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -48,8 +50,9 @@ __all__ = [
     "estimate_outage",
 ]
 
+log = logging.getLogger(__name__)
+
 BLOCK = 64    # trials per realization
-CHUNK = 128   # points per row in a chunk; one call draws all of a stream's chunks
 
 
 class SimMode(Enum):
@@ -72,12 +75,13 @@ class SimConfig:
     """Monte Carlo window, trial count, seed and realization mode.
 
     window_factor W sets how many nearest points of each process a trial
-    draws: k*CHUNK with k = ceil(W^2/CHUNK), at least W^2, the mean count in
-    the disk of radius W/sqrt(lam*pi).  The points beyond count by their
-    mean, so W trades only variance for time: every W up to 11.3 draws 128
-    points, and windows 8, 12 and 30 differ by at most 0.02 stderr (seed 5,
-    40 000 trials, alpha from 2.2 to 4).  W is at most 128, where a block's
-    buffer of 6*BLOCK*W^2 doubles takes 50 MB.
+    draws: ceil(W^2), the mean count in the disk of radius W/sqrt(lam*pi).
+    The points beyond count by their mean, so W trades variance and a small
+    Jensen bias for time.  At seed 7, 2e5 trials, alpha in {2.2, 2.5, 4},
+    every scenario and R in {0.1, 1}, windows 8 and 5 differ from window 30
+    by at most 0.035 and 0.114 stderr, inside bounds of 0.05 and 0.2.  W is
+    at most 128, where a block's buffer of 4*BLOCK*ceil(W^2) doubles takes
+    33.5 MB.
     """
 
     trials: int = 100_000
@@ -105,8 +109,8 @@ class NetworkRealization:
     not read.  The users of three-node and physical two-node are user_u;
     matched two-node users are user_u + v_rho[:, None], a PPP outside the
     exclusion disk, with the same fadings.  Half-duplex sees no users.
-    The four arrays are views of one (6, BLOCK, n) buffer per block: the BS
-    rows are its slabs 2-3 and the user rows 4-5, while 0-1 staged the draws.
+    The four arrays are transposed views of one (2, n, 2, BLOCK) buffer per
+    block, the BSs' stream in half 0 and the users' in half 1.
     """
 
     bs_u: np.ndarray             # (rows, n) BS positions
@@ -128,20 +132,19 @@ def sample_realization(scenarios: tuple[Scenario, ...], sim: SimConfig,
     from 0, so its points do not depend on the scenarios.  v_rho is kept in
     matched mode only.
     """
-    # both streams' draws and rows in one allocation per block: glibc maps
-    # the first, and freeing it raises its trim threshold to twice the size,
-    # so the heap keeps the block's memory for the next block.  Draws and
-    # copies allocated one by one were trimmed and faulted back in, at
-    # 25 000-98 000 minor faults a second in the benchmark's worker.  Slabs
-    # 0-1 stage each stream's draw in turn, 2-3 hold the BS rows, 4-5 the users'.
-    buf = np.empty((6, BLOCK, math.ceil(sim.window_factor ** 2 / CHUNK) * CHUNK))
-    bs_u, bs_fadings = _points(_stream(sim.seed, block_index, 0), buf[:2], buf[2:4])
+    # both streams in one allocation per block: glibc maps the first, and
+    # freeing it raises its trim threshold to twice the size, so the heap
+    # keeps the block's memory for the next block.  One buffer per stream
+    # was trimmed and faulted back in: 20 600 minor faults per 2000-trial
+    # simulation at window 30, about 130 000 a second, against none.
+    buf = np.empty((2, math.ceil(sim.window_factor ** 2), 2, BLOCK))
+    bs_u, bs_fadings = _points(_stream(sim.seed, block_index, 0), buf[0])
     user_u = user_fadings = np.empty((BLOCK, 0))
     v_rho = None
     if set(scenarios) - {Scenario.HALF_DUPLEX}:
         rng = _stream(sim.seed, block_index, 1)
         v_rho = rng.standard_exponential(BLOCK)
-        user_u, user_fadings = _points(rng, buf[:2], buf[4:])
+        user_u, user_fadings = _points(rng, buf[1])
         if sim.mode is SimMode.PHYSICAL:
             v_rho = None
     return NetworkRealization(bs_u, bs_fadings, user_u, user_fadings, v_rho,
@@ -180,12 +183,14 @@ def simulate_sinr(params: NetworkParams, scenarios: tuple[Scenario, ...],
     """SINR parts (see :func:`sinr_of_realization`) of sim.trials trials of
     each scenario, in trial order.  Workers map over blocks, and each block
     is a pure function of (seed, block index), so the result is identical for
-    any worker count; the pool has at most one thread per CPU and per block."""
+    any worker count; the pool has at most one thread per CPU and per block.
+    Logs the draw and its rate at DEBUG."""
 
     def run_block(block_index: int) -> dict[Scenario, np.ndarray]:
         real = sample_realization(scenarios, sim, block_index)
         return sinr_of_realization(real, params)
 
+    t0 = time.perf_counter()
     blocks = range(-(-sim.trials // BLOCK))
     workers = min(workers, os.cpu_count() or 1, len(blocks))
     if workers <= 1:
@@ -193,8 +198,13 @@ def simulate_sinr(params: NetworkParams, scenarios: tuple[Scenario, ...],
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_block, blocks))
-    return {s: np.concatenate([p[s] for p in parts], axis=1)[:, :sim.trials]
-            for s in scenarios}
+    parts = {s: np.concatenate([p[s] for p in parts], axis=1)[:, :sim.trials]
+             for s in scenarios}
+    wall = time.perf_counter() - t0
+    log.debug("%d trials of %s: %d points per process and trial, %.1f ms, "
+              "%.0f trials/s", sim.trials, ",".join(s.value for s in scenarios),
+              math.ceil(sim.window_factor ** 2), wall * 1e3, sim.trials / wall)
+    return parts
 
 
 def estimate_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
@@ -239,21 +249,18 @@ def _stream(seed: int, block_index: int, which: int) -> np.random.Generator:
         int(seed), spawn_key=(int(block_index), which))))
 
 
-def _points(rng: np.random.Generator, stage: np.ndarray,
-            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nearest k*CHUNK points of a unit-rate PPP on (0, inf) per row in
-    increasing order, and the unit-mean exponential fadings of its points.
+def _points(rng: np.random.Generator,
+            out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest n points of a unit-rate PPP on (0, inf) per row in
+    increasing order, and the unit-mean exponential fadings of its points,
+    as (BLOCK, n) views of out.
 
-    stage, (2, BLOCK, k*CHUNK) and free to overwrite, takes the draw of k
-    chunks in one call, chunk-major; rows, of the same shape, receives the
-    fadings and the cumulated gaps, one trial per row."""
-    k = stage.shape[2] // CHUNK
-    drawn = rng.standard_exponential(out=stage.reshape(k, 2, BLOCK, CHUNK))
-    fadings, u = rows
-    fadings.reshape(BLOCK, k, CHUNK)[...] = drawn[:, 1].transpose(1, 0, 2)
-    u.reshape(BLOCK, k, CHUNK)[...] = drawn[:, 0].transpose(1, 0, 2)
-    np.cumsum(u, axis=1, out=u)
-    return u, fadings
+    out, (n, 2, BLOCK), takes the draw in one call, point-major: point j's
+    gaps and fadings for every row follow point j-1's.  The gaps are then
+    cumulated along the points in place."""
+    rng.standard_exponential(out=out)
+    np.cumsum(out[:, 0], axis=0, out=out[:, 0])
+    return out[:, 0].T, out[:, 1].T
 
 
 def _interference(u: np.ndarray, fadings: np.ndarray, half_alpha: float) -> np.ndarray:

@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import operator
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -69,7 +70,7 @@ class SweepSpec:
     two-node scenario); empty, it means the single level fixed.sigma_l2.
     rate is the fixed target rate when the swept variable is not the rate
     itself.  bs_power sweeps set p_b to the grid value and p_u to it times
-    p_u/p_b, so equal powers stay equal: at normal grid values, no swept
+    p_u/p_b, so equal powers stay equal and unequal ones unequal: no swept
     variable changes whether closedform.applicable holds.
 
     plan, worked out once here, holds (scenario, rows) per scenario and
@@ -125,6 +126,11 @@ class SweepSpec:
         if self.variable in ("bs_power", "density"):
             if not all(v > 0 for v in self.grid):
                 raise ConfigError(f"{self.variable} grid must be > 0")
+            # p_b times p_u/p_b can round back to p_b where p_b is subnormal,
+            # or the smallest normal and p_u/p_b one ulp below 1 (a tie)
+            if self.variable == "bs_power" and self.grid[0] <= sys.float_info.min:
+                raise ConfigError(f"bs_power grid must be > {sys.float_info.min:g}, "
+                                  "the smallest normal double")
         elif not all(v >= 0 for v in self.grid):
             raise ConfigError(f"{self.variable} grid must be >= 0")
         plan, model = [], functools.cache(self._model)

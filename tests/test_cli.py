@@ -367,6 +367,13 @@ class TestSweepCommand:
         assert sum(r.method == "closed-form" for r in rows) == 39
         assert len(rows) == 78
 
+    def test_power_sweep_rejects_subnormal_pb(self, capsys):
+        code, out, err = run(capsys, "sweep", "--variable", "bs_power",
+                             "--grid", "5e-324,1", "--pu", "0.9",
+                             "--methods", "closed-form", "--rate", "0.1")
+        assert code == EXIT_CONFIG and not out
+        assert "bs_power grid must be > 2.22507e-308" in err
+
     def test_preset_takes_model_keys_as_defaults(self, capsys, tmp_path):
         # a config file only supplies defaults, which a preset overrides
         conf = tmp_path / "fd.conf"

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -74,44 +75,42 @@ def trial(scenario, sim, i):
 
 
 def legacy_parts(params, scenario, sim, block_index):
-    """A block's SINR parts as one scenario's own draw makes them, one chunk
-    of 128 columns per call from its own SFC64 streams: the bitwise oracle
-    of the shared draw of several chunks per call.  Each stream draws
-    exactly ceil(W^2/128) chunks; matched users are those points + v_rho.
-    A sum counts the points beyond a row's last one, u_K, by their mean
+    """A block's SINR parts as one scenario's own draw makes them, one point
+    per call from its own SFC64 streams: the bitwise oracle of the shared
+    draw of every point in one call.  Each stream draws exactly ceil(W^2)
+    points, each point's gaps and then its fadings for all BLOCK rows;
+    matched users are those points + v_rho.  A sum adds the points in order,
+    counts the points beyond a row's last one, u_K, by their mean
     u_K^(1-a)/(a-1), and takes u^-a as (1/u)^a, as the simulator does."""
 
     def points(rng):
-        u_parts, fading_parts, last = [], [], np.zeros(BLOCK)
-        for _ in range(math.ceil(sim.window_factor ** 2 / 128)):
-            gaps, fadings = rng.standard_exponential((2, BLOCK, 128))
-            gaps[:, 0] += last
-            u = np.cumsum(gaps, axis=1)
-            u_parts.append(u)
-            fading_parts.append(fadings)
-            last = u[:, -1]
-        return np.concatenate(u_parts, axis=1), np.concatenate(fading_parts, axis=1)
+        u, drawn = np.zeros(BLOCK), []
+        for _ in range(math.ceil(sim.window_factor ** 2)):
+            gaps, fadings = rng.standard_exponential((2, BLOCK))
+            u = u + gaps
+            drawn.append((u, fadings))
+        return drawn
 
     def stream(which):
         return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
             sim.seed, spawn_key=(block_index, which))))
 
-    def interference(u, fadings, a):
-        return (fadings * (1.0 / u) ** a).sum(axis=1) + u[:, -1] ** (1.0 - a) / (a - 1.0)
+    def interference(drawn, a):
+        return (sum(fadings * (1.0 / u) ** a for u, fadings in drawn)
+                + drawn[-1][0] ** (1.0 - a) / (a - 1.0))
 
-    bs_u, bs_fadings = points(stream(0))
+    bs = points(stream(0))
     if scenario is Scenario.HALF_DUPLEX:
         i_up = np.zeros(BLOCK)
     else:
         rng = stream(1)
         v_rho = rng.standard_exponential(BLOCK)
-        user_u, user_fadings = points(rng)
+        users = points(rng)
         if scenario is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED:
-            user_u = user_u + v_rho[:, None]
-        i_up = interference(user_u, user_fadings, params.alpha2 / 2.0)
+            users = [(u + v_rho, fadings) for u, fadings in users]
+        i_up = interference(users, params.alpha2 / 2.0)
     a1 = params.alpha1 / 2.0
-    return np.stack((bs_u[:, 0] ** -a1,
-                     interference(bs_u[:, 1:], bs_fadings[:, 1:], a1), i_up))
+    return np.stack((bs[0][0] ** -a1, interference(bs[1:], a1), i_up))
 
 
 class TestSimConfig:
@@ -133,7 +132,7 @@ class TestSimConfig:
 
     def test_window_bound(self):
         # only built, never sampled: the widest window's block buffer of
-        # 6*BLOCK*128^2 doubles is 50 MB
+        # 4*BLOCK*128^2 doubles is 33.5 MB
         assert SimConfig(window_factor=128.0).window_factor == 128.0
         with pytest.raises(ValueError, match=r"window_factor must be in "
                            r"\[5, 128\], got 1e\+200"):
@@ -177,10 +176,11 @@ class TestSampleRealization:
         assert np.all(real.bs_u > 0) and np.all(user_u > 0)
 
     def test_mean_bs_count_matches_window(self):
-        # lam*pi*R^2 = window_factor^2 = 64 at defaults: the mean number of
-        # BSs with u = lam*pi*r^2 inside the window, all among the drawn ones
+        # lam*pi*R^2 = window_factor^2/2 = 32 at defaults: the mean number of
+        # BSs with u = lam*pi*r^2 inside half the window's area; the 64 drawn
+        # points hold them all but in a fraction 2e-7 of the rows
         sim = SimConfig(trials=2000, seed=11)
-        mean_expected = sim.window_factor ** 2
+        mean_expected = sim.window_factor ** 2 / 2
         counts = np.concatenate([
             np.count_nonzero(real.bs_u <= mean_expected, axis=1) for real in (
                 sample_realization((Scenario.HALF_DUPLEX,), sim, b)
@@ -223,31 +223,33 @@ class TestSampleRealization:
                 assert noisy == quiet
 
     def test_block_rows_share_one_buffer(self):
-        # at window 30 (8 chunks of 128) a block's four arrays are views of
-        # one allocation no larger than six (BLOCK, 1024) slabs
+        # at window 30 (900 points) a block's four arrays are views of one
+        # allocation no larger than both streams' gaps and fadings
         real = sample_realization(tuple(Scenario), SimConfig(
             trials=10, seed=5, window_factor=30.0), 0)
         arrays = (real.bs_u, real.bs_fadings, real.user_u, real.user_fadings)
         base = real.bs_u.base
         assert base is not None and all(a.base is base for a in arrays)
-        assert base.nbytes <= 6 * BLOCK * 1024 * 8
+        assert base.nbytes <= 4 * BLOCK * 900 * 8
 
-    @pytest.mark.parametrize("window_factor, chunks", [
-        (5.0, 1), (8.0, 1), (11.3, 1), (12.0, 2), (24.0, 5), (30.0, 8)])
-    def test_draws_whole_chunks_covering_the_window(self, window_factor, chunks):
-        # ceil(W^2/128) chunks of 128 points per row, at least W^2 points
+    @pytest.mark.parametrize("window_factor, points", [
+        (5.0, 25), (8.0, 64), (10.3, 107), (11.3, 128), (12.0, 144),
+        (24.0, 576), (30.0, 900)])
+    def test_draws_ceil_window_squared_points(self, window_factor, points):
+        # ceil(W^2) points per row and process, the mean count in the window
         real = sample_realization(tuple(Scenario), SimConfig(
             trials=10, seed=5, window_factor=window_factor), 0)
-        assert 128 * chunks >= window_factor ** 2
-        for u in (real.bs_u, real.user_u):
-            assert u.shape == (BLOCK, 128 * chunks)
+        for array in (real.bs_u, real.bs_fadings, real.user_u, real.user_fadings):
+            assert array.shape == (BLOCK, points)
 
-    def test_narrow_window_is_prefix_of_wide(self):
+    # 10.3 draws 107 points, not a multiple of 8's 64
+    @pytest.mark.parametrize("narrow_w, wide_w", [(12.0, 24.0), (8.0, 10.3)])
+    def test_narrow_window_is_prefix_of_wide(self, narrow_w, wide_w):
         for scenario in (Scenario.TWO_NODE_FD, Scenario.THREE_NODE_FD):
             narrow = sample_realization((scenario,), SimConfig(
-                trials=10, seed=5, window_factor=12.0), 3)
+                trials=10, seed=5, window_factor=narrow_w), 3)
             wide = sample_realization((scenario,), SimConfig(
-                trials=10, seed=5, window_factor=24.0), 3)
+                trials=10, seed=5, window_factor=wide_w), 3)
             for field in ("bs_u", "bs_fadings", "user_u", "user_fadings"):
                 a, b = getattr(narrow, field), getattr(wide, field)
                 assert a.shape[1] < b.shape[1]
@@ -504,9 +506,9 @@ class TestEstimateOutage:
         ids=["two-node", "two-node-loop", "three-node", "half-duplex"])
     @pytest.mark.parametrize("alpha", [2.5, 3.0])
     def test_matches_analytic_off_quartic(self, alpha, scenario, sigma_l2):
-        # the interference beyond the last of 128 drawn points has a mean of
-        # 1.2 per unit power at alpha = 2.5; a window cut that dropped it
-        # put outage 7 to 17 stderr low at 10 000 trials
+        # the interference beyond the last of 64 drawn points has a mean of
+        # 1.4 per unit power at alpha = 2.5, so a window cut that dropped it
+        # would put outage many stderr low
         p = NetworkParams(alpha1=alpha, alpha2=alpha, sigma_l2=sigma_l2)
         sim = SimConfig(trials=10_000, seed=5)
         parts = simulate_sinr(p, (scenario,), sim)[scenario]
@@ -543,6 +545,18 @@ class TestEstimateOutage:
             assert est.meta["trials"] == 100 and est.meta["mode"] == "matched"
             assert est.meta == {"trials": 100, "seed": 9, "mode": "matched"}
             assert type(est.value) is float and type(est.stderr) is float
+
+    @pytest.mark.parametrize("window_factor, points", [(8.0, 64), (10.3, 107)])
+    def test_simulation_logs_one_debug_line(self, caplog, window_factor, points):
+        sim = SimConfig(trials=100, seed=3, window_factor=window_factor)
+        with caplog.at_level(logging.DEBUG, logger="fdcell.simulate"):
+            simulate_sinr(DEFAULTS, (Scenario.TWO_NODE_FD, Scenario.HALF_DUPLEX),
+                          sim)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        trials, scenarios, drawn, wall_ms, rate = record.args
+        assert (trials, scenarios, drawn) == (100, "two-node,half-duplex", points)
+        assert wall_ms > 0 and rate == pytest.approx(100e3 / wall_ms, rel=1e-12)
 
 
 class TestSharedDraw:
@@ -630,24 +644,24 @@ class TestStreamPin:
 
     def test_points(self):
         real = sample_realization(tuple(Scenario), self.SIM, 0)
-        assert real.bs_u.shape == real.user_u.shape == (BLOCK, 128)
+        assert real.bs_u.shape == real.user_u.shape == (BLOCK, 64)
         assert real.bs_u[0, :3] == self.close(
-            [0.0337542720656, 4.03961777869, 5.03833094331])
-        assert real.bs_u[2, -1] == self.close(123.373773958)
+            [0.0337542720656, 0.95757613231, 1.9564773216])
+        assert real.bs_u[2, -1] == self.close(58.7395918139)
         assert real.bs_fadings[0, :3] == self.close(
-            [1.94723757813, 1.25278178595, 0.603462470581])
+            [0.21679962104, 0.196872254102, 0.246901674366])
         assert real.user_u[0, :3] == self.close(
-            [0.0571063309452, 1.73241346783, 2.01475693431])
-        assert real.user_u[2, -1] == self.close(143.264623647)
+            [0.0571063309452, 0.234474653606, 1.10080985059])
+        assert real.user_u[2, -1] == self.close(60.7971104471)
         assert real.v_rho[:3] == self.close(
             [0.339061596484, 1.32284553965, 1.08561540218])
 
     def test_parts(self):
         parts = simulate_sinr(DEFAULTS, tuple(Scenario), self.SIM)
-        signal = [877.692741723, 1.17171915751, 1.0022012489]
-        i_bs = [0.294674740573, 0.972381396036, 0.299865968983]
-        i_up = {Scenario.TWO_NODE_FD: [7.13103941907, 0.82728145703, 0.679295022832],
-                Scenario.THREE_NODE_FD: [322.530335194, 24.0290072329, 2.42539848756],
+        signal = [877.692741723, 0.0623171675309, 1.00257864714]
+        i_bs = [0.94824261862, 0.140464508325, 0.304433621853]
+        i_up = {Scenario.TWO_NODE_FD: [6.51602550753, 0.49774620199, 0.622930743486],
+                Scenario.THREE_NODE_FD: [89.9875138172, 1.0397467662, 2.8466708559],
                 Scenario.HALF_DUPLEX: [0.0, 0.0, 0.0]}
         for scenario in Scenario:
             first = parts[scenario][:, :3]

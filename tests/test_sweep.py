@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -241,12 +242,24 @@ class TestRunSweep:
         fixed = NetworkParams(p_b=p_b, p_u=p_u, sigma_n2=sigma_n2)
         rng = np.random.default_rng(7)
         grid = tuple(sorted({*make_grid(1e-2, 1e4, 13, "log"),
-                             *10.0 ** rng.uniform(-3.0, 4.0, 30)}))
+                             *10.0 ** rng.uniform(-3.0, 4.0, 30),
+                             # the smallest bs_power accepted
+                             math.nextafter(sys.float_info.min, 1.0)}))
         spec = SweepSpec(variable, grid, fixed=fixed, methods=("closed-form",),
                          li_levels=() if variable == "residual_li" else (0.0, 1e-3))
         models = [params for _, rows in spec.plan for _, _, params, _ in rows]
         assert {closedform.applicable(p) for p in models} == \
             {closedform.applicable(fixed)}
+
+    @pytest.mark.parametrize("low", [
+        5e-324, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min])
+    def test_subnormal_bs_power_is_rejected(self, low):
+        # at these p_b, p_b*(p_u/p_b) rounds back to p_b for p_u/p_b one ulp
+        # below 1, so a row would take the closed form that fixed does not
+        fixed = NetworkParams(p_u=math.nextafter(1.0, 0.0))
+        assert low * (fixed.p_u / fixed.p_b) == low
+        with pytest.raises(ConfigError, match=r"bs_power grid must be > 2\.22507e-308"):
+            SweepSpec("bs_power", (low, 1.0), fixed=fixed, methods=("closed-form",))
 
     @pytest.mark.parametrize("variable", list(MC_SWEEPS))
     def test_mc_rate_rows_share_samples(self, variable):
