@@ -70,8 +70,8 @@ class SweepSpec:
     two-node scenario); empty, it means the single level fixed.sigma_l2.
     rate is the fixed target rate when the swept variable is not the rate
     itself.  bs_power sweeps set p_b to the grid value and p_u to it times
-    p_u/p_b, so equal powers stay equal and unequal ones unequal: no swept
-    variable changes whether closedform.applicable holds.
+    p_u/p_b, so equal powers stay equal: at any accepted grid value, no
+    swept variable changes whether closedform.applicable holds.
 
     plan, worked out once here, holds (scenario, rows) per scenario and
     (grid value, sigma_l2, params, rate) per row, both in output order, with
