@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, help="target rate, bits per channel use")
     p.add_argument("--workers", type=int, default=1,
                    help="threads over blocks of trials, same result for any count "
-                   "(2 threads, 2 cores: 0.65-1.12x as fast at window 8, 1.26-1.94x at 30)")
+                   "(2 threads, 2 cores: 0.50-1.47x as fast at window 8, 0.97-1.70x at 30)")
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("sweep", parents=[params, mc, out],

@@ -4,9 +4,10 @@ The SINR of the typical user at the origin depends only on its distances to
 the BSs and to the uplink users.  The mapping u = lam*pi*r^2 turns a planar
 PPP of density lam into a unit-rate PPP on the half-line, so each trial's
 points are drawn directly in increasing order of u, as cumulative sums of
-standard-exponential gaps.  The serving BS is the first point.  Past a
-trial's last drawn point u_K a process is again a unit-rate PPP, so the
-interference beyond it counts by its mean (Campbell's theorem).
+Exp(1) gaps, drawn by inversion like the fadings.  The serving BS is the
+first point.  Past a trial's last drawn point u_K a process is again a
+unit-rate PPP, so the interference beyond it counts by its mean (Campbell's
+theorem).
 
 A realization depends on no NetworkParams field (fadings have mean 1) and
 serves every scenario: it holds one user process cumulated from 0 and the
@@ -21,8 +22,9 @@ seeded by SeedSequence(seed, spawn_key=(b, 0)) for the BSs and (b, 1) for
 the users, and trial i is row i % BLOCK of block i // BLOCK.  A stream is
 read point-major: each point's gaps, then its fadings, for all BLOCK rows,
 whatever the window.  So a trial is a pure function of (seed, i): estimates
-are bitwise identical for any worker count, and a trial's points at one
-window are a prefix of its points at any wider window.
+are bitwise identical for any worker count on one machine and numpy build,
+and a trial's points at one window are a prefix of its points at any wider
+window.  Across CPUs numpy's vectorised log may move a draw's last bit.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class SimConfig:
     The points beyond count by their mean, so W trades variance and a small
     Jensen bias for time.  At seed 7, 2e5 trials, alpha in {2.2, 2.5, 4},
     every scenario and R in {0.1, 1}, windows 8 and 5 differ from window 30
-    by at most 0.035 and 0.114 stderr, inside bounds of 0.05 and 0.2.  W is
+    by at most 0.032 and 0.127 stderr, inside bounds of 0.05 and 0.2.  W is
     at most 128, where a block's buffer of 4*BLOCK*ceil(W^2) doubles takes
     33.5 MB.
     """
@@ -106,9 +108,10 @@ class NetworkRealization:
 
     Positions are u = lam*pi*r^2, increasing along each row, so column 0 of
     bs_u is the serving BS; column 0 of bs_fadings, its fading, is drawn but
-    not read.  The users of three-node and physical two-node are user_u;
-    matched two-node users are user_u + v_rho[:, None], a PPP outside the
-    exclusion disk, with the same fadings.  Half-duplex sees no users.
+    not read.  Gaps and fadings are Exp(1), drawn as -log(1 - U).  The
+    users of three-node and physical two-node are user_u; matched two-node
+    users are user_u + v_rho[:, None], a PPP outside the exclusion disk,
+    with the same fadings.  Half-duplex sees no users.
     The four arrays are transposed views of one (2, n, 2, BLOCK) buffer per
     block, the BSs' stream in half 0 and the users' in half 1.
     """
@@ -128,9 +131,9 @@ def sample_realization(scenarios: tuple[Scenario, ...], sim: SimConfig,
     all of `scenarios`.
 
     The user stream is drawn unless only half-duplex is asked for.  It begins
-    with one v_rho = lam*pi*rho^2 ~ Exp(1) per row, then the users cumulated
-    from 0, so its points do not depend on the scenarios.  v_rho is kept in
-    matched mode only.
+    with one v_rho = lam*pi*rho^2 ~ Exp(1) per row, drawn as the gaps are,
+    then the users cumulated from 0, so its points do not depend on the
+    scenarios.  v_rho is kept in matched mode only.
     """
     # both streams in one allocation per block: glibc maps the first, and
     # freeing it raises its trim threshold to twice the size, so the heap
@@ -143,7 +146,7 @@ def sample_realization(scenarios: tuple[Scenario, ...], sim: SimConfig,
     v_rho = None
     if set(scenarios) - {Scenario.HALF_DUPLEX}:
         rng = _stream(sim.seed, block_index, 1)
-        v_rho = rng.standard_exponential(BLOCK)
+        v_rho = _exponentials(rng, np.empty(BLOCK))
         user_u, user_fadings = _points(rng, buf[1])
         if sim.mode is SimMode.PHYSICAL:
             v_rho = None
@@ -226,13 +229,18 @@ def estimate_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         parts = simulate_sinr(params, (scenario,), sim, workers)[scenario]
     signal, i_bs, i_up = parts
     gain_u, noise, loop = params.sinr_scales()
-    # at tiny densities the scales are huge and some products overflow: an
+    # -(T/S)*((noise + I_b) + gain_u*I_u) in one fresh array, the same bits
+    # as the plain formula: its sums, products and negation only commute.
+    # At tiny densities the scales are huge and some products overflow: an
     # infinite exponent or denominator is the right limit
     with np.errstate(over="ignore"):
-        t_over_s = threshold / signal
-        covered = np.exp(-t_over_s * (noise + i_bs + gain_u * i_up))
+        minus_t_over_s = -threshold / signal
+        covered = np.multiply(gain_u, i_up)
+        covered += i_bs + noise if noise else i_bs
+        covered *= minus_t_over_s
+        np.exp(covered, out=covered)
         if loop and scenario is Scenario.TWO_NODE_FD:
-            covered /= 1.0 + t_over_s * loop
+            covered /= 1.0 - minus_t_over_s * loop
     # outage = 1 - covered has the std of covered
     mean = covered.mean()
     covered -= mean
@@ -255,12 +263,24 @@ def _points(rng: np.random.Generator,
     increasing order, and the unit-mean exponential fadings of its points,
     as (BLOCK, n) views of out.
 
-    out, (n, 2, BLOCK), takes the draw in one call, point-major: point j's
-    gaps and fadings for every row follow point j-1's.  The gaps are then
-    cumulated along the points in place."""
-    rng.standard_exponential(out=out)
+    out, (n, 2, BLOCK), takes the draw in one call to random(), point-major:
+    point j's gaps and fadings for every row follow point j-1's.  The draw
+    becomes Exp(1) in place, and the gaps are then cumulated along the
+    points in place."""
+    _exponentials(rng, out)
     np.cumsum(out[:, 0], axis=0, out=out[:, 0])
     return out[:, 0].T, out[:, 1].T
+
+
+def _exponentials(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with Exp(1) draws by inversion, -log(1 - U) for U uniform
+    on [0, 1), in place.  1 - U is exact and in (0, 1], so every draw is
+    finite, at most 53*ln(2).  numpy's log is vectorised; its ziggurat
+    exponential sampler is scalar."""
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
+    return np.negative(out, out=out)
 
 
 def _interference(u: np.ndarray, fadings: np.ndarray, half_alpha: float) -> np.ndarray:
@@ -270,5 +290,6 @@ def _interference(u: np.ndarray, fadings: np.ndarray, half_alpha: float) -> np.n
     # a power of 2.0 is a square in numpy, so alpha = 4 needs no pow
     terms = np.reciprocal(u)
     terms **= half_alpha
-    terms *= fadings
-    return terms.sum(axis=1) + u[:, -1] ** (1.0 - half_alpha) / (half_alpha - 1.0)
+    # adds each row's products in point order and writes no product array
+    return (np.einsum("ij,ij->i", terms, fadings)
+            + u[:, -1] ** (1.0 - half_alpha) / (half_alpha - 1.0))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fdcell import analytic, closedform, simulate
 from fdcell.model import NetworkParams, Scenario, threshold_from_rate
@@ -78,15 +79,16 @@ def legacy_parts(params, scenario, sim, block_index):
     """A block's SINR parts as one scenario's own draw makes them, one point
     per call from its own SFC64 streams: the bitwise oracle of the shared
     draw of every point in one call.  Each stream draws exactly ceil(W^2)
-    points, each point's gaps and then its fadings for all BLOCK rows;
-    matched users are those points + v_rho.  A sum adds the points in order,
-    counts the points beyond a row's last one, u_K, by their mean
-    u_K^(1-a)/(a-1), and takes u^-a as (1/u)^a, as the simulator does."""
+    points, each point's gaps and then its fadings for all BLOCK rows, as
+    Exp(1) by inversion, -log(1 - U); matched users are those points + v_rho.
+    A sum adds the points in order, counts the points beyond a row's last
+    one, u_K, by their mean u_K^(1-a)/(a-1), and takes u^-a as (1/u)^a, as
+    the simulator does."""
 
     def points(rng):
         u, drawn = np.zeros(BLOCK), []
         for _ in range(math.ceil(sim.window_factor ** 2)):
-            gaps, fadings = rng.standard_exponential((2, BLOCK))
+            gaps, fadings = -np.log(1.0 - rng.random((2, BLOCK)))
             u = u + gaps
             drawn.append((u, fadings))
         return drawn
@@ -104,7 +106,7 @@ def legacy_parts(params, scenario, sim, block_index):
         i_up = np.zeros(BLOCK)
     else:
         rng = stream(1)
-        v_rho = rng.standard_exponential(BLOCK)
+        v_rho = -np.log(1.0 - rng.random(BLOCK))
         users = points(rng)
         if scenario is Scenario.TWO_NODE_FD and sim.mode is SimMode.MATCHED:
             users = [(u + v_rho, fadings) for u, fadings in users]
@@ -285,6 +287,48 @@ class TestSampleRealization:
             assert np.all(two_node <= plain) and np.any(two_node < plain)
 
 
+class TestExponentialDraw:
+    """Gaps and fadings are Exp(1), drawn by inversion as -log(1 - U)."""
+
+    def test_wide_block_is_exponential(self):
+        # one window-30 block: 2 streams x 900 points x BLOCK rows of each
+        real = sample_realization(tuple(Scenario), SimConfig(
+            trials=BLOCK, seed=1, window_factor=30.0), 0)
+        gaps = np.concatenate([np.diff(u, axis=1, prepend=0.0).ravel()
+                               for u in (real.bs_u, real.user_u)])
+        fadings = np.concatenate((real.bs_fadings.ravel(),
+                                  real.user_fadings.ravel()))
+        for draws in (gaps, fadings):
+            assert draws.size == 2 * 900 * BLOCK
+            assert stats.kstest(draws, "expon").pvalue > 0.01
+            # Exp(1) has mean 1, variance 1 and fourth central moment 9
+            assert abs(draws.mean() - 1.0) < 4.0 * math.sqrt(1.0 / draws.size)
+            assert abs(draws.var() - 1.0) < 4.0 * math.sqrt(8.0 / draws.size)
+
+    # the smallest and largest doubles random() returns, and their gaps 0 and
+    # 53*ln(2); a RuntimeWarning from log(0) would fail the test
+    @pytest.mark.parametrize("uniform, gap", [
+        (0.0, 0.0), (1.0 - 2.0 ** -53, 36.7368005696771)])
+    def test_extreme_uniforms_give_finite_gaps(self, monkeypatch, uniform, gap):
+        class Constant:
+            def random(self, size=None, out=None):
+                if out is None:
+                    return np.full(size, uniform)
+                out.fill(uniform)
+                return out
+
+        monkeypatch.setattr(simulate, "_stream", lambda *key: Constant())
+        real = sample_realization(tuple(Scenario), SimConfig(
+            trials=BLOCK, window_factor=5.0), 0)
+        assert np.all(real.v_rho == gap)
+        for u, fadings in ((real.bs_u, real.bs_fadings),
+                           (real.user_u, real.user_fadings)):
+            assert np.all(np.isfinite(u))
+            assert np.all(u[:, 0] == gap) and np.all(fadings == gap)
+            assert np.diff(u, axis=1) == pytest.approx(
+                np.full((BLOCK, 24), gap), rel=1e-13, abs=0.0)
+
+
 class TestSinrOfRealization:
     def test_single_bs_no_interference(self):
         real = make_realization([5.0])
@@ -404,6 +448,31 @@ class TestEstimateOutage:
                 for shared in (None, parts[scenario]):
                     est = estimate_outage(params, scenario, 0.0, sim, parts=shared)
                     assert est.value == 0.0 and est.stderr == 0.0
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("sigma_n2, sigma_l2", [
+        (0.0, 0.0), (0.0, 1e-3), (1.0, 0.0), (1.0, 1e-3)])
+    def test_same_bits_as_the_plain_formula(self, scenario, sigma_n2, sigma_l2):
+        # 1 - exp(-(T/S)*(noise + I_b + gain_u*I_u))/(1 + (T/S)*loop) and
+        # its stderr, each written out in its own temporaries, at gain_u != 1
+        params = NetworkParams(p_b=2.0, p_u=0.3, alpha2=3.5, sigma_n2=sigma_n2,
+                               sigma_l2=sigma_l2, mu=1.5)
+        gain_u, noise, loop = params.sinr_scales()
+        assert gain_u != 1.0 and bool(noise) == bool(sigma_n2)
+        rng = np.random.default_rng(8)
+        parts = np.stack((rng.uniform(0.05, 50.0, 777), rng.exponential(3.0, 777),
+                          rng.exponential(5.0, 777)))
+        signal, i_bs, i_up = parts
+        for rate in (0.1, 1.0, 3.0):
+            t_over_s = threshold_from_rate(rate, scenario) / signal
+            covered = np.exp(-t_over_s * (noise + i_bs + gain_u * i_up))
+            if scenario is Scenario.TWO_NODE_FD:
+                covered = covered / (1.0 + t_over_s * loop)
+            deviation = covered - covered.mean()
+            est = estimate_outage(params, scenario, rate, SimConfig(trials=777),
+                                  parts=parts)
+            assert est.value == float(1.0 - covered.mean())
+            assert est.stderr == math.sqrt(deviation @ deviation) / 777
 
     def test_stderr_is_sample_std_over_root_n(self):
         p = DEFAULTS.replace(sigma_l2=1e-3)
@@ -618,7 +687,7 @@ class TestStreamKeys:
         assert self.differ(self.first_block(3, 8), self.first_block(8, 3))
 
     def test_bs_and_user_streams(self):
-        bs, users = (simulate._stream(9, 4, which).standard_exponential(64)
+        bs, users = (simulate._stream(9, 4, which).random(64)
                      for which in (0, 1))
         assert not np.array_equal(bs, users)
 
@@ -634,7 +703,8 @@ class TestStreamPin:
     """Seed 1's first block at window 8, to 12 significant digits.  Every
     other Monte Carlo test compares the simulator with itself or with a
     statistical gate, so this one fails loudly if numpy's SFC64,
-    SeedSequence or standard_exponential streams move between releases."""
+    SeedSequence or random streams move between releases, or its log by
+    more than the tolerance between CPUs."""
 
     SIM = SimConfig(trials=BLOCK, seed=1, window_factor=8.0)
 
@@ -646,22 +716,22 @@ class TestStreamPin:
         real = sample_realization(tuple(Scenario), self.SIM, 0)
         assert real.bs_u.shape == real.user_u.shape == (BLOCK, 64)
         assert real.bs_u[0, :3] == self.close(
-            [0.0337542720656, 0.95757613231, 1.9564773216])
-        assert real.bs_u[2, -1] == self.close(58.7395918139)
+            [0.091355188345, 0.45641558905, 1.29529906647])
+        assert real.bs_u[2, -1] == self.close(63.6194009544)
         assert real.bs_fadings[0, :3] == self.close(
-            [0.21679962104, 0.196872254102, 0.246901674366])
+            [0.6622667321, 1.41491573654, 0.631327159983])
         assert real.user_u[0, :3] == self.close(
-            [0.0571063309452, 0.234474653606, 1.10080985059])
-        assert real.user_u[2, -1] == self.close(60.7971104471)
+            [0.827708832186, 1.34830983575, 2.99180868343])
+        assert real.user_u[2, -1] == self.close(57.5843411841)
         assert real.v_rho[:3] == self.close(
-            [0.339061596484, 1.32284553965, 1.08561540218])
+            [0.373069738495, 0.327617933746, 0.699017679185])
 
     def test_parts(self):
         parts = simulate_sinr(DEFAULTS, tuple(Scenario), self.SIM)
-        signal = [877.692741723, 0.0623171675309, 1.00257864714]
-        i_bs = [0.94824261862, 0.140464508325, 0.304433621853]
-        i_up = {Scenario.TWO_NODE_FD: [6.51602550753, 0.49774620199, 0.622930743486],
-                Scenario.THREE_NODE_FD: [89.9875138172, 1.0397467662, 2.8466708559],
+        signal = [119.821172591, 0.663775844865, 4.63916753966]
+        i_bs = [8.21954301391, 0.649665298166, 3.87359565188]
+        i_up = {Scenario.TWO_NODE_FD: [1.95931790434, 25.1250253148, 2.3671765245],
+                Scenario.THREE_NODE_FD: [3.31894203047, 165.532035516, 211.744149562],
                 Scenario.HALF_DUPLEX: [0.0, 0.0, 0.0]}
         for scenario in Scenario:
             first = parts[scenario][:, :3]
