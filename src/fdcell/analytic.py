@@ -130,7 +130,7 @@ def uplink_laplace_full(x, threshold: float, params: NetworkParams):
 
 
 def uplink_laplace_excluded(x, threshold: float, params: NetworkParams,
-                            quad: QuadratureConfig | None = None, *,
+                            quad: QuadratureConfig = QuadratureConfig(), *,
                             meta: dict | None = None):
     """Laplace transform of the uplink interference with the nearest
     interferer held outside a disk of random scaled radius y (two-node
@@ -153,7 +153,7 @@ def uplink_laplace_excluded(x, threshold: float, params: NetworkParams,
     identical arguments, since excluding a disk removes interference.
     """
     g = exclusion_average(_exclusion_kernel, _uplink_scale(x, threshold, params),
-                          quad or QuadratureConfig(), params.alpha2)
+                          quad, params.alpha2)
     if meta is not None:
         meta["inner_evaluations"] += g.evaluations
     return g.value
@@ -166,7 +166,7 @@ def _exclusion_kernel(t, alpha2: float):
 
 
 def two_node_outage(params: NetworkParams, rate_r: float,
-                    quad: QuadratureConfig | None = None) -> OutageEstimate:
+                    quad: QuadratureConfig = QuadratureConfig()) -> OutageEstimate:
     """Downlink outage of the two-node architecture: both ends are
     full-duplex, so the user suffers residual loop interference but no
     same-cell uplink interferer."""
@@ -174,7 +174,7 @@ def two_node_outage(params: NetworkParams, rate_r: float,
 
 
 def three_node_outage(params: NetworkParams, rate_r: float,
-                      quad: QuadratureConfig | None = None) -> OutageEstimate:
+                      quad: QuadratureConfig = QuadratureConfig()) -> OutageEstimate:
     """Downlink outage of the three-node architecture: only the BS is
     full-duplex; the downlink user sees the whole uplink user process but no
     loop interference."""
@@ -182,14 +182,14 @@ def three_node_outage(params: NetworkParams, rate_r: float,
 
 
 def half_duplex_outage(params: NetworkParams, rate_r: float,
-                       quad: QuadratureConfig | None = None) -> OutageEstimate:
+                       quad: QuadratureConfig = QuadratureConfig()) -> OutageEstimate:
     """Half-duplex baseline in the RF-chain-conserved comparison: no uplink
     interference, no loop interference, and the doubled-rate threshold."""
     return _radial_outage(params, Scenario.HALF_DUPLEX, rate_r, quad)
 
 
 def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
-           quad: QuadratureConfig | None = None) -> OutageEstimate:
+           quad: QuadratureConfig = QuadratureConfig()) -> OutageEstimate:
     """Outage of any architecture by the general route."""
     if scenario is Scenario.TWO_NODE_FD:
         return two_node_outage(params, rate_r, quad)
@@ -199,7 +199,7 @@ def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
 
 
 def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
-                   quad: QuadratureConfig | None) -> OutageEstimate:
+                   quad: QuadratureConfig) -> OutageEstimate:
     """1 - integral of 2x*exp(-x^2) * P(covered | x) over the serving
     distance x, with the scenario's uplink factor.  The error bound is the
     integral's estimate, plus the truncated tail, plus for two-node the
@@ -211,7 +211,6 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
         # the coverage integrand is exactly the serving-distance pdf, or 0
         return OutageEstimate(0.0 if t == 0.0 else 1.0, Method.ANALYTIC_GENERAL,
                               meta=meta)
-    quad = quad or QuadratureConfig()
     _, noise, loop = params.sinr_scales()
     # capped as the scales are: at large alpha1, x^a1 underflows to 0 or
     # overflows, and no term may become 0*inf

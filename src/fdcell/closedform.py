@@ -65,8 +65,8 @@ def bs_kernel(x, rate_r: float):
     return np.exp(-x * x * (1.0 + st * math.atan(st)))
 
 
-def uplink_kernel(x, rate_r: float, quad: QuadratureConfig | None = None, *,
-                  meta: dict | None = None):
+def uplink_kernel(x, rate_r: float, quad: QuadratureConfig = QuadratureConfig(),
+                  *, meta: dict | None = None):
     """Uplink interference weight averaged over the exclusion radius at
     scaled serving distance x (a float or an array), in units of 1/(pi*lam):
     with z = pi*lam*v,
@@ -82,14 +82,14 @@ def uplink_kernel(x, rate_r: float, quad: QuadratureConfig | None = None, *,
     """
     x = _check_x(x)
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
-    g = exclusion_average(arccot, x * x * math.sqrt(t), quad or QuadratureConfig())
+    g = exclusion_average(arccot, x * x * math.sqrt(t), quad)
     if meta is not None:
         meta["inner_evaluations"] += g.evaluations
     return g.value
 
 
 def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
-                    quad: QuadratureConfig | None = None) -> OutageEstimate:
+                    quad: QuadratureConfig = QuadratureConfig()) -> OutageEstimate:
     """Two-node outage under the quartic special case.
 
     Takes sigma_l2 explicitly rather than a NetworkParams because only the
@@ -100,7 +100,6 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
     estimate, plus its truncated tail, plus the tolerance and both truncated
     tails of the inner integrals.
     """
-    quad = quad or QuadratureConfig()
     t = threshold_from_rate(rate_r, Scenario.TWO_NODE_FD)
     meta = {"abserr": 0.0, "evaluations": 0, "inner_evaluations": 0}
     if t == 0.0 or t == math.inf:
@@ -158,7 +157,7 @@ def half_duplex_outage(rate_r: float) -> OutageEstimate:
 
 
 def outage(scenario: Scenario, params: NetworkParams, rate_r: float,
-           quad: QuadratureConfig | None = None) -> OutageEstimate:
+           quad: QuadratureConfig = QuadratureConfig()) -> OutageEstimate:
     """Outage of any architecture under the quartic special case; the caller
     checks :func:`applicable` first."""
     if scenario is Scenario.TWO_NODE_FD:

@@ -23,7 +23,7 @@ the same kernel, kernel arguments, settings and scales returns the stored
 :class:`Integral`, whose value does not depend on the loop gain, so a sweep
 point's loop levels share it.  Each scope has its own functools.lru_cache,
 in a ContextVar that keeps it to its own thread or context.  Outside a
-scope nothing is stored.
+scope the same function computes each call and nothing is stored.
 """
 
 from __future__ import annotations
@@ -139,13 +139,13 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
               abs_tol: float = 0.0) -> Integral:
     """Integrate fn over the finite interval [a, b] to a relative tolerance.
 
-    fn maps an array of n nodes to n values, or to an (n, m) array whose m
-    columns are integrated together on shared subintervals.  Column j is
-    done when abserr[j] <= max(abs_tol, rel_tol*|value[j]|), where abserr is
-    the sum over subintervals of |Kronrod - Gauss|.  After a first round on
-    the eighths of [a, b], each round cuts into four, for every column short
-    of its tolerance, the subintervals with the largest errors until the
-    others hold at most half of it.
+    fn maps an array of n nodes to an array of n floats, or to an (n, m)
+    array whose m columns are integrated together on shared subintervals.
+    Column j is done when abserr[j] <= max(abs_tol, rel_tol*|value[j]|),
+    where abserr is the sum over subintervals of |Kronrod - Gauss|.  After
+    a first round on the eighths of [a, b], each round cuts into four, for
+    every column short of its tolerance, the subintervals with the largest
+    errors until the others hold at most half of it.
 
     Integrals known to be bounded by 1 (probabilities, Laplace factors) pass
     abs_tol = rel_tol: an absolute error of that size is what propagates
@@ -230,57 +230,57 @@ def exclusion_average(kappa: Callable[..., np.ndarray], s,
     exclusion radius, E[exp(-s*kappa(V/s))] for the simulator's
     v_rho = V ~ Exp(1), for a kernel kappa(t, *args) >= 0 of an array t.
 
-    Integrates in w = ln t on one interval for all columns,
-    [ln(tail_cut/s_max), ln(ln(1/tail_cut)/s_min)], so a round evaluates
-    kappa once per node, and cuts a head (s*t < tail_cut) and a tail
+    Integrates in w = ln t, on one interval for all columns whose ln s
+    spans at most _SPAN, [ln(tail_cut/s_max), ln(ln(1/tail_cut)/s_min)], so
+    a round evaluates kappa once per node; columns of more widely spread
+    scales are split into such groups, from the smallest s up, each on its
+    own interval.  The interval cuts a head (s*t < tail_cut) and a tail
     (s*t > ln(1/tail_cut)) of at most tail_cut each, which abserr adds.
     Each column, a probability, meets cfg.rel_tol_inner also as an
     absolute tolerance.  s = 0 gives 1 and s = inf gives 0 without
-    quadrature; evaluations is 0 when no column needs any.  Inside
-    :func:`inner_integral_memo` an identical call returns the stored result.
+    quadrature; evaluations is 0 when no column needs any.  The arrays
+    returned are read-only.  Inside :func:`inner_integral_memo` an
+    identical call returns the stored result; outside, nothing is stored.
     """
     s = np.asarray(s, dtype=float)
-    memo = _memo.get()
-    if memo is None:
-        return _exclusion_integral(kappa, args, s, cfg)
-    return memo(kappa, args, cfg, s.shape, s.tobytes())
+    return (_memo.get() or _stored_integral)(kappa, args, cfg, s.shape, s.tobytes())
+
+
+# the e-folds of s that share one w-interval: in-range inputs stay inside
+# it, and an interval this wide fits the default subdivision cap
+_SPAN = 60.0
 
 
 def _stored_integral(kappa, args: tuple, cfg: QuadratureConfig, shape: tuple,
                      scales: bytes) -> Integral:
     """exclusion_average computed for the scales s.tobytes(), its arrays
-    made read-only for the memo to hand out."""
-    g = _exclusion_integral(kappa, args, np.frombuffer(scales).reshape(shape), cfg)
-    for part in g[:2]:
-        if isinstance(part, np.ndarray):
-            part.flags.writeable = False
-    return g
-
-
-def _exclusion_integral(kappa, args: tuple, s: np.ndarray,
-                        cfg: QuadratureConfig) -> Integral:
-    """exclusion_average computed, for an array of s."""
-    live = (s > 0.0) & (s < math.inf)
-    sl = s[live]
-    log_s = np.log(sl)
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        # s*t * exp(-s*(t + kappa(t))) as one exp: s*t alone may overflow
-        t = np.exp(w)
-        k = t + kappa(t, *args)
-        return np.exp(log_s + w[:, None] - k[:, None] * sl)
-
+    read-only so that a memo may hand them out."""
+    s = np.frombuffer(scales).reshape(shape)
     value = np.where(s == math.inf, 0.0, 1.0)
     abserr = np.zeros(s.shape)
     evaluations = 0
-    if sl.size:
+    rest = (s > 0.0) & (s < math.inf)
+    while rest.any():
+        # the columns left within _SPAN e-folds of the smallest scale left
+        group = rest & (s <= s[rest].min() * math.exp(_SPAN))
+        sl = s[group]
+        log_s = np.log(sl)
+
+        def integrand(w: np.ndarray) -> np.ndarray:
+            # s*t * exp(-s*(t + kappa(t))) as one exp: s*t alone may overflow
+            t = np.exp(w)
+            k = t + kappa(t, *args)
+            return np.exp(log_s + w[:, None] - k[:, None] * sl)
+
         w_lo = math.log(cfg.tail_cut) - log_s.max()
         w_hi = math.log(math.log(1.0 / cfg.tail_cut)) - log_s.min()
         tol = cfg.rel_tol_inner
         inner = integrate(integrand, w_lo, w_hi, tol, cfg, abs_tol=tol)
-        value[live] = inner.value
-        abserr[live] = inner.abserr + 2.0 * cfg.tail_cut
-        evaluations = inner.evaluations
+        value[group] = inner.value
+        abserr[group] = inner.abserr + 2.0 * cfg.tail_cut
+        evaluations += inner.evaluations
+        rest ^= group
+    value.flags.writeable = abserr.flags.writeable = False
     return Integral(value[()], abserr[()], evaluations)
 
 
@@ -298,16 +298,10 @@ def _rule(fn, lo: np.ndarray, hi: np.ndarray):
     of one node's value."""
     half = 0.5 * (hi - lo)
     x = ((lo + half)[:, None] + half[:, None] * _NODES).ravel()
-    f = _call(fn, x) if x.size <= _CALL_NODES else np.concatenate(
-        [_call(fn, x[i:i + _CALL_NODES]) for i in range(0, x.size, _CALL_NODES)])
+    f = fn(x) if x.size <= _CALL_NODES else np.concatenate(
+        [fn(x[i:i + _CALL_NODES]) for i in range(0, x.size, _CALL_NODES)])
     kg = (_WEIGHTS @ f.reshape(len(lo), 21, -1)) * half[:, None, None]
     return kg[:, 0], abs(kg[:, 0] - kg[:, 1]), f.shape[1:]
-
-
-def _call(fn, x: np.ndarray) -> np.ndarray:
-    """fn's values on the nodes x as floats, one row per node."""
-    f = np.asarray(fn(x), dtype=float)
-    return f if f.shape[:1] == x.shape else np.broadcast_to(f, x.shape + f.shape)
 
 
 def _shaped(columns: np.ndarray, shape: tuple):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import analytic, closedform
-from .model import Method, NetworkParams, Scenario
+from .model import Method, NetworkParams, Scenario, threshold_from_rate
 from .quadrature import QuadratureConfig, inner_integral_memo
 from .simulate import SimConfig, estimate_outage, simulate_sinr
 
@@ -214,39 +214,36 @@ def make_grid(lo: float, hi: float, steps: int, spacing: str = "linear") -> tupl
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every (scenario x method x grid point x LI level) combination.
-
-    Monte Carlo runs one simulation per sweep, whose blocks are drawn once
-    for all the scenarios, and rescales each scenario's per-trial SINR parts
-    at every grid point and LI level, whatever the swept variable: no swept
-    parameter changes a realization.  The simulation's time is spread evenly
-    over all of the sweep's Monte Carlo rows.
-    """
-    parts, mc_ms = {}, 0.0
-    if Method.MONTE_CARLO.value in spec.methods:
-        t0 = time.perf_counter()
-        parts = simulate_sinr(spec.fixed, spec.scenarios, spec.sim)
-        mc_ms = (time.perf_counter() - t0) * 1e3 / sum(len(p) for _, p in spec.plan)
-    return sweep_rows(spec, parts, mc_ms)
+    """Evaluate every (scenario x method x grid point x LI level)
+    combination: the rows of :func:`sweep_rows`, on one thread."""
+    return sweep_rows(spec)
 
 
-def sweep_rows(spec: SweepSpec, parts: dict | None = None, mc_ms: float = 0.0,
-               workers: int = 1) -> list[SweepRow]:
+def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """The rows of spec.plan in output order, each timed over its own
-    estimate, and for general analytic rows with scipy already loaded.  A
-    Monte Carlo row rescales its scenario's entry of `parts`, the shared
-    simulation, and adds mc_ms; without parts it simulates over `workers`.
+    estimate, and for general analytic rows with scipy already loaded.
     Closed-form rows are dropped, with one INFO line, when the closed form
     does not apply to spec.fixed, and so (see SweepSpec) to any row.
 
-    Two-node analytic and closed-form rows, the only ones with inner
-    integrals, share them in one :func:`fdcell.quadrature.inner_integral_memo`:
-    each runs once per sweep for every loop level of its grid point, and for
-    the closed form, or the general route at alpha1 = alpha2 and equal
-    powers, every density too.  One DEBUG line states how many were computed
-    and reused, the misses and hits of the memo's cache_info(), or 0 and 0."""
+    Monte Carlo draws one simulation per sweep for all the scenarios, over
+    `workers`, when a Monte Carlo row's threshold is neither 0 nor inf (such
+    rows are 0 or 1 without a trial).  Each Monte Carlo row rescales its
+    scenario's per-trial SINR parts, since no swept parameter changes a
+    realization, and takes an even share of the draw's time.  Two-node
+    analytic and closed-form rows, the only ones with inner integrals, share
+    them in one :func:`fdcell.quadrature.inner_integral_memo`: each runs
+    once per sweep for every loop level of its grid point, and for the
+    closed form, or the general route at alpha1 = alpha2 and equal powers,
+    every density too.  One DEBUG line states how many were computed and
+    reused, the misses and hits of the memo's cache_info(), or 0 and 0."""
     general, closed, mc = (m.value for m in Method)
     methods = sorted(spec.methods)
+    parts, mc_ms = {}, 0.0
+    if mc in methods and any(0.0 < threshold_from_rate(rate, scenario) < math.inf
+                             for scenario, points in spec.plan for *_, rate in points):
+        t0 = time.perf_counter()
+        parts = simulate_sinr(spec.fixed, spec.scenarios, spec.sim, workers)
+        mc_ms = (time.perf_counter() - t0) * 1e3 / sum(len(p) for _, p in spec.plan)
     if closed in methods and not closedform.applicable(spec.fixed):
         log.info("closed form not applicable (needs %s); closed-form rows "
                  "skipped", closedform.REQUIREMENTS)
@@ -261,8 +258,8 @@ def sweep_rows(spec: SweepSpec, parts: dict | None = None, mc_ms: float = 0.0,
             for value, li, params, rate in points:
                 t0 = time.perf_counter()
                 if mc_row:
-                    est = estimate_outage(params, scenario, rate, spec.sim, workers,
-                                          parts[scenario] if parts else None)
+                    est = estimate_outage(params, scenario, rate, spec.sim,
+                                          parts=parts.get(scenario))
                 else:
                     est = (analytic if method == general else closedform).outage(
                         scenario, params, rate, spec.quad)

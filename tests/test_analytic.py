@@ -519,6 +519,17 @@ class TestEdgeOfDomain:
         p = NetworkParams(alpha1=alpha1, **extra)
         assert 0.0 <= analytic.outage(scenario, p, rate, QUAD).value <= 1.0
 
+    def test_far_apart_inner_scales(self):
+        # one inner call's scales span some 500 e-folds: on one shared
+        # interval, 200 subintervals did not reach the tolerance
+        # (QuadratureError).  The reference is that outage with
+        # max_subdivisions = 4000 and one interval, the value before columns
+        # were grouped by scale.
+        p = NetworkParams(alpha1=100.0, alpha2=3.0, p_u=1e-12)
+        reference = 0.9889910639016841
+        assert abs(analytic.two_node_outage(p, 1e-12, QUAD).value
+                   - reference) <= 1e-12
+
 
 @pytest.fixture
 def nodes(monkeypatch):
@@ -554,13 +565,13 @@ class TestQuadratureContract:
         assert np.all(result.abserr <= 1e-10 * abs(result.value))
 
     def test_scalar_integrand(self):
-        # one value per node, or one value for all nodes
+        # one value per node gives a float
         result = integrate(lambda x: 3.0 * x * x, 0.0, 2.0, 1e-12, QUAD)
         assert isinstance(result.value, float)
         assert result.value == pytest.approx(8.0, rel=1e-14)
         assert result.evaluations % 21 == 0
-        assert integrate(lambda x: 2.5, 0.0, 2.0, 1e-12, QUAD).value == \
-            pytest.approx(5.0, rel=1e-14)
+        assert integrate(lambda x: np.full(x.shape, 2.5), 0.0, 2.0, 1e-12,
+                         QUAD).value == pytest.approx(5.0, rel=1e-14)
 
     def test_call_size_is_bounded(self, nodes):
         # a nested integral's inner array grows with the nodes per call, so
@@ -645,11 +656,18 @@ class TestInnerIntegralMemo:
     S = np.array([1e-3, 0.5, 2.0])
 
     def test_no_state_outside_a_scope(self):
+        # each unscoped call computes afresh, and a scope opened after them
+        # finds nothing stored
         kernel = analytic._exclusion_kernel
         a = exclusion_average(kernel, self.S, QUAD, 4.0)
         b = exclusion_average(kernel, self.S, QUAD, 4.0)
-        assert a is not b and a.value.flags.writeable
+        assert a is not b and a.value is not b.value
         assert list(a.value) == list(b.value)
+        with inner_integral_memo() as memo:
+            c = exclusion_average(kernel, self.S, QUAD, 4.0)
+        assert c is not a and counts(memo) == (1, 0)
+        # read-only in a scope and out of one alike
+        assert not (a.value.flags.writeable or a.abserr.flags.writeable)
 
     def test_identical_call_returns_the_stored_integral(self):
         kernel = analytic._exclusion_kernel
@@ -728,9 +746,14 @@ class TestInnerIntegralMemo:
                 exclusion_average(kernel, self.S, QUAD, 4.0)))
             worker.start()
             worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert results[0].value.flags.writeable
-        assert counts(memo) == (0, 0)
+            assert not worker.is_alive()
+            assert counts(memo) == (0, 0)
+            # the worker stored nothing: this thread computes, then reuses
+            first = exclusion_average(kernel, self.S, QUAD, 4.0)
+            again = exclusion_average(kernel, self.S, QUAD, 4.0)
+        assert first is not results[0] and again is first
+        assert list(first.value) == list(results[0].value)
+        assert counts(memo) == (1, 1)
 
     @pytest.mark.parametrize("route", ["general", "closed"])
     def test_reused_estimate_equals_a_fresh_one(self, route):

@@ -154,6 +154,23 @@ class TestSimulateCommand:
         row = rows_from_csv(out1)[0]
         assert row.method == "mc" and row.mc_stderr > 0
 
+    @pytest.mark.parametrize("scenario, rate, outage", [
+        ("two-node", "0", 0.0), ("three-node", "0", 0.0),
+        ("half-duplex", "0", 0.0), ("half-duplex", "600", 1.0)])
+    def test_certain_outcome_draws_nothing(self, capsys, monkeypatch, scenario,
+                                           rate, outage):
+        # a threshold of 0 or inf (half-duplex doubles the rate past 1024
+        # bits) decides the outage without a trial
+        def spy(*args, **kwargs):
+            raise AssertionError("simulate_sinr ran")
+
+        monkeypatch.setattr(sweep, "simulate_sinr", spy)
+        code, out, err = run(capsys, "simulate", "--scenario", scenario,
+                             "--rate", rate)
+        assert code == EXIT_OK, err
+        (row,) = rows_from_csv(out)
+        assert (row.outage, row.mc_stderr) == (outage, 0.0)
+
 
     @pytest.mark.parametrize("workers", ["0", "-5"])
     def test_workers_below_one(self, capsys, workers):
@@ -460,6 +477,19 @@ class TestDomainEdges:
             assert 0.0 <= row.outage <= 1.0
         else:
             assert not out and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--alpha1=100", "--alpha2=3", "--pu=1e-12", "--rate=1e-12"),
+        ("--alpha1=50", "--alpha2=2.05", "--pu=1e-6", "--rate=1e-12",
+         "--sigma-l2=1e-3")])
+    def test_far_apart_inner_scales_give_a_value(self, capsys, flags):
+        # one inner call's scales span hundreds of e-folds; on one shared
+        # interval their quadrature missed its tolerance and exited 3
+        code, out, err = run(capsys, "analytic", "--scenario", "two-node",
+                             *flags)
+        assert code == EXIT_OK, err
+        (row,) = rows_from_csv(out)
+        assert 0.0 <= row.outage <= 1.0
 
 
 class TestCompareCommand:

@@ -301,6 +301,23 @@ class TestRunSweep:
         # the simulation's time is shared by all the sweep's rows
         assert all(r.elapsed_ms > 0 for r in rows)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_rows_draws_once(self, monkeypatch, workers):
+        # a direct sweep_rows call draws the sweep's one simulation itself,
+        # over its workers, for all 45 Monte Carlo rows of fig5
+        calls = []
+        draw = sweep.simulate_sinr
+
+        def counting(params, scenarios, sim, workers=1):
+            calls.append((params, scenarios, sim, workers))
+            return draw(params, scenarios, sim, workers)
+
+        monkeypatch.setattr(sweep, "simulate_sinr", counting)
+        (spec,) = build_preset("fig5", SimConfig(trials=200, seed=13))
+        rows = sweep_rows(spec, workers=workers)
+        assert sum(r.method == "mc" for r in rows) == 45
+        assert calls == [(spec.fixed, spec.scenarios, spec.sim, workers)]
+
     def test_default_li_level_is_fixed_sigma_l2(self):
         # without li_levels the two-node rows use the configured loop gain
         spec = SweepSpec(variable="rate", grid=(1.0,),
