@@ -124,8 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=[s.value for s in Scenario])
     p.add_argument("--rate", type=float, help="target rate, bits per channel use")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads over blocks of trials, same result for any count "
-                   "(2 threads, 2 cores: 0.50-1.47x as fast at window 8, 0.97-1.70x at 30)")
+                   help="threads over blocks of trials, same result for any count")
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("sweep", parents=[params, mc, out],

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,15 @@ class TestSampleRealization:
         for array in (real.bs_u, real.bs_fadings, real.user_u, real.user_fadings):
             assert array.shape == (BLOCK, points)
 
+    def test_positions_are_the_plain_cumulative_sum(self):
+        # the in-place sum over a complex view of two rows gives the bits of
+        # np.cumsum over the points of the same Exp(1) draws; W = 10.3: 107
+        u, fadings = simulate._points(simulate._stream(5, 2, 0),
+                                      np.empty((107, 2, BLOCK)))
+        exps = -np.log(1.0 - simulate._stream(5, 2, 0).random((107, 2, BLOCK)))
+        assert np.array_equal(u, np.cumsum(exps[:, 0], axis=0).T)
+        assert np.array_equal(fadings, exps[:, 1].T)
+
     # 10.3 draws 107 points, not a multiple of 8's 64
     @pytest.mark.parametrize("narrow_w, wide_w", [(12.0, 24.0), (8.0, 10.3)])
     def test_narrow_window_is_prefix_of_wide(self, narrow_w, wide_w):
@@ -415,6 +425,22 @@ class TestSinrOfRealization:
                 assert np.array_equal(narrow[scenario][0], wide[scenario][0])
                 stderr = diff.std(axis=1) / math.sqrt(2000)
                 assert np.all(np.abs(diff.mean(axis=1)) <= 4.0 * stderr)
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.0])
+    def test_reduction_peak_memory(self, alpha):
+        # reducing one window-30 block holds about two arrays the size of a
+        # stream's positions, 8*BLOCK*900 bytes: the matched users shifted by
+        # v_rho and one sum's reciprocals, and no array of products
+        real = sample_realization(tuple(Scenario), SimConfig(
+            trials=BLOCK, window_factor=30.0), 0)
+        params = NetworkParams(alpha1=alpha, alpha2=alpha)
+        tracemalloc.start()
+        try:
+            sinr_of_realization(real, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * BLOCK * 900
 
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     def test_interference_matches_plain_power(self, alpha):
@@ -623,23 +649,30 @@ class TestEstimateOutage:
                           sim)
         (record,) = caplog.records
         assert record.levelno == logging.DEBUG
-        trials, scenarios, drawn, wall_ms, rate = record.args
+        trials, scenarios, drawn, wall_ms, rate, sampling_ms, reduction_ms = \
+            record.args
         assert (trials, scenarios, drawn) == (100, "two-node,half-duplex", points)
         assert wall_ms > 0 and rate == pytest.approx(100e3 / wall_ms, rel=1e-12)
+        # one worker: the layers run one after the other inside the wall time
+        assert sampling_ms > 0 and reduction_ms > 0
+        assert sampling_ms + reduction_ms <= wall_ms
 
 
 class TestSharedDraw:
     """One draw per block serves every scenario and reproduces, bit for bit,
     the parts each scenario's own draw gave before the draw was shared."""
 
+    # alpha = 4 sums on the fused square; (4, 3) mixes it with a plain power
+    @pytest.mark.parametrize("alphas", [(3.5, 4.5), (4.0, 4.0), (4.0, 3.0)],
+                             ids=["3.5,4.5", "4,4", "4,3"])
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("window_factor", [8.0, 10.3, 30.0])
+    @pytest.mark.parametrize("window_factor", [5.0, 8.0, 10.3, 30.0])
     @pytest.mark.parametrize("mode", list(SimMode))
-    def test_matches_per_scenario_oracle(self, mode, window_factor, workers):
+    def test_matches_per_scenario_oracle(self, mode, window_factor, workers, alphas):
         # 404 trials is not a multiple of BLOCK: the last block is cut
         sim = SimConfig(trials=404, seed=77, window_factor=window_factor,
                         mode=mode)
-        params = NetworkParams(alpha1=3.5, alpha2=4.5)
+        params = NetworkParams(alpha1=alphas[0], alpha2=alphas[1])
         parts = simulate_sinr(params, tuple(Scenario), sim, workers=workers)
         assert list(parts) == list(Scenario)
         blocks = -(-sim.trials // BLOCK)
