@@ -204,22 +204,18 @@ def _rate(args, defaults: dict) -> float:
     return rate
 
 
-def _emit_rows(rows: list[SweepRow], args, defaults: dict,
-               suffix: str = "") -> None:
-    """Write rows to --out, with `suffix` inserted before its extension, or
-    to stdout."""
+def _emit_rows(rows: list[SweepRow], args, defaults: dict) -> None:
+    """Write rows to --out, or to stdout."""
     text = rows_to_jsonl(rows) if args.jsonl else rows_to_csv(rows)
     out = _setting("out", args, defaults)
     if not out:
         sys.stdout.write(text)
         return
-    stem, ext = os.path.splitext(out)
-    path = stem + suffix + ext
     try:
-        with open(path, "w") as fh:
+        with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _cmd_estimate(args, defaults: dict) -> int:
@@ -263,9 +259,9 @@ def _cmd_sweep(args, defaults: dict) -> int:
         if fixed:
             raise ConfigError("--preset fixes its own settings; drop " + ", ".join(
                 "--" + _ALIASES.get(n, n).replace("_", "-") for n in fixed))
-        specs = build_preset(args.preset, sim, quad)
+        (spec,) = build_preset(args.preset, sim, quad)
         if methods:
-            specs = [replace(s, methods=methods) for s in specs]
+            spec = replace(spec, methods=methods)
     else:
         if not args.variable or not args.grid:
             raise ConfigError("custom sweeps need --variable and --grid "
@@ -285,17 +281,7 @@ def _cmd_sweep(args, defaults: dict) -> int:
         if swept and getattr(args, swept) is not None:
             raise ConfigError(f"--variable {args.variable} sweeps that setting; "
                               "drop --" + _ALIASES.get(swept, swept).replace("_", "-"))
-        specs = [spec]
-    multi = len(specs) > 1
-    if multi and not _setting("out", args, defaults):
-        # several CSV blocks on stdout, none with a rate column, that
-        # compare could not read
-        raise ConfigError(f"preset {args.preset} writes {len(specs)} sweeps, "
-                          "one file each: give --out")
-    for spec in specs:
-        # one file per fixed-rate curve when a preset has several
-        _emit_rows(run_sweep(spec), args, defaults,
-                   suffix=f"_R{spec.rate:g}" if multi else "")
+    _emit_rows(run_sweep(spec), args, defaults)
     return EXIT_OK
 
 

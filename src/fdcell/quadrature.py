@@ -17,13 +17,13 @@ whole subintervals, so the arrays of such a nested integral stay under the
 allocator's threshold for serving them from the heap.
 
 Inside :func:`inner_integral_memo`, which :func:`fdcell.sweep.sweep_rows`
-opens for a sweep with two-node analytic or closed-form rows,
-:func:`exclusion_average` computes each inner integral once: a call with
-the same kernel, kernel arguments, settings and scales returns the stored
-:class:`Integral`, whose value does not depend on the loop gain, so a sweep
-point's loop levels share it.  Each scope has its own functools.lru_cache,
-in a ContextVar that keeps it to its own thread or context.  Outside a
-scope the same function computes each call and nothing is stored.
+opens for every sweep, :func:`exclusion_average` computes each inner
+integral once: a call with the same kernel, kernel arguments, settings and
+scales returns the stored :class:`Integral`, whose value does not depend on
+the loop gain, so a sweep point's loop levels share it.  Each scope has its
+own functools.lru_cache, in a ContextVar that keeps it to its own thread or
+context.  Outside a scope the same function computes each call and nothing
+is stored.
 """
 
 from __future__ import annotations

@@ -86,12 +86,10 @@ class SimConfig:
 
     window_factor W sets how many nearest points of each process a trial
     draws: ceil(W^2), the mean count in the disk of radius W/sqrt(lam*pi).
-    The points beyond count by their mean, so W trades variance and a small
-    Jensen bias for time.  At seed 7, 2e5 trials, alpha in {2.2, 2.5, 4},
-    every scenario and R in {0.1, 1}, windows 8 and 5 differ from window 30
-    by at most 0.032 and 0.127 stderr, inside bounds of 0.05 and 0.2.  W is
-    at most 128, where a block's buffer of 4*BLOCK*ceil(W^2) doubles takes
-    33.5 MB.
+    The points beyond count by their mean, which leaves out their variance
+    and brings a small Jensen bias, so W trades both for time: a trial's
+    cost grows about as W^2.  W is at most 128, where a block's buffer of
+    4*BLOCK*ceil(W^2) doubles takes 33.5 MB.
     """
 
     trials: int = 100_000
@@ -179,8 +177,10 @@ def sinr_of_realization(real: NetworkRealization,
         if scenario is Scenario.HALF_DUPLEX:
             i_up = no_users
         elif scenario is Scenario.TWO_NODE_FD and real.v_rho is not None:
+            # the shifted users are a temporary, reduced in place and freed
+            # on return: one position-sized array at a time
             i_up = _interference(real.user_u + real.v_rho[:, None],
-                                 real.user_fadings, a2)
+                                 real.user_fadings, a2, overwrite_u=True)
         else:
             if plain is None:
                 plain = _interference(real.user_u, real.user_fadings, a2)
@@ -305,11 +305,14 @@ def _exponentials(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out)
 
 
-def _interference(u: np.ndarray, fadings: np.ndarray, half_alpha: float) -> np.ndarray:
+def _interference(u: np.ndarray, fadings: np.ndarray, half_alpha: float,
+                  overwrite_u: bool = False) -> np.ndarray:
     """Per-row sum of fading * u^(-half_alpha) over the drawn points, plus
     u_K^(1-half_alpha)/(half_alpha-1), the mean of that sum over the
-    unit-rate PPP beyond the row's last point u_K."""
-    terms = np.reciprocal(u)
+    unit-rate PPP beyond the row's last point u_K.  With overwrite_u, u is
+    the caller's temporary and takes the reciprocals in place."""
+    far = u[:, -1] ** (1.0 - half_alpha) / (half_alpha - 1.0)
+    terms = np.reciprocal(u, out=u if overwrite_u else None)
     # each einsum adds a row's products in point order and writes no
     # product array.  At alpha = 4 its first product is the square, (r*r)*h,
     # the bits of r**2.0 (a square in numpy) times h with no pass writing r^2
@@ -318,4 +321,4 @@ def _interference(u: np.ndarray, fadings: np.ndarray, half_alpha: float) -> np.n
     else:
         terms **= half_alpha
         near = np.einsum("ij,ij->i", terms, fadings)
-    return near + u[:, -1] ** (1.0 - half_alpha) / (half_alpha - 1.0)
+    return near + far

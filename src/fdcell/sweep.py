@@ -14,7 +14,6 @@ is the one column excluded from rerun-identity guarantees.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -235,7 +234,8 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     once per sweep for every loop level of its grid point, and for the
     closed form, or the general route at alpha1 = alpha2 and equal powers,
     every density too.  One DEBUG line states how many were computed and
-    reused, the misses and hits of the memo's cache_info(), or 0 and 0."""
+    reused, the misses and hits of the memo's cache_info(): 0 and 0 when no
+    row has inner integrals."""
     general, closed, mc = (m.value for m in Method)
     methods = sorted(spec.methods)
     parts, mc_ms = {}, 0.0
@@ -250,9 +250,8 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
         methods.remove(closed)
     if general in methods:
         analytic._hyp2f1()
-    inner = Scenario.TWO_NODE_FD in spec.scenarios and set(methods) - {mc}
     rows: list[SweepRow] = []
-    with inner_integral_memo() if inner else contextlib.nullcontext() as memo:
+    with inner_integral_memo() as memo:
         for (scenario, points), method in itertools.product(spec.plan, methods):
             mc_row = method == mc
             for value, li, params, rate in points:
@@ -266,7 +265,7 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
                 ms = (time.perf_counter() - t0) * 1e3 + (mc_ms if mc_row else 0.0)
                 rows.append(SweepRow(scenario.value, method, spec.variable, value, li,
                                      est.value, est.stderr if mc_row else None, ms))
-    hits, misses = memo.cache_info()[:2] if memo else (0, 0)
+    hits, misses = memo.cache_info()[:2]
     log.debug("%d rows: %d inner integrals computed, %d reused", len(rows),
               misses, hits)
     return rows
@@ -382,37 +381,39 @@ def rows_to_jsonl(rows: list[SweepRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# figure presets: each name's sweeps, which build_preset gives the caller's
+# figure presets: each name's one sweep, which build_preset gives the caller's
 # Monte Carlo and quadrature settings
 
-PRESETS: dict[str, tuple[SweepSpec, ...]] = {
+PRESETS: dict[str, SweepSpec] = {
     # outage vs BS power at unit noise: P_b = P_u over a log grid
-    "fig2": (SweepSpec("bs_power", make_grid(1e-2, 1e4, 13, "log"),
-                       li_levels=(0.0, 1e-3), fixed=NetworkParams(sigma_n2=1.0),
-                       methods=("analytic", "mc")),),
+    "fig2": SweepSpec("bs_power", make_grid(1e-2, 1e4, 13, "log"),
+                      li_levels=(0.0, 1e-3), fixed=NetworkParams(sigma_n2=1.0),
+                      methods=("analytic", "mc")),
     # outage vs target rate, interference-limited
-    "fig3": (SweepSpec("rate", make_grid(0.0, 4.0, 41),
-                       li_levels=(0.0, 1e-5, 1e-3),
-                       methods=("analytic", "closed-form", "mc")),),
-    # two-node outage vs residual loop gain, one sweep per target rate: the
-    # rates {0.5, 1, 2} are this package's documented choice, and the grid
-    # spans the regime where the loop residual goes from negligible to
-    # dominant
-    "fig4": tuple(SweepSpec("residual_li", make_grid(1e-6, 1e-1, 11, "log"),
-                            scenarios=(Scenario.TWO_NODE_FD,),
-                            methods=("analytic", "closed-form", "mc"), rate=rate)
-                  for rate in (0.5, 1.0, 2.0)),
+    "fig3": SweepSpec("rate", make_grid(0.0, 4.0, 41),
+                      li_levels=(0.0, 1e-5, 1e-3),
+                      methods=("analytic", "closed-form", "mc")),
+    # two-node outage vs residual loop gain at each target rate: the rates
+    # {0.5, 1, 2} are this package's documented choice, and the loop levels
+    # span the regime where the loop residual goes from negligible to
+    # dominant.  One table, the rate in value and the loop gain in sigma_l2
+    "fig4": SweepSpec("rate", (0.5, 1.0, 2.0),
+                      li_levels=make_grid(1e-6, 1e-1, 11, "log"),
+                      scenarios=(Scenario.TWO_NODE_FD,),
+                      methods=("analytic", "closed-form", "mc")),
     # outage vs network density at a low target rate, interference-limited
-    "fig5": (SweepSpec("density", make_grid(1e-4, 1e-2, 9, "log"),
-                       li_levels=(0.0, 1e-3, 1e-1),
-                       methods=("analytic", "closed-form", "mc")),),
+    "fig5": SweepSpec("density", make_grid(1e-4, 1e-2, 9, "log"),
+                      li_levels=(0.0, 1e-3, 1e-1),
+                      methods=("analytic", "closed-form", "mc")),
 }
 
 
 def build_preset(name: str, sim: SimConfig | None = None,
                  quad: QuadratureConfig | None = None) -> list[SweepSpec]:
+    """The preset's one sweep at the given settings, as a one-element list:
+    callers that take a preset's sweep by [0] keep working."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; expected one of "
                           f"{sorted(PRESETS)}")
-    return [replace(spec, sim=sim or SimConfig(), quad=quad or QuadratureConfig())
-            for spec in PRESETS[name]]
+    return [replace(PRESETS[name], sim=sim or SimConfig(),
+                    quad=quad or QuadratureConfig())]

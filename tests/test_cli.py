@@ -271,37 +271,36 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert "four-node" in err
 
-    @pytest.mark.parametrize("out_name, ext", [("fig4.csv", ".csv"),
-                                               ("d.v1/fig4", "")],
-                             ids=["csv", "dotted-dir"])
-    def test_fig4_writes_one_file_per_rate(self, capsys, tmp_path, out_name, ext):
-        out_file = tmp_path / out_name
-        out_file.parent.mkdir(exist_ok=True)
-        code, _, _ = run(capsys, "sweep", "--preset", "fig4",
-                         "--methods", "closed-form", "--out", str(out_file))
-        assert code == EXIT_OK
-        produced = sorted(p.name for p in out_file.parent.iterdir())
-        assert produced == [f"fig4_R{r}{ext}" for r in ("0.5", "1", "2")]
-
-    def test_multi_sweep_preset_needs_out(self, capsys, monkeypatch, tmp_path):
-        # three CSV blocks on stdout, with no rate column to tell them
-        # apart, are refused before any row is computed
-        def spy(spec):
-            raise AssertionError("run_sweep ran")
-
-        monkeypatch.setattr(cli, "run_sweep", spy)
+    def test_fig4_to_stdout(self, capsys):
+        # one table: three rates in value, eleven loop gains in sigma_l2
         code, out, err = run(capsys, "sweep", "--preset", "fig4",
-                             "--methods", "analytic")
-        assert code == EXIT_CONFIG and not out
-        assert "--out" in err
-        # the out config key serves as well as the flag
-        monkeypatch.undo()
-        conf = tmp_path / "fd.conf"
-        conf.write_text(f"out = {tmp_path / 'fig4.csv'}\n")
-        code, out, err = run(capsys, "--config", str(conf), "sweep",
-                             "--preset", "fig4", "--methods", "closed-form")
+                             "--methods", "analytic,closed-form")
+        assert code == EXIT_OK, err
+        rows = rows_from_csv(out)
+        for method in ("analytic", "closed-form"):
+            mine = [r for r in rows if r.method == method]
+            assert len(mine) == 33
+            assert {r.value for r in mine} == {0.5, 1.0, 2.0}
+            assert all(r.variable == "rate" and r.scenario == "two-node"
+                       for r in mine)
+            assert len({r.sigma_l2 for r in mine}) == 11
+
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_fig4_writes_the_one_out_path(self, capsys, tmp_path, by_config):
+        # the path as given, with no suffix before a dot in a directory name
+        out_file = tmp_path / "d.v1" / "fig4"
+        out_file.parent.mkdir()
+        argv = ["sweep", "--preset", "fig4", "--methods", "closed-form"]
+        if by_config:
+            conf = tmp_path / "fd.conf"
+            conf.write_text(f"out = {out_file}\n")
+            argv = ["--config", str(conf), *argv]
+        else:
+            argv += ["--out", str(out_file)]
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_OK and not out, err
-        assert (tmp_path / "fig4_R2.csv").exists()
+        assert [p.name for p in out_file.parent.iterdir()] == ["fig4"]
+        assert len(rows_from_csv(out_file.read_text())) == 33
 
     @pytest.mark.parametrize("flags", [
         ("--variable", "residual_li", "--grid", "1e-4,1e-2",

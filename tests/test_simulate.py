@@ -426,13 +426,15 @@ class TestSinrOfRealization:
                 stderr = diff.std(axis=1) / math.sqrt(2000)
                 assert np.all(np.abs(diff.mean(axis=1)) <= 4.0 * stderr)
 
+    @pytest.mark.parametrize("mode", list(SimMode))
     @pytest.mark.parametrize("alpha", [3.5, 4.0])
-    def test_reduction_peak_memory(self, alpha):
-        # reducing one window-30 block holds about two arrays the size of a
-        # stream's positions, 8*BLOCK*900 bytes: the matched users shifted by
-        # v_rho and one sum's reciprocals, and no array of products
+    def test_reduction_peak_memory(self, alpha, mode):
+        # reducing one window-30 block holds one array the size of a
+        # stream's positions, 8*BLOCK*900 bytes, at a time: one sum's
+        # reciprocals, which the matched users shifted by v_rho become in
+        # place, and no array of products
         real = sample_realization(tuple(Scenario), SimConfig(
-            trials=BLOCK, window_factor=30.0), 0)
+            trials=BLOCK, window_factor=30.0, mode=mode), 0)
         params = NetworkParams(alpha1=alpha, alpha2=alpha)
         tracemalloc.start()
         try:
@@ -440,7 +442,7 @@ class TestSinrOfRealization:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 8 * BLOCK * 900
+        assert peak < 1.5 * 8 * BLOCK * 900
 
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     def test_interference_matches_plain_power(self, alpha):

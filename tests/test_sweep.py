@@ -352,9 +352,9 @@ class TestRunSweep:
         assert rows[0].outage > rows[1].outage
 
 
-def analytic_spec(name: str, index: int = 0) -> SweepSpec:
+def analytic_spec(name: str) -> SweepSpec:
     """A preset's sweep with its analytic and closed-form columns only."""
-    return replace(build_preset(name)[index], methods=("analytic", "closed-form"))
+    return replace(build_preset(name)[0], methods=("analytic", "closed-form"))
 
 
 def fig3_request() -> SweepSpec:
@@ -378,20 +378,18 @@ class TestInnerIntegralMemo:
 
     @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5"])
     def test_preset_rows_equal_single_route_calls(self, name):
-        for spec in build_preset(name):
-            spec = replace(spec, methods=("analytic", "closed-form"))
-            rows = run_sweep(spec)
-            assert rows
-            for r in rows:
-                changes = {"sigma_l2": r.sigma_l2}
-                if spec.variable == "density":
-                    changes["lam"] = r.value
-                params = spec.fixed.replace(**changes)
-                rate = r.value if spec.variable == "rate" else spec.rate
-                route = analytic if r.method == "analytic" else closedform
-                direct = route.outage(Scenario(r.scenario), params, rate,
-                                      spec.quad)
-                assert r.outage == direct.value, r
+        spec = analytic_spec(name)
+        rows = run_sweep(spec)
+        assert rows
+        for r in rows:
+            changes = {"sigma_l2": r.sigma_l2}
+            if spec.variable == "density":
+                changes["lam"] = r.value
+            params = spec.fixed.replace(**changes)
+            rate = r.value if spec.variable == "rate" else spec.rate
+            route = analytic if r.method == "analytic" else closedform
+            direct = route.outage(Scenario(r.scenario), params, rate, spec.quad)
+            assert r.outage == direct.value, r
 
     def test_each_sweep_computes_its_own(self, monkeypatch):
         # the memo lives for one sweep: a rerun evaluates every kernel node
@@ -479,26 +477,21 @@ class TestInnerIntegralMemo:
         with pytest.raises(TypeError):
             SweepSpec("rate", (0.5,), plan=())
 
-    @pytest.mark.parametrize("scenarios, methods, scopes", [
+    @pytest.mark.parametrize("scenarios, methods, counts", [
         ((Scenario.THREE_NODE_FD, Scenario.HALF_DUPLEX),
-         ("analytic", "closed-form"), 0),
-        (tuple(Scenario), ("mc",), 0),
-        ((Scenario.TWO_NODE_FD,), ("closed-form",), 1),
-        ((Scenario.TWO_NODE_FD,), ("analytic", "mc"), 1),
+         ("analytic", "closed-form"), (0, 0)),
+        (tuple(Scenario), ("mc",), (0, 0)),
+        ((Scenario.TWO_NODE_FD,), ("closed-form",), (4, 0)),
+        ((Scenario.TWO_NODE_FD,), ("analytic", "mc"), (4, 0)),
     ], ids=["no-two-node", "mc-only", "two-node-closed-form", "two-node-analytic"])
-    def test_memo_scope_only_for_inner_integrals(self, monkeypatch, caplog,
-                                                 scenarios, methods, scopes):
-        # only two-node analytic and closed-form rows run inner integrals
-        opened, memo = [], sweep.inner_integral_memo
-        monkeypatch.setattr(sweep, "inner_integral_memo",
-                            lambda: opened.append(1) or memo())
+    def test_memo_counts_only_inner_integrals(self, caplog, scenarios, methods,
+                                              counts):
+        # every sweep opens the memo, and only two-node analytic and
+        # closed-form rows run inner integrals, two per rate here: any other
+        # sweep computes and reuses none
         spec = SweepSpec("rate", (0.5, 1.0), scenarios=scenarios,
                          methods=methods, sim=SimConfig(trials=64, seed=1))
-        computed, reused = memo_counts(caplog, spec)
-        assert len(opened) == scopes
-        assert (computed > 0) == bool(scopes)
-        if not scopes:
-            assert reused == 0
+        assert memo_counts(caplog, spec) == counts
 
     def test_closed_form_shares_inner_integrals_across_densities(self, caplog):
         # its inner scales x^2*sqrt(T) do not depend on the density, so all
@@ -612,9 +605,9 @@ class TestSerialization:
 
 class TestPresets:
     def test_known_presets(self):
-        for name in ("fig2", "fig3", "fig5"):
-            specs = build_preset(name, SMALL_SIM)
-            assert len(specs) == 1
+        assert sorted(PRESETS) == ["fig2", "fig3", "fig4", "fig5"]
+        for name in PRESETS:
+            assert len(build_preset(name, SMALL_SIM)) == 1
 
     def test_fig3_shape(self):
         spec = build_preset("fig3", SMALL_SIM)[0]
@@ -628,26 +621,45 @@ class TestPresets:
         assert spec.fixed.sigma_n2 == 1.0 and spec.rate == 0.1
         assert spec.variable == "bs_power"
 
-    def test_fig4_one_spec_per_rate(self):
-        specs = build_preset("fig4", SMALL_SIM)
-        assert [s.rate for s in specs] == [0.5, 1.0, 2.0]
-        assert all(s.variable == "residual_li" for s in specs)
-        assert all(s.scenarios == (Scenario.TWO_NODE_FD,) for s in specs)
+    def test_fig4_one_rate_sweep(self):
+        (spec,) = build_preset("fig4", SMALL_SIM)
+        assert spec.variable == "rate" and spec.grid == (0.5, 1.0, 2.0)
+        assert spec.li_levels == make_grid(1e-6, 1e-1, 11, "log")
+        assert spec.scenarios == (Scenario.TWO_NODE_FD,)
+        assert spec.methods == ("analytic", "closed-form", "mc")
+
+    def test_fig4_rows_equal_one_loop_sweep_per_rate(self):
+        # the one table holds the rows of a residual_li sweep at each rate,
+        # the rate in value and the loop gain in sigma_l2, with the same
+        # outage and stderr: both draw one simulation at spec.fixed
+        sim = SimConfig(trials=256, seed=3)
+        (spec,) = build_preset("fig4", sim)
+        table = {(r.method, r.value, r.sigma_l2): (r.outage, r.mc_stderr)
+                 for r in run_sweep(spec)}
+        per_rate = {}
+        for rate in (0.5, 1.0, 2.0):
+            for r in run_sweep(SweepSpec(
+                    "residual_li", make_grid(1e-6, 1e-1, 11, "log"),
+                    scenarios=(Scenario.TWO_NODE_FD,), rate=rate,
+                    methods=("analytic", "closed-form", "mc"), sim=sim)):
+                per_rate[(r.method, rate, r.value)] = (r.outage, r.mc_stderr)
+        assert len(table) == 3 * 3 * 11
+        assert table == per_rate
 
     def test_fig5_density(self):
         spec = build_preset("fig5", SMALL_SIM)[0]
         assert spec.variable == "density" and spec.rate == 0.1
         assert 1e-1 in spec.li_levels
 
-    def test_settings_reach_every_spec(self):
+    def test_settings_reach_the_spec(self):
         quad = QuadratureConfig(rel_tol_outer=1e-6)
-        for name in PRESETS:
-            specs = build_preset(name, SMALL_SIM, quad)
-            assert all(s.sim == SMALL_SIM and s.quad == quad for s in specs)
+        for name, stored in PRESETS.items():
+            (spec,) = build_preset(name, SMALL_SIM, quad)
+            assert spec.sim == SMALL_SIM and spec.quad == quad
+            assert spec == replace(stored, sim=SMALL_SIM, quad=quad)
             # the stored presets keep the default settings
-            assert all(s.sim == SimConfig() and s.quad == QuadratureConfig()
-                       for s in PRESETS[name])
-            assert build_preset(name) == list(PRESETS[name])
+            assert stored.sim == SimConfig() and stored.quad == QuadratureConfig()
+            assert build_preset(name) == [stored]
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
