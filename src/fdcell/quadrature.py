@@ -16,6 +16,9 @@ both two-node routes, each with its own kernel.  Calls are capped at four
 whole subintervals, so the arrays of such a nested integral stay under the
 allocator's threshold for serving them from the heap.
 
+:class:`QuadratureConfig` has one accuracy setting, ``rel_tol_outer``: the
+inner tolerance and ``tail_cut`` follow from it.
+
 Inside :func:`inner_integral_memo`, which :func:`fdcell.sweep.sweep_rows`
 opens for every sweep, :func:`exclusion_average` computes each inner
 integral once: a call with the same kernel, kernel arguments, settings and
@@ -57,33 +60,36 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and truncation rules for the radial integrals.
+    """Accuracy settings of the radial integrals; rel_tol_outer sets them all.
 
-    rel_tol_inner    -- relative tolerance for exclusion_average, the
-                        integral nested inside a two-node outage integral;
-                        kept 100x tighter than the outer one so inner error
-                        never dominates the outer estimate
-    rel_tol_outer    -- relative tolerance for the outermost radial integral
-    tail_cut         -- epsilon at which Gaussian-weighted integrals are
-                        truncated: at x = sqrt(ln(1/eps)) in the scaled
-                        distance x = r*sqrt(lam*pi) of the outage
-                        integrals; exclusion_average cuts a head and a tail
-                        of at most eps each
-    max_subdivisions -- cap on the number of subintervals of one integral
+    rel_tol_outer    -- relative tolerance of the outermost radial integral,
+                        in [1e-300, 1) so that tail_cut is a normal double
+    max_subdivisions -- cap on the subintervals of one integral, at least
+                        the 8 of integrate's first round
+    rel_tol_inner    -- read-only, 1e-2 * rel_tol_outer: the tolerance of
+                        exclusion_average, nested inside a two-node outage
+                        integral, so inner error never dominates the outer
+    tail_cut         -- read-only, 1e-5 * rel_tol_outer: the epsilon at
+                        which Gaussian-weighted integrals are truncated, at
+                        x = sqrt(ln(1/eps)) in the scaled distance
+                        x = r*sqrt(lam*pi) of the outage integrals;
+                        exclusion_average cuts a head and a tail of at most
+                        eps each
+    Both budgets are products: the default 1e-7 gives exactly 1e-9, 1e-12.
     """
 
-    rel_tol_inner: float = 1e-9
     rel_tol_outer: float = 1e-7
-    tail_cut: float = 1e-12
     max_subdivisions: int = 200
+    rel_tol_inner = property(lambda self: 1e-2 * self.rel_tol_outer)
+    tail_cut = property(lambda self: 1e-5 * self.rel_tol_outer)
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol_inner", "rel_tol_outer", "tail_cut"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {v}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        if not 1e-300 <= self.rel_tol_outer < 1.0:
+            raise ValueError("rel_tol_outer must be in [1e-300, 1), got "
+                             f"{self.rel_tol_outer}")
+        if self.max_subdivisions < 8:
+            raise ValueError("max_subdivisions must be >= 8, got "
+                             f"{self.max_subdivisions}")
 
 
 class Integral(NamedTuple):
@@ -155,9 +161,7 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     Raises QuadratureError when the error estimate is not finite, or when a
     tolerance is still missed with cfg.max_subdivisions subintervals.
     """
-    first = _FIRST if cfg.max_subdivisions >= len(_FIRST) - 1 else \
-        np.linspace(0.0, 1.0, cfg.max_subdivisions + 1)
-    lo, hi = _cut(np.array([a], dtype=float), np.array([b], dtype=float), first)
+    lo, hi = _cut(np.array([a], dtype=float), np.array([b], dtype=float), _FIRST)
     kron, err, shape = _rule(fn, lo, hi)
     evaluations = 21 * len(lo)
     while True:

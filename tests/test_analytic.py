@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -444,8 +445,7 @@ class TestExactOracle:
     @pytest.mark.parametrize("sigma_l2", [0.0, 1e-3])
     def test_two_node_error_bound_against_tight_run(self, sigma_l2):
         # both two-node routes, against runs at tolerances 1e5 times tighter
-        tight = QuadratureConfig(rel_tol_inner=1e-13, rel_tol_outer=1e-12,
-                                 tail_cut=1e-15, max_subdivisions=2000)
+        tight = QuadratureConfig(rel_tol_outer=1e-12, max_subdivisions=2000)
         p = NetworkParams(sigma_l2=sigma_l2)
         for rate in (0.1, 1.0, 3.0):
             for route in (lambda q: analytic.two_node_outage(p, rate, q),
@@ -454,6 +454,31 @@ class TestExactOracle:
                 est = route(QUAD)
                 assert abs(est.value - route(tight).value) <= est.meta["abserr"]
                 assert est.meta["abserr"] < 1e-7
+
+    # unequal exponents and powers, noise and loop interference: every
+    # term of the general two-node route
+    GENERAL = NetworkParams(alpha1=3.3, alpha2=3.7, sigma_n2=1e-4, p_u=0.3,
+                            sigma_l2=1e-3)
+
+    def test_outer_tolerance_sets_the_inner_one(self):
+        # the error bound follows rel_tol_outer below the default inner
+        # tolerance 1e-9: an inner tolerance held there would keep it near
+        # 1e-9
+        est = analytic.two_node_outage(self.GENERAL, 1.0,
+                                       QuadratureConfig(rel_tol_outer=1e-10))
+        tight = analytic.two_node_outage(
+            self.GENERAL, 1.0,
+            QuadratureConfig(rel_tol_outer=1e-12, max_subdivisions=2000))
+        assert est.meta["abserr"] < 1e-10
+        assert abs(est.value - tight.value) <= est.meta["abserr"]
+
+    def test_loose_outer_tolerance_saves_inner_work(self):
+        loose = analytic.two_node_outage(self.GENERAL, 1.0,
+                                         QuadratureConfig(rel_tol_outer=1e-4))
+        default = analytic.two_node_outage(self.GENERAL, 1.0, QUAD)
+        assert (loose.meta["inner_evaluations"]
+                < default.meta["inner_evaluations"])
+        assert abs(loose.value - default.value) <= loose.meta["abserr"]
 
     def test_reports_inner_evaluations(self):
         # the nodes of all inner integrals; only two-node has any
@@ -585,7 +610,8 @@ class TestQuadratureContract:
         assert sum(calls) == sum(rounds) == result.evaluations
 
     def test_failure_carries_error_estimate(self):
-        cfg = QuadratureConfig(max_subdivisions=2)
+        # the smallest cap: the first round's eight subintervals, no cut
+        cfg = QuadratureConfig(max_subdivisions=8)
         with pytest.raises(QuadratureError) as exc:
             integrate(lambda x: abs(x - 1.0 / 3.0) ** -0.4, 0.0, 1.0, 1e-12, cfg)
         assert exc.value.achieved > 0
@@ -606,12 +632,26 @@ class TestQuadratureContract:
         assert sum(rounds) <= 12 * 21
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol_inner=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(tail_cut=1.5)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
+        # below 1e-300 the derived tail_cut would leave the normal doubles
+        for bad in (dict(rel_tol_outer=0.0), dict(rel_tol_outer=1.0),
+                    dict(rel_tol_outer=9e-301), dict(max_subdivisions=7)):
+            with pytest.raises(ValueError):
+                QuadratureConfig(**bad)
+        edge = QuadratureConfig(rel_tol_outer=1e-300, max_subdivisions=8)
+        assert edge.tail_cut >= sys.float_info.min
+
+    def test_one_setting_derives_the_others(self):
+        assert [f.name for f in fields(QuadratureConfig)] == [
+            "rel_tol_outer", "max_subdivisions"]
+        # products, exact at the default
+        assert QUAD.rel_tol_inner == 1e-9 and QUAD.tail_cut == 1e-12
+        cfg = QuadratureConfig(rel_tol_outer=1e-4)
+        assert (cfg.rel_tol_inner, cfg.tail_cut) == (1e-2 * 1e-4, 1e-5 * 1e-4)
+        for name in ("rel_tol_inner", "tail_cut"):
+            with pytest.raises(TypeError):
+                QuadratureConfig(**{name: 1e-9})
+            with pytest.raises(AttributeError):
+                setattr(QUAD, name, 1e-9)
 
 
 class TestExclusionAverage:

@@ -659,9 +659,7 @@ CONFIG_KEYS = [
     ("seed", "sim", "seed", "7", 7),
     ("mode", "sim", "mode", "physical", SimMode.PHYSICAL),
     ("window-factor", "sim", "window_factor", "20", 20.0),
-    ("rel_tol_inner", "quad", "rel_tol_inner", "1e-10", 1e-10),
     ("rel-tol-outer", "quad", "rel_tol_outer", "1e-6", 1e-6),
-    ("tail_cut", "quad", "tail_cut", "1e-11", 1e-11),
     ("max-subdivisions", "quad", "max_subdivisions", "150", 150),
     ("rate", "rate", None, "0.75", 0.75),
 ]
@@ -671,9 +669,9 @@ class TestConfigKeys:
     def test_every_key_reaches_its_field(self, capsys, tmp_path, monkeypatch):
         keys = {k.replace("-", "_") for k, *_ in CONFIG_KEYS} | {"out"}
         assert keys == set("lambda alpha1 alpha2 pb pu sigma_n2 sigma_l2 mu "
-                           "trials seed mode window_factor rel_tol_inner "
-                           "rel_tol_outer tail_cut max_subdivisions rate "
-                           "out".split())
+                           "trials seed mode window_factor rel_tol_outer "
+                           "max_subdivisions rate out".split())
+        assert len(keys) == len(cli._KEYS) == 16
         out = tmp_path / "row.csv"
         conf = tmp_path / "fd.conf"
         conf.write_text("".join(f"{k} = {text}\n"
@@ -712,6 +710,27 @@ class TestConfigKeys:
                              "--scenario", "three-node", "--rate", "1")
         assert code == EXIT_CONFIG
         assert not out and "unknown key" in err
+
+    @pytest.mark.parametrize("key", ["rel_tol_inner", "tail_cut"])
+    def test_derived_quadrature_budgets_are_unknown(self, capsys, tmp_path,
+                                                    key):
+        # both follow from rel_tol_outer and have no key of their own
+        conf = tmp_path / "fd.conf"
+        conf.write_text(f"{key} = 1e-10\n")
+        code, out, err = run(capsys, "--config", str(conf), "analytic",
+                             "--scenario", "three-node", "--rate", "1")
+        assert code == EXIT_CONFIG
+        assert not out and "unknown key" in err
+
+    def test_tiny_tolerance_names_its_key(self, capsys, tmp_path):
+        # below 1e-300 the tail cut would leave the normal doubles and
+        # ln(1/tail_cut) could overflow, making the outer interval [0, inf]
+        conf = tmp_path / "fd.conf"
+        conf.write_text("rel_tol_outer = 1e-320\n")
+        code, out, err = run(capsys, "--config", str(conf), "analytic",
+                             "--scenario", "three-node", "--rate", "1")
+        assert code == EXIT_CONFIG and not out
+        assert err.startswith("configuration error: rel_tol_outer must be")
 
     def test_bad_mode_fails_every_command(self, capsys, tmp_path):
         conf = tmp_path / "fd.conf"
