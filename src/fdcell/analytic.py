@@ -244,8 +244,7 @@ def _radial_outage(params: NetworkParams, scenario: Scenario, rate_r: float,
     # at tiny densities the gain ratios are huge and some products overflow:
     # inf in an exponent or a denominator is the right limit
     with np.errstate(over="ignore"):
-        cover = integrate(integrand, 0.0, x_max, quad.rel_tol_outer, quad,
-                          abs_tol=quad.rel_tol_outer)
+        cover = integrate(integrand, 0.0, x_max, quad.rel_tol_outer)
     abserr = cover.abserr + quad.tail_cut
     if two_node:
         abserr += quad.rel_tol_inner + 2.0 * quad.tail_cut

@@ -122,7 +122,7 @@ def two_node_outage(rate_r: float, lam: float, sigma_l2: float,
     with np.errstate(over="ignore"):
         cover = integrate(integrand, 0.0,
                           math.sqrt(math.log(1.0 / quad.tail_cut)),
-                          quad.rel_tol_outer, quad, abs_tol=quad.rel_tol_outer)
+                          quad.rel_tol_outer)
     meta.update(abserr=cover.abserr + 3.0 * quad.tail_cut + quad.rel_tol_inner,
                 evaluations=cover.evaluations)
     return OutageEstimate(1.0 - cover.value, Method.ANALYTIC_CLOSED_FORM,

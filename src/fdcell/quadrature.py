@@ -16,8 +16,8 @@ both two-node routes, each with its own kernel.  Calls are capped at four
 whole subintervals, so the arrays of such a nested integral stay under the
 allocator's threshold for serving them from the heap.
 
-:class:`QuadratureConfig` has one accuracy setting, ``rel_tol_outer``: the
-inner tolerance and ``tail_cut`` follow from it.
+:class:`QuadratureConfig` has one field, ``rel_tol_outer``: the inner
+tolerance and ``tail_cut`` follow from it; the subdivision cap is fixed.
 
 Inside :func:`inner_integral_memo`, which :func:`fdcell.sweep.sweep_rows`
 opens for every sweep, :func:`exclusion_average` computes each inner
@@ -35,6 +35,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -60,36 +61,31 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Accuracy settings of the radial integrals; rel_tol_outer sets them all.
+    """Accuracy of the radial integrals: rel_tol_outer sets it all.
 
-    rel_tol_outer    -- relative tolerance of the outermost radial integral,
-                        in [1e-300, 1) so that tail_cut is a normal double
-    max_subdivisions -- cap on the subintervals of one integral, at least
-                        the 8 of integrate's first round
-    rel_tol_inner    -- read-only, 1e-2 * rel_tol_outer: the tolerance of
-                        exclusion_average, nested inside a two-node outage
-                        integral, so inner error never dominates the outer
-    tail_cut         -- read-only, 1e-5 * rel_tol_outer: the epsilon at
-                        which Gaussian-weighted integrals are truncated, at
-                        x = sqrt(ln(1/eps)) in the scaled distance
-                        x = r*sqrt(lam*pi) of the outage integrals;
-                        exclusion_average cuts a head and a tail of at most
-                        eps each
+    rel_tol_outer -- relative tolerance of the outermost radial integral, in
+                     [100*eps, 1) for the double epsilon eps, so that
+                     rel_tol_inner is at least eps
+    rel_tol_inner -- read-only, 1e-2 * rel_tol_outer: the tolerance of
+                     exclusion_average, nested inside a two-node outage
+                     integral, so inner error never dominates the outer
+    tail_cut      -- read-only, 1e-5 * rel_tol_outer: the epsilon at which
+                     Gaussian-weighted integrals are truncated, at
+                     x = sqrt(ln(1/eps)) in the scaled distance
+                     x = r*sqrt(lam*pi) of the outage integrals;
+                     exclusion_average cuts a head and a tail of at most
+                     eps each
     Both budgets are products: the default 1e-7 gives exactly 1e-9, 1e-12.
     """
 
     rel_tol_outer: float = 1e-7
-    max_subdivisions: int = 200
     rel_tol_inner = property(lambda self: 1e-2 * self.rel_tol_outer)
     tail_cut = property(lambda self: 1e-5 * self.rel_tol_outer)
 
     def __post_init__(self) -> None:
-        if not 1e-300 <= self.rel_tol_outer < 1.0:
-            raise ValueError("rel_tol_outer must be in [1e-300, 1), got "
-                             f"{self.rel_tol_outer}")
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be >= 8, got "
-                             f"{self.max_subdivisions}")
+        if not _MIN_TOL <= self.rel_tol_outer < 1.0:
+            raise ValueError(f"rel_tol_outer must be in [{_MIN_TOL:.6g}, 1), "
+                             f"got {self.rel_tol_outer}")
 
 
 class Integral(NamedTuple):
@@ -133,6 +129,10 @@ _WEIGHTS[1, 11:20:2] = _WG[::-1]
 _FIRST = np.linspace(0.0, 1.0, 9)
 _PIECES = 4
 _PARTS = np.linspace(0.0, 1.0, _PIECES + 1)
+# the most subintervals of one integral
+_MAX_SUBDIVISIONS = 200
+# the tightest rel_tol_outer: its inner tolerance is the double epsilon
+_MIN_TOL = 100.0 * sys.float_info.epsilon
 # nodes per call of the integrand, whole subintervals: in a nested integral
 # the inner integrand's arrays of (inner nodes, outer nodes) then hold at
 # most 84^2 doubles (56 kB), under glibc's 128 kB mmap threshold, so the
@@ -141,38 +141,37 @@ _CALL_NODES = 4 * 21
 
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              rel_tol: float, cfg: QuadratureConfig,
-              abs_tol: float = 0.0) -> Integral:
-    """Integrate fn over the finite interval [a, b] to a relative tolerance.
+              tol: float) -> Integral:
+    """Integrate fn over the finite interval [a, b] to the tolerance tol.
 
     fn maps an array of n nodes to an array of n floats, or to an (n, m)
     array whose m columns are integrated together on shared subintervals.
-    Column j is done when abserr[j] <= max(abs_tol, rel_tol*|value[j]|),
-    where abserr is the sum over subintervals of |Kronrod - Gauss|.  After
-    a first round on the eighths of [a, b], each round cuts into four, for
+    Column j is done when abserr[j] <= max(tol, tol*|value[j]|), where
+    abserr is the sum over subintervals of |Kronrod - Gauss|.  After a
+    first round on the eighths of [a, b], each round cuts into four, for
     every column short of its tolerance, the subintervals with the largest
     errors until the others hold at most half of it.
 
-    Integrals known to be bounded by 1 (probabilities, Laplace factors) pass
-    abs_tol = rel_tol: an absolute error of that size is what propagates
-    through products of bounded factors, and it keeps negligible exponential
-    tails from demanding unattainable relative precision.
+    tol is absolute below |value| = 1 and relative above: an absolute error
+    is what propagates through products of the probabilities and Laplace
+    factors fdcell integrates, all bounded by 1, and it spares negligible
+    exponential tails a relative precision they cannot reach.
 
     Raises QuadratureError when the error estimate is not finite, or when a
-    tolerance is still missed with cfg.max_subdivisions subintervals.
+    tolerance is still missed with _MAX_SUBDIVISIONS subintervals.
     """
     lo, hi = _cut(np.array([a], dtype=float), np.array([b], dtype=float), _FIRST)
     kron, err, shape = _rule(fn, lo, hi)
     evaluations = 21 * len(lo)
     while True:
         value, abserr = kron.sum(axis=0), err.sum(axis=0)
-        requested = np.maximum(abs_tol, rel_tol * abs(value))
+        requested = np.maximum(tol, tol * abs(value))
         unmet = ~(abserr <= requested)
         if not unmet.any():
             return Integral(_shaped(value, shape), _shaped(abserr, shape),
                             evaluations)
         # subintervals that can still be cut, each cut adding _PIECES - 1
-        room = (cfg.max_subdivisions - len(lo)) // (_PIECES - 1)
+        room = (_MAX_SUBDIVISIONS - len(lo)) // (_PIECES - 1)
         if room <= 0 or not np.isfinite(abserr).all():
             worst = np.argmax(np.where(unmet, abserr / requested, 0.0))
             raise QuadratureError(
@@ -240,11 +239,11 @@ def exclusion_average(kappa: Callable[..., np.ndarray], s,
     scales are split into such groups, from the smallest s up, each on its
     own interval.  The interval cuts a head (s*t < tail_cut) and a tail
     (s*t > ln(1/tail_cut)) of at most tail_cut each, which abserr adds.
-    Each column, a probability, meets cfg.rel_tol_inner also as an
-    absolute tolerance.  s = 0 gives 1 and s = inf gives 0 without
-    quadrature; evaluations is 0 when no column needs any.  The arrays
-    returned are read-only.  Inside :func:`inner_integral_memo` an
-    identical call returns the stored result; outside, nothing is stored.
+    Each column meets the tolerance cfg.rel_tol_inner.  s = 0 gives 1 and
+    s = inf gives 0 without quadrature; evaluations is 0 when no column
+    needs any.  The arrays returned are read-only.  Inside
+    :func:`inner_integral_memo` an identical call returns the stored
+    result; outside, nothing is stored.
     """
     s = np.asarray(s, dtype=float)
     return (_memo.get() or _stored_integral)(kappa, args, cfg, s.shape, s.tobytes())
@@ -278,8 +277,7 @@ def _stored_integral(kappa, args: tuple, cfg: QuadratureConfig, shape: tuple,
 
         w_lo = math.log(cfg.tail_cut) - log_s.max()
         w_hi = math.log(math.log(1.0 / cfg.tail_cut)) - log_s.min()
-        tol = cfg.rel_tol_inner
-        inner = integrate(integrand, w_lo, w_hi, tol, cfg, abs_tol=tol)
+        inner = integrate(integrand, w_lo, w_hi, cfg.rel_tol_inner)
         value[group] = inner.value
         abserr[group] = inner.abserr + 2.0 * cfg.tail_cut
         evaluations += inner.evaluations

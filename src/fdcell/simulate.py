@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -98,14 +99,15 @@ class SimConfig:
     mode: SimMode = SimMode.MATCHED
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # a float trials or seed would fail in range() or truncate silently
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         # NaN fails both comparisons
         if not 5 <= self.window_factor <= 128:
             raise ValueError("window_factor must be in [5, 128], got "
                              f"{self.window_factor}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass

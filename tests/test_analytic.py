@@ -445,7 +445,7 @@ class TestExactOracle:
     @pytest.mark.parametrize("sigma_l2", [0.0, 1e-3])
     def test_two_node_error_bound_against_tight_run(self, sigma_l2):
         # both two-node routes, against runs at tolerances 1e5 times tighter
-        tight = QuadratureConfig(rel_tol_outer=1e-12, max_subdivisions=2000)
+        tight = QuadratureConfig(rel_tol_outer=1e-12)
         p = NetworkParams(sigma_l2=sigma_l2)
         for rate in (0.1, 1.0, 3.0):
             for route in (lambda q: analytic.two_node_outage(p, rate, q),
@@ -466,11 +466,26 @@ class TestExactOracle:
         # 1e-9
         est = analytic.two_node_outage(self.GENERAL, 1.0,
                                        QuadratureConfig(rel_tol_outer=1e-10))
-        tight = analytic.two_node_outage(
-            self.GENERAL, 1.0,
-            QuadratureConfig(rel_tol_outer=1e-12, max_subdivisions=2000))
+        tight = analytic.two_node_outage(self.GENERAL, 1.0,
+                                         QuadratureConfig(rel_tol_outer=1e-12))
         assert est.meta["abserr"] < 1e-10
         assert abs(est.value - tight.value) <= est.meta["abserr"]
+
+    def test_tightest_tolerance_converges(self):
+        # at the tightest accepted rel_tol_outer the inner tolerance is the
+        # double epsilon, and every route still converges within the fixed
+        # subdivision cap: three scenarios at three rates on two parameter
+        # sets, and the closed-form two-node
+        quad = QuadratureConfig(rel_tol_outer=100.0 * sys.float_info.epsilon)
+        p = NetworkParams(sigma_l2=1e-3)
+        estimates = [closedform.two_node_outage(rate, p.lam, p.sigma_l2, quad)
+                     for rate in (0.1, 1.0, 3.0)]
+        for params in (self.GENERAL, p):
+            estimates += [analytic.outage(scenario, params, rate, quad)
+                          for scenario in Scenario for rate in (0.1, 1.0, 3.0)]
+        assert len(estimates) == 21
+        for est in estimates:
+            assert est.meta["abserr"] < 2.0 * quad.rel_tol_outer
 
     def test_loose_outer_tolerance_saves_inner_work(self):
         loose = analytic.two_node_outage(self.GENERAL, 1.0,
@@ -547,9 +562,9 @@ class TestEdgeOfDomain:
     def test_far_apart_inner_scales(self):
         # one inner call's scales span some 500 e-folds: on one shared
         # interval, 200 subintervals did not reach the tolerance
-        # (QuadratureError).  The reference is that outage with
-        # max_subdivisions = 4000 and one interval, the value before columns
-        # were grouped by scale.
+        # (QuadratureError).  The reference is that outage with a cap of 4000
+        # subintervals and one interval, the value before columns were
+        # grouped by scale.
         p = NetworkParams(alpha1=100.0, alpha2=3.0, p_u=1e-12)
         reference = 0.9889910639016841
         assert abs(analytic.two_node_outage(p, 1e-12, QUAD).value
@@ -577,77 +592,82 @@ def nodes(monkeypatch):
 
 class TestQuadratureContract:
     def test_columns_meet_their_own_tolerance(self):
-        # columns 1e9 apart in scale: a shared absolute error would leave the
-        # small one with no correct digit
-        scales = np.array([1e9, 1.0, 1e-9])
+        # columns 1e9 apart in scale, each |value| >= 1 so that its relative
+        # tolerance binds: a shared absolute error would leave the small one
+        # with no correct digit
+        scales = np.array([1e20, 1e11, 1e2])
         result = integrate(lambda x: np.exp(-x)[:, None] * np.cos(
-            np.outer(x, [1.0, 3.0, 7.0])) * scales, 0.0, 10.0, 1e-10, QUAD)
+            np.outer(x, [1.0, 3.0, 7.0])) * scales, 0.0, 10.0, 1e-10)
         w = np.array([1.0, 3.0, 7.0])
         exact = scales * (1.0 + np.exp(-10.0) * (w * np.sin(10.0 * w)
                                                  - np.cos(10.0 * w))) / (1.0 + w * w)
-        assert result.value.shape == (3,)
+        assert result.value.shape == (3,) and np.all(abs(exact) >= 1.0)
         assert np.all(abs(result.value - exact) <= 1e-10 * abs(exact))
         assert np.all(result.abserr <= 1e-10 * abs(result.value))
 
     def test_scalar_integrand(self):
         # one value per node gives a float
-        result = integrate(lambda x: 3.0 * x * x, 0.0, 2.0, 1e-12, QUAD)
+        result = integrate(lambda x: 3.0 * x * x, 0.0, 2.0, 1e-12)
         assert isinstance(result.value, float)
         assert result.value == pytest.approx(8.0, rel=1e-14)
         assert result.evaluations % 21 == 0
-        assert integrate(lambda x: np.full(x.shape, 2.5), 0.0, 2.0, 1e-12,
-                         QUAD).value == pytest.approx(5.0, rel=1e-14)
+        assert integrate(lambda x: np.full(x.shape, 2.5), 0.0, 2.0,
+                         1e-12).value == pytest.approx(5.0, rel=1e-14)
 
     def test_call_size_is_bounded(self, nodes):
         # a nested integral's inner array grows with the nodes per call, so
         # a round that cuts many subintervals calls the integrand in pieces
         # of at most four subintervals
         calls, rounds = nodes
-        result = integrate(lambda x: np.cos(40.0 * x), 0.0, 10.0, 1e-10, QUAD)
-        assert result.value == pytest.approx(math.sin(400.0) / 40.0,
-                                             rel=1e-10)
+        result = integrate(lambda x: np.cos(40.0 * x), 0.0, 10.0, 1e-10)
+        # below |value| = 1 the tolerance is an absolute error
+        exact = math.sin(400.0) / 40.0
+        assert abs(exact) < 1.0 and abs(result.value - exact) <= 1e-10
         assert max(calls) == 4 * 21 < max(rounds)
         assert sum(calls) == sum(rounds) == result.evaluations
 
-    def test_failure_carries_error_estimate(self):
+    def test_failure_carries_error_estimate(self, monkeypatch):
         # the smallest cap: the first round's eight subintervals, no cut
-        cfg = QuadratureConfig(max_subdivisions=8)
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 8)
         with pytest.raises(QuadratureError) as exc:
-            integrate(lambda x: abs(x - 1.0 / 3.0) ** -0.4, 0.0, 1.0, 1e-12, cfg)
+            integrate(lambda x: abs(x - 1.0 / 3.0) ** -0.4, 0.0, 1.0, 1e-12)
         assert exc.value.achieved > 0
         assert exc.value.requested > 0
         assert math.isfinite(exc.value.value)
 
-    def test_subdivision_cap_trims_a_round(self, nodes):
+    def test_subdivision_cap_trims_a_round(self, nodes, monkeypatch):
         # a peak on the border of two eighths asks to cut both of them; a cap
         # of 12 leaves room to cut one (8 - 1 + 4 = 11 subintervals), then none
         calls, rounds = nodes
         peak = lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-6)
-        integrate(peak, 0.0, 1.0, 1e-10, QuadratureConfig(max_subdivisions=200))
+        integrate(peak, 0.0, 1.0, 1e-10)
         assert rounds[:2] == [8 * 21, 8 * 21]
         rounds.clear()
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 12)
         with pytest.raises(QuadratureError, match="with 11 subintervals"):
-            integrate(peak, 0.0, 1.0, 1e-10, QuadratureConfig(max_subdivisions=12))
+            integrate(peak, 0.0, 1.0, 1e-10)
         assert rounds == [8 * 21, 4 * 21]
         assert sum(rounds) <= 12 * 21
 
     def test_config_validation(self):
-        # below 1e-300 the derived tail_cut would leave the normal doubles
-        for bad in (dict(rel_tol_outer=0.0), dict(rel_tol_outer=1.0),
-                    dict(rel_tol_outer=9e-301), dict(max_subdivisions=7)):
-            with pytest.raises(ValueError):
-                QuadratureConfig(**bad)
-        edge = QuadratureConfig(rel_tol_outer=1e-300, max_subdivisions=8)
-        assert edge.tail_cut >= sys.float_info.min
+        # below 100 eps the derived inner tolerance is under the double
+        # epsilon, which no two-node integral meets
+        edge = 100.0 * sys.float_info.epsilon
+        for bad in (0.0, 1.0, math.nextafter(edge, 0.0), 1e-14, 1e-300):
+            with pytest.raises(ValueError, match="rel_tol_outer must be in"):
+                QuadratureConfig(rel_tol_outer=bad)
+        tightest = QuadratureConfig(rel_tol_outer=edge)
+        assert tightest.rel_tol_inner >= sys.float_info.epsilon
+        assert tightest.tail_cut >= sys.float_info.min
 
     def test_one_setting_derives_the_others(self):
-        assert [f.name for f in fields(QuadratureConfig)] == [
-            "rel_tol_outer", "max_subdivisions"]
+        assert [f.name for f in fields(QuadratureConfig)] == ["rel_tol_outer"]
         # products, exact at the default
         assert QUAD.rel_tol_inner == 1e-9 and QUAD.tail_cut == 1e-12
         cfg = QuadratureConfig(rel_tol_outer=1e-4)
         assert (cfg.rel_tol_inner, cfg.tail_cut) == (1e-2 * 1e-4, 1e-5 * 1e-4)
-        for name in ("rel_tol_inner", "tail_cut"):
+        # the subdivision cap is the constant quadrature._MAX_SUBDIVISIONS
+        for name in ("rel_tol_inner", "tail_cut", "max_subdivisions"):
             with pytest.raises(TypeError):
                 QuadratureConfig(**{name: 1e-9})
             with pytest.raises(AttributeError):

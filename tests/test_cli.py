@@ -638,7 +638,7 @@ class TestConfigFile:
 
     def test_quad_settings_via_config(self, capsys, tmp_path):
         conf = tmp_path / "fd.conf"
-        conf.write_text("rel_tol_outer = 1e-5\nmax_subdivisions = 100\n")
+        conf.write_text("rel_tol_outer = 1e-5\n")
         code, out, _ = run(capsys, "--config", str(conf), "analytic",
                            "--scenario", "three-node", "--rate", "1")
         assert code == EXIT_OK
@@ -660,7 +660,6 @@ CONFIG_KEYS = [
     ("mode", "sim", "mode", "physical", SimMode.PHYSICAL),
     ("window-factor", "sim", "window_factor", "20", 20.0),
     ("rel-tol-outer", "quad", "rel_tol_outer", "1e-6", 1e-6),
-    ("max-subdivisions", "quad", "max_subdivisions", "150", 150),
     ("rate", "rate", None, "0.75", 0.75),
 ]
 
@@ -670,8 +669,8 @@ class TestConfigKeys:
         keys = {k.replace("-", "_") for k, *_ in CONFIG_KEYS} | {"out"}
         assert keys == set("lambda alpha1 alpha2 pb pu sigma_n2 sigma_l2 mu "
                            "trials seed mode window_factor rel_tol_outer "
-                           "max_subdivisions rate out".split())
-        assert len(keys) == len(cli._KEYS) == 16
+                           "rate out".split())
+        assert len(keys) == len(cli._KEYS) == 15
         out = tmp_path / "row.csv"
         conf = tmp_path / "fd.conf"
         conf.write_text("".join(f"{k} = {text}\n"
@@ -711,22 +710,28 @@ class TestConfigKeys:
         assert code == EXIT_CONFIG
         assert not out and "unknown key" in err
 
-    @pytest.mark.parametrize("key", ["rel_tol_inner", "tail_cut"])
+    @pytest.mark.parametrize("key, value", [("rel_tol_inner", "1e-10"),
+                                            ("tail_cut", "1e-10"),
+                                            ("max_subdivisions", "150")])
     def test_derived_quadrature_budgets_are_unknown(self, capsys, tmp_path,
-                                                    key):
-        # both follow from rel_tol_outer and have no key of their own
+                                                    key, value):
+        # the budgets follow from rel_tol_outer and the subdivision cap is
+        # fixed: none has a key of its own
         conf = tmp_path / "fd.conf"
-        conf.write_text(f"{key} = 1e-10\n")
+        conf.write_text(f"{key} = {value}\n")
         code, out, err = run(capsys, "--config", str(conf), "analytic",
                              "--scenario", "three-node", "--rate", "1")
         assert code == EXIT_CONFIG
         assert not out and "unknown key" in err
 
-    def test_tiny_tolerance_names_its_key(self, capsys, tmp_path):
-        # below 1e-300 the tail cut would leave the normal doubles and
-        # ln(1/tail_cut) could overflow, making the outer interval [0, inf]
+    @pytest.mark.parametrize("tol", ["1e-14", "1e-320"])
+    def test_tiny_tolerance_names_its_key(self, capsys, tmp_path, tol):
+        # below 100 eps the inner tolerance is under the double epsilon,
+        # which no two-node integral meets; far below, ln(1/tail_cut) could
+        # overflow, making the outer interval [0, inf].  Both are refused
+        # before any work, also on a route with no inner integral
         conf = tmp_path / "fd.conf"
-        conf.write_text("rel_tol_outer = 1e-320\n")
+        conf.write_text(f"rel_tol_outer = {tol}\n")
         code, out, err = run(capsys, "--config", str(conf), "analytic",
                              "--scenario", "three-node", "--rate", "1")
         assert code == EXIT_CONFIG and not out

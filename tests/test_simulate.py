@@ -128,9 +128,13 @@ class TestSimConfig:
         {"window_factor": math.nan}, {"window_factor": math.inf},
         # a finite window whose block buffer would not fit in memory
         {"window_factor": 128.5},
+        # seed 1.5 would draw the trials of seed 1, and trials 1e5 would
+        # fail in range() only at a rate that needs a draw
+        {"seed": 1.5}, {"trials": 1e5},
     ])
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        # the message names the field
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
             SimConfig(**bad)
 
     def test_window_bound(self):
