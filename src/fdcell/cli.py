@@ -65,12 +65,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(sys.stderr)
         return EXIT_CONFIG
     try:
-        defaults = _load_config(args.config)
-        return args.handler(args, defaults)
+        return args.handler(args, _load_config(args.config))
     except (EstimateRangeError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -156,27 +155,23 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     values: dict = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, val = line.partition("=")
-                key = key.strip().replace("-", "_")
-                val = val.strip()
-                if key not in _KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                dest, cast = _KEYS[key]
-                try:
-                    values[dest] = cast(val)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: "
-                                      f"{exc}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            key, _, val = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key not in _KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            dest, cast = _KEYS[key]
+            try:
+                values[dest] = cast(val.strip())
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: "
+                                  f"{exc}") from exc
     return values
 
 
@@ -211,11 +206,8 @@ def _emit_rows(rows: list[SweepRow], args, defaults: dict) -> None:
     if not out:
         sys.stdout.write(text)
         return
-    try:
-        with open(out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from exc
+    with open(out, "w") as fh:
+        fh.write(text)
 
 
 def _cmd_estimate(args, defaults: dict) -> int:
@@ -289,12 +281,8 @@ def _cmd_compare(args, defaults: dict) -> int:
     if not 0.0 <= args.max_flagged_frac <= 1.0:
         raise ConfigError("--max-flagged-frac must be in [0, 1], got "
                           f"{args.max_flagged_frac}")
-    try:
-        with open(args.infile) as fh:
-            rows = rows_from_csv(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.infile}: {exc}") from exc
-    report = compare_report(rows)
+    with open(args.infile) as fh:
+        report = compare_report(rows_from_csv(fh.read()))
     if report.notice:
         print(report.notice, file=sys.stderr)
         return EXIT_CONFIG

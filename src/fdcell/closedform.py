@@ -136,11 +136,7 @@ def three_node_outage(rate_r: float) -> OutageEstimate:
 
     which is independent of the network density (no lam argument by design).
     """
-    t = threshold_from_rate(rate_r, Scenario.THREE_NODE_FD)
-    st = math.sqrt(t)
-    value = 1.0 - 1.0 / (1.0 + st * (math.atan(st) + math.pi / 2.0))
-    return OutageEstimate(value, Method.ANALYTIC_CLOSED_FORM, meta={
-        "abserr": 0.0, "evaluations": 0, "inner_evaluations": 0})
+    return _elementary_outage(rate_r, Scenario.THREE_NODE_FD, math.pi / 2.0)
 
 
 def half_duplex_outage(rate_r: float) -> OutageEstimate:
@@ -149,9 +145,14 @@ def half_duplex_outage(rate_r: float) -> OutageEstimate:
 
         1 - 1/(1 + sqrt(T')*arctan(sqrt(T'))).
     """
-    t = threshold_from_rate(rate_r, Scenario.HALF_DUPLEX)
-    st = math.sqrt(t)
-    value = 1.0 - 1.0 / (1.0 + st * math.atan(st))
+    return _elementary_outage(rate_r, Scenario.HALF_DUPLEX, 0.0)
+
+
+def _elementary_outage(rate_r: float, scenario: Scenario,
+                       c: float) -> OutageEstimate:
+    """1 - 1/(1 + sqrt(T)*(arctan(sqrt(T)) + c)) at the scenario's T."""
+    st = math.sqrt(threshold_from_rate(rate_r, scenario))
+    value = 1.0 - 1.0 / (1.0 + st * (math.atan(st) + c))
     return OutageEstimate(value, Method.ANALYTIC_CLOSED_FORM, meta={
         "abserr": 0.0, "evaluations": 0, "inner_evaluations": 0})
 

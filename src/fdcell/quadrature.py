@@ -129,7 +129,8 @@ _WEIGHTS[1, 11:20:2] = _WG[::-1]
 _FIRST = np.linspace(0.0, 1.0, 9)
 _PIECES = 4
 _PARTS = np.linspace(0.0, 1.0, _PIECES + 1)
-# the most subintervals of one integral
+# the most subintervals of one integral; near-step integrands can need more
+# at rel_tol_outer 1e-13 and below: three-node with noise, alpha1 500 or 1000
 _MAX_SUBDIVISIONS = 200
 # the tightest rel_tol_outer: its inner tolerance is the double epsilon
 _MIN_TOL = 100.0 * sys.float_info.epsilon

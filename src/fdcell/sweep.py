@@ -75,7 +75,7 @@ class SweepSpec:
     plan, worked out once here, holds (scenario, rows) per scenario and
     (grid value, sigma_l2, params, rate) per row, both in output order, with
     sigma_l2 0 and params at fixed.sigma_l2 off two-node; it builds each
-    distinct model once, so a bad bound fails before any row.
+    distinct model once, so a bad density or loop level fails before any row.
     """
 
     variable: str
@@ -105,32 +105,29 @@ class SweepSpec:
             if m not in METHOD_NAMES:
                 raise ConfigError(f"unknown method {m!r}; expected subset of "
                                   f"{METHOD_NAMES}")
-        # written so that NaN fails every check
-        if not all(li >= 0 for li in self.li_levels):
-            raise ConfigError("li_levels must be >= 0")
         for name in ("scenarios", "methods", "li_levels"):
             entries = getattr(self, name)
             if len(set(entries)) != len(entries):
                 raise ConfigError(f"{name} must not repeat an entry")
-        if self.li_levels and (self.variable == "residual_li" or
-                               Scenario.TWO_NODE_FD not in self.scenarios):
+        has_two_node = Scenario.TWO_NODE_FD in self.scenarios
+        if self.li_levels and (self.variable == "residual_li" or not has_two_node):
             raise ConfigError("li_levels apply to two-node rows at a fixed "
                               "sigma_l2; no row of this sweep reads them")
+        if self.variable == "residual_li" and not has_two_node:
+            raise ConfigError("a residual_li sweep needs the two-node scenario, "
+                              "the only one whose rows read sigma_l2")
         if not self.rate >= 0:
             raise ConfigError("rate must be >= 0")
         if not math.isfinite(self.rate):
             raise ConfigError(f"rate must be finite, got {self.rate}")
         if not all(map(math.isfinite, self.grid)):
             raise ConfigError(f"{self.variable} grid must be finite")
-        if self.variable in ("bs_power", "density"):
-            if not all(v > 0 for v in self.grid):
-                raise ConfigError(f"{self.variable} grid must be > 0")
-            # p_b times p_u/p_b can round back to p_b where p_b is subnormal,
-            # or the smallest normal and p_u/p_b one ulp below 1 (a tie)
-            if self.variable == "bs_power" and self.grid[0] <= sys.float_info.min:
-                raise ConfigError(f"bs_power grid must be > {sys.float_info.min:g}, "
-                                  "the smallest normal double")
-        elif not all(v >= 0 for v in self.grid):
+        # p_b times p_u/p_b can round back to p_b where p_b is subnormal, or
+        # the smallest normal and p_u/p_b one ulp below 1 (a tie)
+        if self.variable == "bs_power" and self.grid[0] <= sys.float_info.min:
+            raise ConfigError(f"bs_power grid must be > {sys.float_info.min:g}, "
+                              "the smallest normal double")
+        elif self.variable != "density" and not all(v >= 0 for v in self.grid):
             raise ConfigError(f"{self.variable} grid must be >= 0")
         plan, model = [], functools.cache(self._model)
         for scenario in (s for s in Scenario if s in self.scenarios):
@@ -357,15 +354,18 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def rows_from_csv(text: str) -> list[SweepRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ConfigError(f"expected header {CSV_HEADER!r}")
     rows = []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(_COLUMNS):
-            raise ConfigError(f"malformed row: {ln!r}")
-        rows.append(SweepRow(*[cast(cell) for cast, cell in zip(_CASTS, cells)]))
+            raise ConfigError(f"line {n}: malformed row: {ln!r}")
+        try:
+            rows.append(SweepRow(*[cast(cell) for cast, cell in zip(_CASTS, cells)]))
+        except ValueError as exc:
+            raise ConfigError(f"line {n}: {exc}") from exc
     return rows
 
 

@@ -64,8 +64,8 @@ class TestAnalyticCommand:
         code, out, err = run(capsys, "analytic", "--scenario", "three-node",
                              "--rate", "1", "--out", str(out_file))
         assert code == EXIT_CONFIG and not out
-        assert len(err.splitlines()) == 1 and "cannot write" in err
-        assert str(out_file) in err
+        assert err.startswith("configuration error: ")
+        assert len(err.splitlines()) == 1 and str(out_file) in err
 
     def test_out_of_range_estimate_is_numerical_failure(self, capsys,
                                                         monkeypatch):
@@ -242,6 +242,40 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG and not out
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("flags, named, bound", [
+        (("--variable", "rate", "--grid", "0.5,1", "--li-levels=-1e-3"),
+         "sigma_l2 = -0.001", "sigma_l2 must be finite and >= 0"),
+        (("--variable", "rate", "--grid", "0.5,1", "--li-levels", "nan"),
+         "sigma_l2 = nan", "sigma_l2 must be finite and >= 0"),
+        (("--variable", "density", "--grid", "0,1e-3", "--rate", "1"),
+         "density = 0,", "lam must be finite and > 0"),
+        (("--variable", "density", "--grid=-1e-3,1e-3", "--rate", "1"),
+         "density = -0.001", "lam must be finite and > 0"),
+    ], ids=["li-negative", "li-nan", "density-zero", "density-negative"])
+    def test_model_bound_fails_before_any_row(self, capsys, monkeypatch,
+                                              flags, named, bound):
+        # the models the spec plans check these bounds, not the spec itself
+        def spy(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        for module, name in ((sweep, "simulate_sinr"), (sweep, "estimate_outage"),
+                             (analytic, "outage"), (closedform, "outage")):
+            monkeypatch.setattr(module, name, spy)
+        code, out, err = run(capsys, "sweep", *flags, "--methods",
+                             "analytic,closed-form,mc", "--trials", "2000")
+        assert code == EXIT_CONFIG and not out
+        assert len(err.splitlines()) == 1
+        assert named in err and bound in err
+
+    def test_residual_li_sweep_needs_two_node(self, capsys):
+        # off two-node no row reads sigma_l2: every row was the same outage
+        code, out, err = run(capsys, "sweep", "--variable", "residual_li",
+                             "--grid", "0,1e-3,1e-1", "--scenarios",
+                             "three-node,half-duplex", "--rate", "1")
+        assert code == EXIT_CONFIG and not out
+        assert len(err.splitlines()) == 1
+        assert "residual_li" in err and "two-node" in err
+
     @pytest.mark.parametrize("grid", ["0:1", "0:1:3:log:x"])
     def test_grid_with_wrong_field_count(self, capsys, grid):
         code, out, err = run(capsys, "sweep", "--variable", "rate",
@@ -356,7 +390,7 @@ class TestSweepCommand:
     def test_sweep_rejects_its_swept_flag(self, capsys, tmp_path, variable,
                                           flag, key):
         base = ("sweep", "--variable", variable, "--grid", "0.5:1:3",
-                "--scenarios", "three-node")
+                "--scenarios", "two-node")
         if variable != "rate":
             base += ("--rate", "1")
         code, out, err = run(capsys, *base, flag, "5")
@@ -477,6 +511,24 @@ class TestDomainEdges:
         else:
             assert not out and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("alpha1", ["500", "1000"])
+    def test_tightest_tolerance_at_large_alpha1_exits_3(self, capsys, tmp_path,
+                                                         alpha1):
+        # near the tightest rel_tol_outer the noise weight, nearly a step at
+        # large alpha1, needs more than the fixed cap of 200 subintervals
+        conf = tmp_path / "fd.conf"
+        argv = ("analytic", "--scenario", "three-node", "--rate", "1",
+                "--sigma-n2", "1", "--alpha1", alpha1)
+        conf.write_text("rel_tol_outer = 2.3e-14\n")
+        code, out, err = run(capsys, "--config", str(conf), *argv)
+        assert code == EXIT_NUMERICAL and not out
+        assert len(err.splitlines()) == 1
+        assert "200 subintervals (achieved " in err
+        assert "requested 2.3e-14)" in err
+        conf.write_text("rel_tol_outer = 1e-12\n")
+        code, out, err = run(capsys, "--config", str(conf), *argv)
+        assert code == EXIT_OK, err
+
     @pytest.mark.parametrize("flags", [
         ("--alpha1=100", "--alpha2=3", "--pu=1e-12", "--rate=1e-12"),
         ("--alpha1=50", "--alpha2=2.05", "--pu=1e-6", "--rate=1e-12",
@@ -544,8 +596,23 @@ class TestCompareCommand:
         assert "no matchable" in err
 
     def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "compare", "--in", str(tmp_path / "nope.csv"))
-        assert code == EXIT_CONFIG
+        path = str(tmp_path / "nope.csv")
+        code, out, err = run(capsys, "compare", "--in", path)
+        assert code == EXIT_CONFIG and not out
+        assert err.startswith("configuration error: ")
+        assert len(err.splitlines()) == 1 and path in err
+
+    @pytest.mark.parametrize("cell, reason", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("2.0", "outage 2.0 outside [0, 1]"),
+    ], ids=["not-a-number", "outage-above-1"])
+    def test_bad_row_names_its_line(self, capsys, tmp_path, cell, reason):
+        # the header is line 1, and the blank line 3 is counted
+        path = self.write(tmp_path, "three-node,analytic,rate,1,0,0.70,,1\n\n"
+                          f"three-node,mc,rate,1,0,{cell},0.01,1\n")
+        code, out, err = run(capsys, "compare", "--in", path)
+        assert code == EXIT_CONFIG and not out
+        assert err == f"configuration error: line 4: {reason}\n"
 
     @pytest.mark.parametrize("frac, code", [("0.01", EXIT_COMPARE),
                                             ("1", EXIT_OK), ("nan", EXIT_CONFIG),
@@ -582,7 +649,8 @@ class TestConfigFile:
         code, out, err = run(capsys, "--config", str(tmp_path), "analytic",
                              "--scenario", "three-node", "--rate", "1")
         assert code == EXIT_CONFIG and not out
-        assert "cannot read config file" in err
+        assert err.startswith("configuration error: ")
+        assert len(err.splitlines()) == 1 and str(tmp_path) in err
 
     def test_defaults_and_override(self, capsys, tmp_path, monkeypatch):
         conf = tmp_path / "fd.conf"

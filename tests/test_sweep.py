@@ -67,12 +67,24 @@ class TestSpecValidation:
             small_rate_spec(methods=("analytic", "magic"))
 
     def test_negative_li(self):
-        with pytest.raises(ConfigError):
+        # the two-node model of the first row rejects it
+        with pytest.raises(ConfigError, match=r"rate = 0, sigma_l2 = -0\.001: "
+                           "sigma_l2 must be finite and >= 0"):
             small_rate_spec(li_levels=(-1e-3,))
 
     def test_positive_grids(self):
-        with pytest.raises(ConfigError):
-            SweepSpec(variable="density", grid=(0.0, 1e-3))
+        # the models of the first grid value reject it
+        for grid in ((0.0, 1e-3), (-1e-3, 1e-3)):
+            with pytest.raises(ConfigError, match=f"density = {grid[0]:g}, "
+                               "sigma_l2 = 0: lam must be finite and > 0"):
+                SweepSpec(variable="density", grid=grid)
+
+    @pytest.mark.parametrize("scenarios", [
+        (Scenario.THREE_NODE_FD,), (Scenario.THREE_NODE_FD, Scenario.HALF_DUPLEX)])
+    def test_residual_li_needs_two_node(self, scenarios):
+        # no other scenario's rows read sigma_l2
+        with pytest.raises(ConfigError, match="residual_li.*two-node"):
+            SweepSpec("residual_li", (0.0, 1e-3), scenarios=scenarios)
 
     def test_empty_methods(self):
         with pytest.raises(ConfigError, match="method"):
@@ -126,7 +138,7 @@ class TestSpecValidation:
                       fixed=NetworkParams(p_u=1e10))
 
     def test_nan_li_level(self):
-        with pytest.raises(ConfigError, match="li_levels"):
+        with pytest.raises(ConfigError, match="sigma_l2 must be finite"):
             small_rate_spec(li_levels=(0.0, math.nan))
 
     @pytest.mark.parametrize("field, entries", [
