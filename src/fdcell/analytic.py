@@ -262,11 +262,20 @@ def _bs_exponent(threshold: float, params: NetworkParams) -> float:
 
 def _uplink_scale(x, threshold: float, params: NetworkParams):
     """s = (T*g_u/g_b * x^alpha1)^(2/alpha2), the mapped distance u at which
-    an uplink user's mean power equals the serving BS's over T."""
+    an uplink user's mean power equals the serving BS's over T.
+
+    Formed in logs, with ln(g_u/g_b) from p_u/p_b and lam*pi: T*g_u/g_b may
+    underflow to 0 where x^alpha1 overflows, and their product would be
+    0*inf.  An s beyond the doubles is 0 or inf, the limits the uplink
+    factors take exactly."""
     x = _check_radial_args(x, threshold)
-    # capped as gain_u is, so that an x^alpha1 of 0 gives s = 0, not 0*inf
-    coef = min(threshold * params.sinr_scales()[0], sys.float_info.max)
-    return (coef * x ** params.alpha1) ** (2.0 / params.alpha2)
+    if threshold == 0.0:
+        return np.zeros_like(x)[()]
+    p = params
+    log_coef = (math.log(threshold) + math.log(p.p_u) - math.log(p.p_b)
+                + 0.5 * (p.alpha2 - p.alpha1) * math.log(p.lam * math.pi))
+    with np.errstate(over="ignore"):
+        return np.exp((log_coef + p.alpha1 * np.log(x)) * (2.0 / p.alpha2))
 
 
 def _check_radial_args(x, threshold: float):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
 quadrature that misses its tolerance, or an estimate outside [0, 1]), 4
-agreement check failed in `compare`.  A key-value config file (FDCELL_CONFIG
-or --config) supplies defaults; flags override it.
+agreement check failed in `compare`, 141 stdout closed by its reader.  A
+key-value config file (FDCELL_CONFIG or --config) supplies defaults; flags
+override it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import fields, replace
 
 from .model import EstimateRangeError, NetworkParams, Scenario
 from .quadrature import QuadratureConfig, QuadratureError
-from .closedform import REQUIREMENTS, applicable
 from .simulate import SimConfig, SimMode
 from .sweep import (
     PRESETS,
@@ -39,6 +39,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_COMPARE = 4
+# what a shell reports for a process that SIGPIPE ends, 128 + 13
+EXIT_BROKEN_PIPE = 141
 
 CONFIG_ENV = "FDCELL_CONFIG"
 
@@ -69,9 +71,26 @@ def main(argv: list[str] | None = None) -> int:
     except (EstimateRangeError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader of stdout is gone, as when `head` exits first:
+        # nothing to report, and the interpreter's flush at exit must not
+        # write to the pipe again
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def _discard_stdout() -> None:
+    """Point the process's stdout at the null device, when it has one."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 @functools.cache
@@ -204,7 +223,9 @@ def _emit_rows(rows: list[SweepRow], args, defaults: dict) -> None:
     text = rows_to_jsonl(rows) if args.jsonl else rows_to_csv(rows)
     out = _setting("out", args, defaults)
     if not out:
+        # flushed here, so that a closed stdout fails inside main
         sys.stdout.write(text)
+        sys.stdout.flush()
         return
     with open(out, "w") as fh:
         fh.write(text)
@@ -223,8 +244,6 @@ def _cmd_estimate(args, defaults: dict) -> int:
     spec = SweepSpec("rate", (_rate(args, defaults),),
                      scenarios=(Scenario(args.scenario),), methods=(method,),
                      fixed=_settings(NetworkParams, args, defaults), **config)
-    if method == "closed-form" and not applicable(spec.fixed):
-        raise ConfigError(f"closed form needs {REQUIREMENTS}")
     _emit_rows(sweep_rows(spec, workers=getattr(args, "workers", 1)), args,
                defaults)
     return EXIT_OK

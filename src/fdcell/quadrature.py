@@ -14,7 +14,15 @@ subintervals: a nested integral evaluates its inner integrals for a whole
 batch of outer nodes in one call, as :func:`exclusion_average` does for
 both two-node routes, each with its own kernel.  Calls are capped at four
 whole subintervals, so the arrays of such a nested integral stay under the
-allocator's threshold for serving them from the heap.
+allocator's threshold for serving them from the heap.  One call of that
+inner integrand on n nodes for m scales allocates, beyond the kernel's own
+arrays of n, a (3, n) array of its rows [w; 1; t + kappa(t)] and one (n, m)
+array: the exponent, a single matrix product with the (3, m) rows
+[1; ln s; -s] made once per group of scales, which exp overwrites in
+place.  A round of :func:`integrate` keeps the subintervals' ends in one
+(2, subintervals) array and their estimates and errors in one (2,
+subintervals, columns) array, which one product with the Kronrod weights
+and their differences from the Gauss weights fills.
 
 :class:`QuadratureConfig` has one field, ``rel_tol_outer``: the inner
 tolerance and ``tail_cut`` follow from it; the subdivision cap is fixed.
@@ -116,21 +124,31 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
 _NODES = np.concatenate((np.negative(_XK[:-1]), _XK[::-1]))
-# row 0 the Kronrod weights, row 1 the Gauss weights, on the 21 nodes
+# on the 21 nodes, row 0 the Kronrod weights and row 1 their difference from
+# the Gauss weights: one product gives the estimate and its error
 _WEIGHTS = np.zeros((2, 21))
-_WEIGHTS[0] = np.concatenate((_WK[:-1], _WK[::-1]))
-_WEIGHTS[1, 1:10:2] = _WG
-_WEIGHTS[1, 11:20:2] = _WG[::-1]
-# Rounds, not nodes, dominate the cost: a round is some 60 numpy calls on
+_WEIGHTS[:] = np.concatenate((_WK[:-1], _WK[::-1]))
+_WEIGHTS[1, 1:10:2] -= _WG
+_WEIGHTS[1, 11:20:2] -= _WG[::-1]
+# Rounds, not nodes, dominate the cost: a round is dozens of numpy calls on
 # small arrays whatever its size.  So the first round cuts [a, b] into eight
 # equal parts, which settles most single integrals of fdcell in one or two
 # rounds, and a refinement cuts a subinterval into _PIECES: against
 # bisection, four halve the rounds a small feature takes to resolve.
-_FIRST = np.linspace(0.0, 1.0, 9)
 _PIECES = 4
-_PARTS = np.linspace(0.0, 1.0, _PIECES + 1)
-# the most subintervals of one integral; near-step integrands can need more
-# at rel_tol_outer 1e-13 and below: three-node with noise, alpha1 500 or 1000
+
+
+def _pieces(n: int) -> np.ndarray:
+    """The starts (row 0) and ends (row 1) of n equal parts of [0, 1], as
+    fractions of a (2, 1, n) array."""
+    cuts = np.linspace(0.0, 1.0, n + 1)
+    return np.stack((cuts[:-1], cuts[1:]))[:, None, :]
+
+
+_FIRST, _PARTS = _pieces(8), _pieces(_PIECES)
+# the most subintervals of one integral; the two-node inner integrals at
+# alpha1 500 or 1000 can need more at rel_tol_outer 2.3e-14, whose inner
+# tolerance is about the double epsilon
 _MAX_SUBDIVISIONS = 200
 # the tightest rel_tol_outer: its inner tolerance is the double epsilon
 _MIN_TOL = 100.0 * sys.float_info.epsilon
@@ -161,44 +179,47 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     Raises QuadratureError when the error estimate is not finite, or when a
     tolerance is still missed with _MAX_SUBDIVISIONS subintervals.
     """
-    lo, hi = _cut(np.array([a], dtype=float), np.array([b], dtype=float), _FIRST)
-    kron, err, shape = _rule(fn, lo, hi)
-    evaluations = 21 * len(lo)
+    # the subintervals' starts (row 0) and ends (row 1), and for each the
+    # Kronrod estimate (row 0) and its error (row 1) per column
+    ends = _cut(np.array([[a], [b]], dtype=float), _FIRST)
+    ke, shape = _rule(fn, ends[0], ends[1])
+    evaluations = 21 * ends.shape[1]
     while True:
-        value, abserr = kron.sum(axis=0), err.sum(axis=0)
+        value, abserr = ke.sum(axis=1)
         requested = np.maximum(tol, tol * abs(value))
+        # a column whose error is NaN is unmet too
         unmet = ~(abserr <= requested)
-        if not unmet.any():
+        n_unmet = np.count_nonzero(unmet)
+        if not n_unmet:
             return Integral(_shaped(value, shape), _shaped(abserr, shape),
                             evaluations)
         # subintervals that can still be cut, each cut adding _PIECES - 1
-        room = (_MAX_SUBDIVISIONS - len(lo)) // (_PIECES - 1)
-        if room <= 0 or not np.isfinite(abserr).all():
+        room = (_MAX_SUBDIVISIONS - ends.shape[1]) // (_PIECES - 1)
+        if room <= 0 or not abserr.max() < math.inf:
             worst = np.argmax(np.where(unmet, abserr / requested, 0.0))
             raise QuadratureError(
                 f"quadrature did not converge on [{a:g}, {b:g}] with "
-                f"{len(lo)} subintervals (achieved {abserr[worst]:g}, "
+                f"{ends.shape[1]} subintervals (achieved {abserr[worst]:g}, "
                 f"requested {requested[worst]:g})", _shaped(value, shape),
                 achieved=float(abserr[worst]), requested=float(requested[worst]))
         # in ascending order of error, a subinterval is split once it and
         # the ones before it hold more than half of its column's tolerance
-        scaled = err[:, unmet] / requested[unmet]
+        scaled = ke[1] / requested if n_unmet == len(unmet) else \
+            ke[1].compress(unmet, axis=1) / requested.compress(unmet)
         ascending = np.sort(scaled, axis=0)
         kept = np.count_nonzero(np.cumsum(ascending, axis=0) <= 0.5, axis=0)
         split = (scaled >= ascending[kept, np.arange(len(kept))]).any(axis=1)
-        chosen = np.flatnonzero(split)
-        if len(chosen) > room:
+        if np.count_nonzero(split) > room:
+            chosen = np.flatnonzero(split)
             chosen = chosen[np.argsort(-scaled[chosen].max(axis=1))[:room]]
             split[:] = False
             split[chosen] = True
-        new_lo, new_hi = _cut(lo[split], hi[split], _PARTS)
-        k, e, _ = _rule(fn, new_lo, new_hi)
+        new = _cut(ends.compress(split, axis=1), _PARTS)
         keep = ~split
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        kron = np.concatenate((kron[keep], k))
-        err = np.concatenate((err[keep], e))
-        evaluations += 21 * len(new_lo)
+        ends = np.concatenate((ends.compress(keep, axis=1), new), axis=1)
+        ke = np.concatenate((ke.compress(keep, axis=1),
+                             _rule(fn, new[0], new[1])[0]), axis=1)
+        evaluations += 21 * new.shape[1]
 
 
 # the most entries an inner-integral memo keeps, dropping the least recently
@@ -240,11 +261,13 @@ def exclusion_average(kappa: Callable[..., np.ndarray], s,
     scales are split into such groups, from the smallest s up, each on its
     own interval.  The interval cuts a head (s*t < tail_cut) and a tail
     (s*t > ln(1/tail_cut)) of at most tail_cut each, which abserr adds.
-    Each column meets the tolerance cfg.rel_tol_inner.  s = 0 gives 1 and
-    s = inf gives 0 without quadrature; evaluations is 0 when no column
-    needs any.  The arrays returned are read-only.  Inside
-    :func:`inner_integral_memo` an identical call returns the stored
-    result; outside, nothing is stored.
+    Each column meets the tolerance cfg.rel_tol_inner.  s = inf gives 0
+    and s = 0 gives 1 without quadrature, as does an s so small that the
+    interval's end t = ln(1/tail_cut)/s would overflow (about 1e-307): for a
+    bounded kernel 1 - g(s) <= s*max(kappa) is then far below any
+    tolerance.  evaluations is 0 when no column needs quadrature.  The
+    arrays returned are read-only.  Inside :func:`inner_integral_memo` an
+    identical call returns the stored result; outside, nothing is stored.
     """
     s = np.asarray(s, dtype=float)
     return (_memo.get() or _stored_integral)(kappa, args, cfg, s.shape, s.tobytes())
@@ -263,18 +286,28 @@ def _stored_integral(kappa, args: tuple, cfg: QuadratureConfig, shape: tuple,
     value = np.where(s == math.inf, 0.0, 1.0)
     abserr = np.zeros(s.shape)
     evaluations = 0
-    rest = (s > 0.0) & (s < math.inf)
+    tiny = math.log(1.0 / cfg.tail_cut) / sys.float_info.max
+    rest = (s > tiny) & (s < math.inf)
     while rest.any():
         # the columns left within _SPAN e-folds of the smallest scale left
         group = rest & (s <= s[rest].min() * math.exp(_SPAN))
+        # the exponent w + ln s - (t + kappa(t))*s of s*t*exp(-s*(t +
+        # kappa(t))), as one exp since s*t alone may overflow: the product of
+        # a call's rows [w; 1; t + kappa(t)] and these rows of the group
         sl = s[group]
-        log_s = np.log(sl)
+        right = np.empty((3, sl.size))
+        right[0] = 1.0
+        log_s = np.log(sl, out=right[1])
+        np.negative(sl, out=right[2])
 
         def integrand(w: np.ndarray) -> np.ndarray:
-            # s*t * exp(-s*(t + kappa(t))) as one exp: s*t alone may overflow
-            t = np.exp(w)
-            k = t + kappa(t, *args)
-            return np.exp(log_s + w[:, None] - k[:, None] * sl)
+            left = np.empty((3, w.size))
+            left[0] = w
+            left[1] = 1.0
+            np.exp(w, out=left[2])
+            left[2] += kappa(left[2], *args)
+            e = left.T @ right
+            return np.exp(e, out=e)
 
         w_lo = math.log(cfg.tail_cut) - log_s.max()
         w_hi = math.log(math.log(1.0 / cfg.tail_cut)) - log_s.min()
@@ -287,24 +320,28 @@ def _stored_integral(kappa, args: tuple, cfg: QuadratureConfig, shape: tuple,
     return Integral(value[()], abserr[()], evaluations)
 
 
-def _cut(lo: np.ndarray, hi: np.ndarray, parts: np.ndarray):
-    """The subintervals [lo[i], hi[i]] cut at the fractions parts, which run
-    from 0 to 1, as arrays of ends; the cuts keep the ends exactly."""
-    cuts = lo[:, None] + (hi - lo)[:, None] * parts
-    cuts[:, -1] = hi
-    return cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+def _cut(ends: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """The subintervals from ends[0][i] to ends[1][i] cut at the fractions
+    parts (see _pieces), as one (2, subintervals) array of starts and ends
+    in the same layout; the cuts keep the ends exactly."""
+    lo, hi = ends[0][:, None], ends[1]
+    cuts = lo + (hi[:, None] - lo) * parts
+    cuts[1, :, -1] = hi
+    return cuts.reshape(2, -1)
 
 
 def _rule(fn, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod estimates and |Kronrod - Gauss| errors, (subintervals,
-    columns) each, of fn on the subintervals [lo[i], hi[i]], and the shape
-    of one node's value."""
+    """Kronrod estimates (row 0) and |Kronrod - Gauss| errors (row 1) of fn
+    on the subintervals [lo[i], hi[i]], a (2, subintervals, columns) array,
+    and the shape of one node's value."""
     half = 0.5 * (hi - lo)
     x = ((lo + half)[:, None] + half[:, None] * _NODES).ravel()
     f = fn(x) if x.size <= _CALL_NODES else np.concatenate(
         [fn(x[i:i + _CALL_NODES]) for i in range(0, x.size, _CALL_NODES)])
-    kg = (_WEIGHTS @ f.reshape(len(lo), 21, -1)) * half[:, None, None]
-    return kg[:, 0], abs(kg[:, 0] - kg[:, 1]), f.shape[1:]
+    ke = (_WEIGHTS @ f.reshape(len(lo), 21, -1)) * half[:, None, None]
+    ke = ke.transpose(1, 0, 2)
+    np.abs(ke[1], out=ke[1])
+    return ke, f.shape[1:]
 
 
 def _shaped(columns: np.ndarray, shape: tuple):

@@ -127,8 +127,8 @@ class SweepSpec:
         if self.variable == "bs_power" and self.grid[0] <= sys.float_info.min:
             raise ConfigError(f"bs_power grid must be > {sys.float_info.min:g}, "
                               "the smallest normal double")
-        elif self.variable != "density" and not all(v >= 0 for v in self.grid):
-            raise ConfigError(f"{self.variable} grid must be >= 0")
+        elif self.variable == "rate" and not all(v >= 0 for v in self.grid):
+            raise ConfigError("rate grid must be >= 0")
         plan, model = [], functools.cache(self._model)
         for scenario in (s for s in Scenario if s in self.scenarios):
             rows, two_node = [], scenario is Scenario.TWO_NODE_FD
@@ -219,7 +219,9 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     """The rows of spec.plan in output order, each timed over its own
     estimate, and for general analytic rows with scipy already loaded.
     Closed-form rows are dropped, with one INFO line, when the closed form
-    does not apply to spec.fixed, and so (see SweepSpec) to any row.
+    does not apply to spec.fixed, and so (see SweepSpec) to any row; when
+    no other method is left, a ConfigError names the closed form's
+    requirements before any work.
 
     Monte Carlo draws one simulation per sweep for all the scenarios, over
     `workers`, when a Monte Carlo row's threshold is neither 0 nor inf (such
@@ -235,16 +237,18 @@ def sweep_rows(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
     row has inner integrals."""
     general, closed, mc = (m.value for m in Method)
     methods = sorted(spec.methods)
+    if closed in methods and not closedform.applicable(spec.fixed):
+        methods.remove(closed)
+        if not methods:
+            raise ConfigError(f"closed form needs {closedform.REQUIREMENTS}")
+        log.info("closed form not applicable (needs %s); closed-form rows "
+                 "skipped", closedform.REQUIREMENTS)
     parts, mc_ms = {}, 0.0
     if mc in methods and any(0.0 < threshold_from_rate(rate, scenario) < math.inf
                              for scenario, points in spec.plan for *_, rate in points):
         t0 = time.perf_counter()
         parts = simulate_sinr(spec.fixed, spec.scenarios, spec.sim, workers)
         mc_ms = (time.perf_counter() - t0) * 1e3 / sum(len(p) for _, p in spec.plan)
-    if closed in methods and not closedform.applicable(spec.fixed):
-        log.info("closed form not applicable (needs %s); closed-form rows "
-                 "skipped", closedform.REQUIREMENTS)
-        methods.remove(closed)
     if general in methods:
         analytic._hyp2f1()
     rows: list[SweepRow] = []

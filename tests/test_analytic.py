@@ -167,6 +167,30 @@ class TestUplinkLaplaceFull:
         assert value == pytest.approx(1.0, abs=1e-12)
 
 
+class TestUplinkScale:
+    @pytest.mark.parametrize("params", [
+        DEFAULTS, NetworkParams(alpha1=3.0, alpha2=4.5, p_u=0.3, lam=2e-2),
+        NetworkParams(alpha1=5.5, alpha2=2.5, p_b=7.0, lam=1e-5)])
+    def test_agrees_with_the_plain_form(self, params):
+        # (T*g_u/g_b * x^alpha1)^(2/alpha2) where nothing overflows
+        x = np.geomspace(1e-3, 6.0, 50)
+        for t in (1e-6, 0.3, 1.0, 15.0):
+            plain = (t * params.sinr_scales()[0] * x ** params.alpha1) ** (
+                2.0 / params.alpha2)
+            s = analytic._uplink_scale(x, t, params)
+            assert np.all(abs(s - plain) <= 1e-13 * plain)
+
+    def test_no_zero_times_infinity(self):
+        # g_u/g_b underflows to 0 where x^alpha1 overflows: the product is
+        # formed in logs, so s is 0, tiny or inf as it should be, not NaN
+        p = NetworkParams(alpha1=1000.0, alpha2=2.0001, lam=214.0,
+                          p_b=7.69e-130, p_u=5.13e14)
+        t = threshold_from_rate(1e-12, Scenario.THREE_NODE_FD)
+        assert p.sinr_scales()[0] == 0.0
+        s = analytic._uplink_scale(np.array([1.0, 10.0, 50.0]), t, p)
+        assert s[0] == 0.0 and 0.0 < s[1] < 1e-270 and s[2] == math.inf
+
+
 class TestUplinkLaplaceExcluded:
     def test_zero_threshold(self):
         assert analytic.uplink_laplace_excluded(scaled(10.0), 0.0, DEFAULTS,
@@ -217,9 +241,9 @@ class TestUplinkLaplaceExcluded:
         assert batch == pytest.approx(oracle, abs=1e-9, rel=0)
 
     def test_zero_and_infinite_scale_columns(self):
-        # x^alpha1 underflows to s = 0 (no interference) and overflows to
-        # s = inf (certain loss); the finite column is unaffected by them
-        x = np.array([1e-200, 1.0, 1e100])
+        # s = x^alpha1 underflows to 0 (no interference) and overflows to
+        # inf (certain loss); the finite column is unaffected by them
+        x = np.array([1e-200, 1.0, 1e200])
         meta, dead_meta = {"inner_evaluations": 0}, {"inner_evaluations": 0}
         with np.errstate(over="ignore"):
             s = analytic._uplink_scale(x, 1.0, DEFAULTS)
@@ -704,6 +728,53 @@ class TestExclusionAverage:
         assert list(dead.value) == [1.0, 0.0] and dead.evaluations == 0
         zero = exclusion_average(one, 0.0, QUAD)
         assert np.ndim(zero.value) == 0 and zero.value == 1.0
+
+
+    @staticmethod
+    def plain(kappa, s, cfg, *args):
+        """g(s) with the integrand broadcast term by term, on the interval
+        exclusion_average takes for one group of scales."""
+        log_s = np.log(s)
+
+        def integrand(w):
+            t = np.exp(w)
+            k = t + kappa(t, *args)
+            return np.exp(log_s + w[:, None] - k[:, None] * s)
+
+        w_lo = math.log(cfg.tail_cut) - log_s.max()
+        w_hi = math.log(math.log(1.0 / cfg.tail_cut)) - log_s.min()
+        return integrate(integrand, w_lo, w_hi, cfg.rel_tol_inner).value
+
+    KERNELS = [(analytic._exclusion_kernel, (2.5,)),
+               (analytic._exclusion_kernel, (4.0,)),
+               (analytic._exclusion_kernel, (6.0,)), (closedform.arccot, ())]
+
+    @pytest.mark.parametrize("kappa, args", KERNELS,
+                             ids=["a2=2.5", "a2=4", "a2=6", "arccot"])
+    def test_matches_the_plain_integrand(self, kappa, args):
+        # the exponent as one matrix product: the same integral to rounding
+        s = np.geomspace(1e-6, 1e3, 84)
+        g = exclusion_average(kappa, s, QUAD, *args)
+        assert np.all(abs(g.value - self.plain(kappa, s, QUAD, *args)) <= 1e-13)
+
+    @pytest.mark.parametrize("kappa, args, s", [
+        (closedform.arccot, (), 1e-3), (analytic._exclusion_kernel, (2.5,), 1.0),
+        (analytic._exclusion_kernel, (6.0,), 50.0)])
+    def test_matches_mpmath(self, kappa, args, s):
+        mpmath = pytest.importorskip("mpmath")
+        if args:
+            a = mpmath.mpf(args[0])
+            full = (mpmath.pi / a) / mpmath.sin(2 * mpmath.pi / a)
+            # 2*tail_integral(sqrt(t), a): the full line minus the head
+            kernel = lambda t: 2 * full - t * mpmath.hyp2f1(1, 2 / a, 1 + 2 / a,
+                                                            -t ** (a / 2))
+        else:
+            kernel = mpmath.acot
+        with mpmath.workdps(20):
+            exact = mpmath.quad(lambda t: s * mpmath.exp(-s * (t + kernel(t))),
+                                [0, 1 / s, 10 / s, 100 / s, mpmath.inf])
+        g = exclusion_average(kappa, s, QUAD, *args)
+        assert abs(g.value - float(exact)) <= 1e-10
 
 
 def counts(memo) -> tuple[int, int]:

@@ -9,6 +9,7 @@ import pytest
 import fdcell
 from fdcell import analytic, cli, closedform, sweep
 from fdcell.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_COMPARE,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -58,6 +59,52 @@ class TestAnalyticCommand:
         assert "closed form" in err and closedform.REQUIREMENTS in err
         # one line, and no row loop's notice that the row was skipped
         assert len(err.splitlines()) == 1 and not caplog.records
+
+    @pytest.mark.parametrize("argv", [
+        ("analytic", "--scenario", "two-node", "--rate", "1", "--method",
+         "closed"),
+        ("sweep", "--variable", "rate", "--grid", "1,2", "--methods",
+         "closed-form")], ids=["analytic", "sweep"])
+    def test_closed_form_off_its_model_exits_2(self, capsys, argv):
+        # decided once, by sweep_rows, for one estimate and a sweep alike
+        code, out, err = run(capsys, *argv, "--alpha1", "3")
+        assert code == EXIT_CONFIG and not out
+        assert err == ("configuration error: closed form needs "
+                       f"{closedform.REQUIREMENTS}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("analytic", "--scenario", "three-node", "--rate", "1"),
+        ("sweep", "--variable", "rate", "--grid", "0:4:5", "--methods",
+         "closed-form")], ids=["analytic", "sweep"])
+    def test_closed_stdout_is_not_a_configuration_error(self, capsys,
+                                                         monkeypatch, argv):
+        # the reader of a pipe went away, as when `head` exits first
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(list(argv)) == EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_process(self):
+        # a pipe whose reader closed before the first row: the process exits
+        # 141 and writes nothing to stderr, not even at the interpreter's
+        # final flush of a buffered stdout
+        src = os.path.dirname(os.path.dirname(fdcell.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for name in (cli.CONFIG_ENV, "PYTHONUNBUFFERED"):
+            env.pop(name, None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fdcell.cli", "analytic", "--scenario",
+             "three-node", "--rate", "1"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_BROKEN_PIPE and err == b""
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         out_file = tmp_path / "missing" / "x.csv"
@@ -511,20 +558,34 @@ class TestDomainEdges:
         else:
             assert not out and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("scenario", [s.value for s in Scenario])
+    def test_underflowing_gain_ratio_gives_a_value(self, capsys, scenario):
+        # g_u/g_b underflows to 0 where x^alpha1 overflows; the uplink scale
+        # of the transforms was 0*inf = NaN and the query exited 3 after a
+        # RuntimeWarning, which the suite turns into an error
+        code, out, err = run(capsys, "analytic", "--scenario", scenario,
+                             "--rate", "1e-12", "--alpha1=1000",
+                             "--alpha2=2.0001", "--lambda=214",
+                             "--pb=7.69e-130", "--pu=5.13e+14")
+        assert code == EXIT_OK, err
+        (row,) = rows_from_csv(out)
+        assert 0.0 <= row.outage <= 1.0
+
     @pytest.mark.parametrize("alpha1", ["500", "1000"])
     def test_tightest_tolerance_at_large_alpha1_exits_3(self, capsys, tmp_path,
                                                          alpha1):
-        # near the tightest rel_tol_outer the noise weight, nearly a step at
-        # large alpha1, needs more than the fixed cap of 200 subintervals
+        # near the tightest rel_tol_outer, whose inner tolerance 2.3e-16 is
+        # about the double epsilon, the two-node inner integrals of scales
+        # near 1e-200 need more than the fixed cap of 200 subintervals
         conf = tmp_path / "fd.conf"
-        argv = ("analytic", "--scenario", "three-node", "--rate", "1",
-                "--sigma-n2", "1", "--alpha1", alpha1)
+        argv = ("analytic", "--scenario", "two-node", "--rate", "1",
+                "--sigma-n2", "1", "--lambda", "0.1", "--alpha1", alpha1)
         conf.write_text("rel_tol_outer = 2.3e-14\n")
         code, out, err = run(capsys, "--config", str(conf), *argv)
         assert code == EXIT_NUMERICAL and not out
         assert len(err.splitlines()) == 1
         assert "200 subintervals (achieved " in err
-        assert "requested 2.3e-14)" in err
+        assert "requested 2.3e-16)" in err
         conf.write_text("rel_tol_outer = 1e-12\n")
         code, out, err = run(capsys, "--config", str(conf), *argv)
         assert code == EXIT_OK, err

@@ -95,7 +95,12 @@ class TestSpecValidation:
         ("bs_power", (-1.0, 1.0)),
     ])
     def test_negative_grids(self, variable, grid):
-        with pytest.raises(ConfigError, match="grid must be"):
+        # a negative loop level is left to the model of its row, whose
+        # message names the point
+        match = ("residual_li = -0.001, sigma_l2 = -0.001: sigma_l2 must be "
+                 "finite and >= 0, got -0.001" if variable == "residual_li"
+                 else "grid must be")
+        with pytest.raises(ConfigError, match=match):
             SweepSpec(variable=variable, grid=grid)
 
     @pytest.mark.parametrize("rate", [-0.1, math.nan])
